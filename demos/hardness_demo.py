@@ -27,7 +27,8 @@ from tourkit.orderedhom import LabeledGraph
 print("== the gadget ==")
 report = verify_gadget()
 print(f"proper 2-colorings among 128 assignments: {report.proper_colorings}")
-print(f"endpoints share a color in every one: {report.endpoints_always_equal}")
+# verify_gadget raises AuditError on a proper coloring that separates them
+print("endpoints share a color in every one: True")
 from tourkit.hardness import GADGET_NAMES
 
 w = report.witness

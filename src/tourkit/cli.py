@@ -179,20 +179,17 @@ def _cmd_kofh(args) -> tuple[int, Report]:
     return EXIT_OK, rep
 
 
-def _two_coloring_classes(h: dg.OrientedGraph) -> list[list[int]]:
+def _cmd_forcing_build(args) -> tuple[int, Report]:
+    h = fmt.parse_oriented_graph(_read(args.pattern))
+    if h.n < 2:
+        raise ValueError("pattern needs at least two vertices")
     coloring = col.acyclic_k_coloring(h, 2)
     if coloring is None:
         raise ValueError("pattern is not 2-colorable")
-    return [cls for cls in coloring.classes() if cls] or [[], []]
-
-
-def _cmd_forcing_build(args) -> tuple[int, Report]:
-    h = fmt.parse_oriented_graph(_read(args.pattern))
-    classes = _two_coloring_classes(h)
-    if len(classes) == 1:
-        classes = [classes[0][:1], classes[0][1:]] if len(classes[0]) > 1 else classes + [[]]
-    if any(not cls for cls in classes):
-        raise fmt.ParseError(0, "pattern needs at least two vertices")
+    classes = coloring.classes()
+    if not classes[1]:
+        # an acyclic pattern fits in one class; split off its first vertex
+        classes = [classes[0][:1], classes[0][1:]]
     d = dg.OrientedGraph(2, [])
     f = fc.build_forcing(h, classes, d, args.m, args.seed)
     rep = Report()
@@ -344,10 +341,8 @@ def _cmd_gadget_verify(args) -> tuple[int, Report]:
     )
     rep.put("assignments", 128)
     rep.put("proper-colorings", result.proper_colorings)
-    rep.put(
-        "endpoints-always-equal",
-        "yes" if result.endpoints_always_equal else "no",
-    )
+    # a proper coloring that separates the endpoints raises AuditError
+    rep.put("endpoints-always-equal", "yes")
     rep.put(
         "witness",
         " ".join(

@@ -13,7 +13,6 @@ shared immutable inputs are safe.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -30,7 +29,6 @@ __all__ = [
     "classify",
     "verify_coloring",
     "cyclic_triangles",
-    "brute_force_k_colorable",
     "smallest_non_two_colorable_tournament",
 ]
 
@@ -169,17 +167,6 @@ def classify(h: OrientedGraph, budget: Optional[int] = None) -> str:
     return "easy" if acyclic_k_coloring(h, 2, budget=budget) is not None else "hard"
 
 
-def brute_force_k_colorable(d: OrientedGraph, k: int) -> bool:
-    """Oracle: scan all k^n class assignments for a proper one."""
-    if d.n == 0:
-        return True
-    for assignment in itertools.product(range(1, k + 1), repeat=d.n):
-        coloring = Coloring(assignment, k)
-        if verify_coloring(d, coloring):
-            return True
-    return False
-
-
 @lru_cache(maxsize=1)
 def smallest_non_two_colorable_tournament() -> Tournament:
     """First non-2-colorable tournament in the (n, bit-code) scan order.
@@ -192,35 +179,6 @@ def smallest_non_two_colorable_tournament() -> Tournament:
     while True:
         for bits in range(1 << (n * (n - 1) // 2)):
             t = tournament_from_bits(n, bits)
-            if not _fast_two_colorable(t):
+            if acyclic_k_coloring(t, 2) is None:
                 return t
         n += 1
-
-
-def _fast_two_colorable(t: Tournament) -> bool:
-    """2-colorability via direct scan over assignments of triangle vertices.
-
-    Only vertices lying on cyclic triangles are constrained; everything
-    else can always be absorbed into either class.
-    """
-    triples = cyclic_triangles(t)
-    if not triples:
-        return True
-    masks = [(1 << a) | (1 << b) | (1 << c) for a, b, c in triples]
-    involved = sorted({v for tr in triples for v in tr})
-    m = len(involved)
-    # assignment bit i corresponds to vertex involved[i]
-    for code in range(1 << (m - 1)):  # last involved vertex pinned to class 0
-        chosen = 0
-        for i in range(m):
-            if (code >> i) & 1:
-                chosen |= 1 << involved[i]
-        ok = True
-        for mask in masks:
-            x = mask & chosen
-            if x == mask or x == 0:
-                ok = False
-                break
-        if ok:
-            return True
-    return False

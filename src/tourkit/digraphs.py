@@ -30,7 +30,6 @@ __all__ = [
     "count_embeddings",
     "enumerate_embeddings",
     "embedding_stats",
-    "has_embedding",
     "find_embedding",
     "count_automorphisms",
     "distance_to_h_free",
@@ -354,74 +353,94 @@ def _pattern_order(pattern: OrientedGraph) -> list[int]:
     return order
 
 
-def _embed(
-    host_out: Sequence[int],
-    host_in: Sequence[int],
-    n_host: int,
+def _search(
+    out: Sequence[int],
+    inn: Sequence[int],
+    n: int,
     pattern: OrientedGraph,
-    count_all: bool,
-    forbidden_pairs: Optional[set[tuple[int, int]]] = None,
-) -> tuple[int, Optional[tuple[int, ...]]]:
-    """Backtracking embedding search over bit masks.
+    ban: Optional[Sequence[int]] = None,
+) -> Iterator[tuple[list[int], int, int]]:
+    """The embedding search: backtracking over bit masks, pattern vertices
+    in ``_pattern_order``, host candidates in increasing label order.
 
-    Returns (count, witness). With count_all=False stops at the first
-    embedding. ``forbidden_pairs`` excludes embeddings whose image uses
-    any of the given directed host pairs.
+    Yields ``(mapping, slot, cand)`` once per placement of every pattern
+    vertex but the last one searched: ``mapping[v-1]`` is the host vertex
+    of each placed pattern vertex v, ``slot`` indexes the unplaced one and
+    ``cand`` is the mask of its host vertices, so every set bit completes
+    one embedding. ``mapping`` is reused between yields. ``ban[x]`` masks
+    the host vertices y whose pair {x, y} no pattern edge may use. The
+    pattern must have at least one vertex.
     """
-    if pattern.n > n_host:
-        return 0, None
+    k = pattern.n
+    if k > n:
+        return
     order = _pattern_order(pattern)
-    full = ((1 << (n_host + 1)) - 1) & ~1
-    image = [0] * pattern.n  # image[i] = host vertex of order[i]
-    # constraints[i]: list of (j, forward) for placed j < i with a pattern edge
-    constraints: list[list[tuple[int, bool]]] = []
+    full = ((1 << (n + 1)) - 1) & ~1
+    allow = None if ban is None else [~b for b in ban]
+    # checks[i]: (mapping index, mask table) pairs, one per pattern edge
+    # between order[i] and an earlier vertex, plus its ban
+    checks: list[list[tuple[int, Sequence[int]]]] = []
     for i, v in enumerate(order):
-        cons = []
-        for j in range(i):
-            u = order[j]
+        level = []
+        for u in order[:i]:
             if pattern.has_edge(u, v):
-                cons.append((j, True))   # image[j] -> candidate
+                level.append((u - 1, out))
             elif pattern.has_edge(v, u):
-                cons.append((j, False))  # candidate -> image[j]
-        constraints.append(cons)
-
-    count = 0
-    witness: Optional[tuple[int, ...]] = None
-
-    def rec(i: int, used: int) -> bool:
-        nonlocal count, witness
-        if i == len(order):
-            count += 1
-            if witness is None:
-                w = [0] * pattern.n
-                for k, v in enumerate(order):
-                    w[v - 1] = image[k]
-                witness = tuple(w)
-            return not count_all
-        cand = full & ~used
-        for j, forward in constraints[i]:
-            cand &= host_out[image[j]] if forward else host_in[image[j]]
+                level.append((u - 1, inn))
+            else:
+                continue
+            if allow is not None:
+                level.append((u - 1, allow))
+        checks.append(level)
+    slots = [v - 1 for v in order]
+    mapping = [0] * k
+    last = k - 1
+    if not last:
+        yield mapping, slots[0], full
+        return
+    cands = [full] + [0] * last  # untried host vertices per level
+    used = [0] * k  # used[i]: hosts of order[:i]
+    depth = 0
+    while depth >= 0:
+        cand = cands[depth]
+        if not cand:
+            depth -= 1
+            continue
+        low = cand & -cand
+        cands[depth] = cand ^ low
+        mapping[slots[depth]] = low.bit_length() - 1
+        taken = used[depth] | low
+        depth += 1
+        cand = full & ~taken
+        for p, table in checks[depth]:
+            cand &= table[mapping[p]]
             if not cand:
-                return False
-        for w_vertex in _bits(cand):
-            if forbidden_pairs is not None:
-                bad = False
-                for j, forward in constraints[i]:
-                    pair = (
-                        (image[j], w_vertex) if forward else (w_vertex, image[j])
-                    )
-                    if pair in forbidden_pairs:
-                        bad = True
-                        break
-                if bad:
-                    continue
-            image[i] = w_vertex
-            if rec(i + 1, used | (1 << w_vertex)):
-                return True
-        return False
+                break
+        if not cand:
+            depth -= 1
+        elif depth == last:
+            yield mapping, slots[last], cand
+            depth -= 1
+        else:
+            used[depth] = taken
+            cands[depth] = cand
 
-    rec(0, 0)
-    return count, witness
+
+def _embeddings(
+    out: Sequence[int],
+    inn: Sequence[int],
+    n: int,
+    pattern: OrientedGraph,
+    ban: Optional[Sequence[int]] = None,
+) -> Iterator[tuple[int, ...]]:
+    """Every embedding's host-vertex tuple, in search order."""
+    if not pattern.n:
+        yield ()
+        return
+    for mapping, slot, cand in _search(out, inn, n, pattern, ban):
+        for w in _bits(cand):
+            mapping[slot] = w
+            yield tuple(mapping)
 
 
 def count_embeddings(host: OrientedGraph, pattern: OrientedGraph) -> int:
@@ -429,8 +448,12 @@ def count_embeddings(host: OrientedGraph, pattern: OrientedGraph) -> int:
 
     The empty pattern embeds exactly once.
     """
-    count, _ = _embed(host.out, host.inn, host.n, pattern, count_all=True)
-    return count
+    if not pattern.n:
+        return 1
+    return sum(
+        _popcount(cand)
+        for _, _, cand in _search(host.out, host.inn, host.n, pattern)
+    )
 
 
 def enumerate_embeddings(
@@ -441,58 +464,21 @@ def enumerate_embeddings(
     ``limit`` caps the number of embeddings yielded; hitting the cap
     raises BudgetExceeded since a truncated enumeration is not exhaustive.
     """
-    if pattern.n > host.n:
-        return
-    order = _pattern_order(pattern)
-    full = ((1 << (host.n + 1)) - 1) & ~1
-    image = [0] * pattern.n
-    constraints: list[list[tuple[int, bool]]] = []
-    for i, v in enumerate(order):
-        cons = []
-        for j in range(i):
-            u = order[j]
-            if pattern.has_edge(u, v):
-                cons.append((j, True))
-            elif pattern.has_edge(v, u):
-                cons.append((j, False))
-        constraints.append(cons)
     yielded = 0
-
-    def rec(i: int, used: int) -> Iterator[Embedding]:
-        nonlocal yielded
-        if i == len(order):
-            mapping = [0] * pattern.n
-            for k, v in enumerate(order):
-                mapping[v - 1] = image[k]
-            yielded += 1
-            if limit is not None and yielded > limit:
-                raise BudgetExceeded(
-                    "embedding enumeration budget exhausted", yielded=yielded
-                )
-            yield Embedding(tuple(mapping))
-            return
-        cand = full & ~used
-        for j, forward in constraints[i]:
-            cand &= host.out[image[j]] if forward else host.inn[image[j]]
-            if not cand:
-                return
-        for w in _bits(cand):
-            image[i] = w
-            yield from rec(i + 1, used | (1 << w))
-
-    yield from rec(0, 0)
-
-
-def has_embedding(host: OrientedGraph, pattern: OrientedGraph) -> bool:
-    count, _ = _embed(host.out, host.inn, host.n, pattern, count_all=False)
-    return count > 0
+    for mapping in _embeddings(host.out, host.inn, host.n, pattern):
+        yielded += 1
+        if limit is not None and yielded > limit:
+            raise BudgetExceeded(
+                "embedding enumeration budget exhausted", yielded=yielded
+            )
+        yield Embedding(mapping)
 
 
 def find_embedding(
     host: OrientedGraph, pattern: OrientedGraph
 ) -> Optional[Embedding]:
-    count, witness = _embed(host.out, host.inn, host.n, pattern, count_all=False)
-    return Embedding(witness) if count else None
+    mapping = next(_embeddings(host.out, host.inn, host.n, pattern), None)
+    return None if mapping is None else Embedding(mapping)
 
 
 def count_automorphisms(pattern: OrientedGraph) -> int:
@@ -553,18 +539,17 @@ def _greedy_disjoint_copies(
 ) -> int:
     """Number of pairwise pair-disjoint copies found greedily (a lower bound
     on the reversal distance, since each copy needs its own reversal)."""
-    used: set[tuple[int, int]] = set()
+    ban = [0] * (n + 1)
     found = 0
     while True:
-        count, witness = _embed(out, inn, n, pattern, count_all=False,
-                                forbidden_pairs=used)
-        if not count:
+        witness = next(_embeddings(out, inn, n, pattern, ban), None)
+        if witness is None:
             return found
         found += 1
         for u, v in pattern.edges:
             a, b = witness[u - 1], witness[v - 1]
-            used.add((a, b))
-            used.add((b, a))
+            ban[a] |= 1 << b
+            ban[b] |= 1 << a
 
 
 def distance_to_h_free(
@@ -623,7 +608,7 @@ def distance_to_h_free(
             root_lb = max(root_lb, lb)
         if lb > limit:
             return
-        _, witness = _embed(out, inn, n, pattern, count_all=False)
+        witness = next(_embeddings(out, inn, n, pattern), None)
         if witness is None:
             if best is None or depth < best:
                 best = depth
@@ -674,9 +659,13 @@ def transitive_subtournament(t: Tournament, k: int) -> Optional[list[int]]:
     """
     if k < 1:
         raise ValueError("target size must be at least 1")
-    pool = 0
-    for v in t.vertices:
-        pool |= 1 << v
+    return _greedy_transitive(t, ((1 << (t.n + 1)) - 1) & ~1, k)
+
+
+def _greedy_transitive(t: Tournament, pool: int, k: int) -> Optional[list[int]]:
+    """Transitive sequence of k vertices inside the vertex mask ``pool``:
+    take the vertex with the most out-neighbours in the pool (smallest
+    label on ties), shrink the pool to those out-neighbours, repeat."""
     seq: list[int] = []
     while len(seq) < k:
         if not pool:

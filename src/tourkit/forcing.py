@@ -32,7 +32,15 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .coloring import acyclic_k_coloring
-from .digraphs import Embedding, OrientedGraph, Tournament, _bits, _embed, _popcount
+from .digraphs import (
+    Embedding,
+    OrientedGraph,
+    Tournament,
+    _bits,
+    _greedy_transitive,
+    _popcount,
+    find_embedding,
+)
 from .errors import AuditError, BudgetExceeded
 
 __all__ = [
@@ -347,18 +355,6 @@ class CompletionCertificate:
         return self.count >= self.target
 
 
-def _extract_transitive(t: Tournament, pool: int, size: int) -> Optional[list[int]]:
-    """Greedy transitive extraction restricted to a vertex mask."""
-    seq: list[int] = []
-    while len(seq) < size:
-        if not pool:
-            return None
-        v = max(_bits(pool), key=lambda u: (_popcount(t.out[u] & pool), -u))
-        seq.append(v)
-        pool &= t.out[v]
-    return seq
-
-
 def _forward_order(h: OrientedGraph, cls: Sequence[int]) -> list[int]:
     """Linear order of a class in which all its pattern edges point
     forward; smallest-label-first among the ready vertices."""
@@ -406,7 +402,7 @@ def certify_completion(
         part_blocks: list[tuple[int, ...]] = []
         if size:
             while _popcount(pool) >= size:
-                seq = _extract_transitive(t, pool, size)
+                seq = _greedy_transitive(t, pool, size)
                 if seq is None:
                     break
                 part_blocks.append(tuple(seq))
@@ -485,23 +481,7 @@ def forces_exhaustive(
             f"{max_inner_pairs}",
             inner_pairs=len(pairs),
         )
-    n = f.n
-    base_out = list(f.out)
-    for bits in range(1 << len(pairs)):
-        out = list(base_out)
-        inn = [0] * (n + 1)
-        for idx, (a, b) in enumerate(pairs):
-            if (bits >> idx) & 1:
-                out[a] |= 1 << b
-            else:
-                out[b] |= 1 << a
-        for u in range(1, n + 1):
-            for v in _bits(out[u]):
-                inn[v] |= 1 << u
-        count, _ = _embed(out, inn, n, h, count_all=False)
-        if not count:
-            return False
-    return True
+    return all(find_embedding(t, h) is not None for t in f.completions())
 
 
 def search_min_forcing(

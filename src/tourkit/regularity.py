@@ -369,11 +369,6 @@ class Equipartition:
     def q(self) -> int:
         return len(self.parts)
 
-    def pair_density(self, t: Tournament, i: int, j: int) -> Fraction:
-        from .digraphs import density
-
-        return density(t, self.parts[i], self.parts[j]).density
-
     def audit(self, t: Tournament, delta: Fraction) -> "EquipartitionAudit":
         return audit_equipartition(t, self, delta)
 

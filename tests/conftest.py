@@ -17,7 +17,11 @@ try:
 except ImportError:  # raw checkout without an editable install
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from tourkit.coloring import smallest_non_two_colorable_tournament
+from tourkit.coloring import (
+    Coloring,
+    smallest_non_two_colorable_tournament,
+    verify_coloring,
+)
 from tourkit.digraphs import OrientedGraph, Tournament
 from tourkit.forcing import build_forcing, certify_completion
 from tourkit.lowerbound import blowup_tournament, derive_part_structure
@@ -82,13 +86,18 @@ def rng() -> random.Random:
 # -- oracles --------------------------------------------------------------
 
 
+def oracle_injections(host: OrientedGraph, pattern: OrientedGraph) -> list:
+    """Naive enumeration of all injections with edge preservation;
+    entry k of an injection is the image of pattern vertex k+1."""
+    return [
+        image
+        for image in itertools.permutations(host.vertices, pattern.n)
+        if all(host.has_edge(image[u - 1], image[v - 1]) for u, v in pattern.edges)
+    ]
+
+
 def oracle_count_injections(host: OrientedGraph, pattern: OrientedGraph) -> int:
-    """Naive enumeration of all injections with edge preservation."""
-    count = 0
-    for image in itertools.permutations(host.vertices, pattern.n):
-        if all(host.has_edge(image[u - 1], image[v - 1]) for u, v in pattern.edges):
-            count += 1
-    return count
+    return len(oracle_injections(host, pattern))
 
 
 def oracle_two_colorable(d: OrientedGraph) -> bool:
@@ -102,6 +111,16 @@ def oracle_two_colorable(d: OrientedGraph) -> bool:
                 ok = False
                 break
         if ok:
+            return True
+    return False
+
+
+def brute_force_k_colorable(d: OrientedGraph, k: int) -> bool:
+    """Scan all k^n class assignments for a proper one."""
+    if d.n == 0:
+        return True
+    for assignment in itertools.product(range(1, k + 1), repeat=d.n):
+        if verify_coloring(d, Coloring(assignment, k)):
             return True
     return False
 

@@ -81,6 +81,15 @@ class TestExitCodes:
         code, _ = run_cli(["classify", "/nonexistent/path.txt"])
         assert code == 3
 
+    def test_forcing_build_rejects_one_vertex_pattern(self, files, capsys):
+        single = files["dir"] / "single.txt"
+        single.write_text("1\nedges\n")
+        code, _ = run_cli(["forcing-build", str(single), "--m", "2"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "at least two vertices" in err
+        assert "line 0" not in err
+
     def test_color_negative(self, files, minimal_hard):
         from tourkit.formats import serialize_oriented_graph
 

@@ -4,7 +4,6 @@ import pytest
 
 from tourkit.coloring import (
     acyclic_k_coloring,
-    brute_force_k_colorable,
     chromatic_number,
     classify,
     cyclic_triangles,
@@ -20,7 +19,12 @@ from tourkit.digraphs import (
 )
 from tourkit.errors import BudgetExceeded
 
-from conftest import oracle_chromatic, oracle_two_colorable, random_oriented_graph
+from conftest import (
+    brute_force_k_colorable,
+    oracle_chromatic,
+    oracle_two_colorable,
+    random_oriented_graph,
+)
 
 
 class TestAcyclicColoring:
@@ -155,7 +159,5 @@ class TestDiscovery:
         assert not oracle_two_colorable(minimal_hard)
         # every tournament on one fewer vertex is 2-colorable
         smaller = minimal_hard.n - 1
-        from tourkit.coloring import _fast_two_colorable
-
         for t in enumerate_tournaments(smaller):
-            assert _fast_two_colorable(t)
+            assert acyclic_k_coloring(t, 2) is not None

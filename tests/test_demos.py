@@ -1,0 +1,31 @@
+"""The demos that exercise the embedding search, the colorings, the
+gadget sweep and forcing run to completion."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+# lowerbound_demo (about 21 s) and orderedhom_demo (about 8 s) are left out
+# for their run time
+@pytest.mark.parametrize(
+    "demo", ["colorability_demo", "forcing_demo", "hardness_demo", "kernel_demo"]
+)
+def test_demo_exits_cleanly(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / f"{demo}.py")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -2,6 +2,7 @@
 transitive extraction."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,11 @@ from tourkit.digraphs import (
     transitive_tournament,
 )
 
-from conftest import oracle_count_injections, random_oriented_graph
+from conftest import (
+    oracle_count_injections,
+    oracle_injections,
+    random_oriented_graph,
+)
 
 
 class TestDensity:
@@ -126,6 +131,65 @@ class TestEmbeddings:
         if emb is not None:
             assert emb.is_valid(host, c3_pattern())
             assert count_embeddings(host, c3_pattern()) > 0
+
+    def test_enumeration_is_the_oracle_set(self, rng):
+        for k in range(5):
+            for _ in range(3):
+                hosts = (random_tournament(6, rng), random_oriented_graph(6, rng))
+                for host in hosts:
+                    pattern = random_oriented_graph(k, rng)
+                    found = [e.mapping for e in enumerate_embeddings(host, pattern)]
+                    assert len(found) == len(set(found))
+                    assert set(found) == set(oracle_injections(host, pattern))
+
+
+# Pinned outputs of the embedding search. Its order (most constrained
+# pattern vertex first, host candidates by increasing label) decides
+# which witness is found first and so which pairs the distance search
+# reverses; a change here means that order moved.
+PINNED_PATTERNS = {
+    "c3": c3_pattern(),
+    "tt4": transitive_tournament(4),
+    "c3_tail": OrientedGraph(4, [(1, 2), (2, 3), (3, 1), (1, 4)]),
+    "two_edges": OrientedGraph(4, [(1, 2), (3, 4)]),
+}
+
+PINNED_WITNESSES = {
+    1: {"c3": (1, 2, 5), "tt4": (1, 2, 4, 8), "c3_tail": (1, 2, 5, 4),
+        "two_edges": (1, 2, 3, 4)},
+    2: {"c3": (1, 2, 5), "tt4": (1, 2, 7, 3), "c3_tail": (1, 2, 5, 3),
+        "two_edges": (1, 2, 3, 4)},
+    3: {"c3": (1, 2, 3), "tt4": (1, 2, 4, 8), "c3_tail": (1, 2, 3, 4),
+        "two_edges": (1, 2, 3, 4)},
+}
+
+PINNED_FLIPS = {
+    (1, "c3"): ((2, 3), (1, 5), (3, 6), (3, 8), (3, 9), (2, 7), (2, 8), (7, 9)),
+    (1, "c3_tail"): ((2, 3), (1, 5), (3, 6), (3, 8), (3, 9), (2, 7), (2, 8), (7, 9)),
+    (2, "c3"): ((3, 4), (1, 9), (4, 6), (5, 7), (4, 8), (4, 9), (2, 7), (2, 9)),
+    (2, "c3_tail"): ((1, 4), (1, 9), (4, 5), (5, 7), (2, 4), (2, 7), (2, 9)),
+    (3, "c3"): ((1, 3), (5, 9), (6, 9), (8, 9), (3, 7), (4, 8)),
+    (3, "c3_tail"): ((1, 3), (5, 9), (6, 9), (8, 9), (3, 7), (4, 8)),
+}
+
+
+class TestPinnedSearchOrder:
+    @pytest.mark.parametrize("seed", sorted(PINNED_WITNESSES))
+    def test_find_embedding_witnesses(self, seed):
+        host = random_tournament(12, random.Random(seed))
+        found = {
+            name: find_embedding(host, pattern).mapping
+            for name, pattern in PINNED_PATTERNS.items()
+        }
+        assert found == PINNED_WITNESSES[seed]
+
+    @pytest.mark.parametrize("seed, name", sorted(PINNED_FLIPS))
+    def test_distance_flips(self, seed, name):
+        host = random_tournament(9, random.Random(seed))
+        result = distance_to_h_free(host, PINNED_PATTERNS[name])
+        assert result.exact
+        assert result.flips == PINNED_FLIPS[seed, name]
+        assert result.distance == len(result.flips)
 
 
 def oracle_distance(t: Tournament, pattern, cap: int):

