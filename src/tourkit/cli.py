@@ -6,7 +6,7 @@ a machine-readable ``key: value`` section. Rational quantities are
 printed exactly as fractions; decimal renderings are annotations.
 
 Exit codes: 0 success, 1 negative decision, 2 budget exhaustion,
-3 malformed input or unusable arguments.
+3 malformed input or unusable arguments, 4 a failed internal audit.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_BUDGET = 2
 EXIT_INPUT = 3
+EXIT_AUDIT = 4
 
 
 class Report:
@@ -548,7 +549,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_BUDGET
     except AuditError as exc:
         sys.stderr.write(f"audit failure: {exc}\n")
-        return EXIT_NEGATIVE
+        return EXIT_AUDIT
     except ValueError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT

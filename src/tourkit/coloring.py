@@ -61,20 +61,22 @@ def verify_coloring(d: OrientedGraph, coloring: Coloring) -> bool:
 
 
 def _class_stays_acyclic(d: OrientedGraph, members: int, v: int) -> bool:
-    """Does class `members` (a bit mask) stay acyclic after adding v?
+    """Does the acyclic class `members` (a bit mask) stay acyclic after
+    adding v?
 
-    Peels vertices with no in-neighbour inside the class (Kahn on masks).
+    Any new cycle passes through v, so one closes exactly when the class
+    vertices reachable from v inside the class include an in-neighbour
+    of v.
     """
-    mask = members | (1 << v)
-    while mask:
-        progressed = False
-        for u in _bits(mask):
-            if not (d.inn[u] & mask):
-                mask &= ~(1 << u)
-                progressed = True
-        if not progressed:
-            return False
-    return True
+    back = d.inn[v] & members
+    reach = frontier = d.out[v] & members
+    while frontier and not (reach & back):
+        step = 0
+        for u in _bits(frontier):
+            step |= d.out[u]
+        frontier = step & members & ~reach
+        reach |= frontier
+    return not (reach & back)
 
 
 def acyclic_k_coloring(

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .digraphs import OrientedGraph
+from .digraphs import OrientedGraph, _bits
 from .errors import AuditError, BudgetExceeded
 
 __all__ = [
@@ -50,22 +50,17 @@ class LabeledGraph:
         vs = tuple(sorted(set(int(v) for v in vertices)))
         if vs and vs[0] < 1:
             raise ValueError("labels must be positive integers")
-        vset = set(vs)
+        adj = dict.fromkeys(vs, 0)  # adj[v]: bit w set for each neighbour w
         norm = set()
         for a, b in edges:
             a, b = int(a), int(b)
             if a == b:
                 raise ValueError(f"self-loop at {a}")
-            if a not in vset or b not in vset:
+            if a not in adj or b not in adj:
                 raise ValueError(f"edge ({a},{b}) uses an unknown label")
             norm.add((min(a, b), max(a, b)))
-        adj: dict[int, frozenset[int]] = {}
-        tmp: dict[int, set[int]] = {v: set() for v in vs}
-        for a, b in norm:
-            tmp[a].add(b)
-            tmp[b].add(a)
-        for v in vs:
-            adj[v] = frozenset(tmp[v])
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
         object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "edges", frozenset(norm))
         object.__setattr__(self, "_adj", adj)
@@ -78,10 +73,10 @@ class LabeledGraph:
         return len(self.vertices)
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return self._adj[v]
+        return frozenset(_bits(self._adj[v]))
 
     def has_edge(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self.edges
+        return bool(self._adj.get(a, 0) >> b & 1)
 
     def induced(self, labels: Iterable[int]) -> "LabeledGraph":
         keep = set(labels)
@@ -173,53 +168,60 @@ def backedge_graph(h: OrientedGraph, labeling: Sequence[int]) -> LabeledGraph:
 
 
 def _oph_search(
-    g: LabeledGraph, target: LabeledGraph
-) -> Iterator[dict[int, int]]:
-    """Backtracking over vertices of g in increasing label order.
+    g: LabeledGraph, target: LabeledGraph, allowed: Optional[int] = None
+) -> Iterator[list[int]]:
+    """Backtracking over bit masks, vertices of g and their images in
+    increasing label order.
 
-    Monotonicity gives each vertex a lower bound on its image: the image
-    of its predecessor. Edges to already-placed neighbours are checked on
-    assignment.
+    Yields ``img``, reused between yields, once per map: ``img[i]`` is the
+    image of the i-th vertex of g, drawn from the target labels in the
+    mask ``allowed`` (default: all) at or above the previous image and
+    adjacent to the images of its earlier neighbours.
     """
     gvs = g.vertices
-    tvs = target.vertices
-    if not gvs:
-        yield {}
+    k = len(gvs)
+    img = [0] * k
+    if not k:
+        yield img
         return
-    if not tvs:
-        return
-    img: dict[int, int] = {}
-    earlier_nbrs = [
-        [u for u in g.neighbors(v) if u < v] for v in gvs
+    tadj = target._adj
+    if allowed is None:
+        allowed = sum(1 << w for w in target.vertices)
+    # earlier[i]: slots of the neighbours of gvs[i] that precede it
+    earlier = [
+        [j for j in range(i) if g._adj[v] >> gvs[j] & 1]
+        for i, v in enumerate(gvs)
     ]
-
-    def rec(i: int, lo: int) -> Iterator[dict[int, int]]:
-        if i == len(gvs):
-            yield dict(img)
-            return
-        v = gvs[i]
-        for w in tvs:
-            if w < lo:
-                continue
-            if all(target.has_edge(img[u], w) for u in earlier_nbrs[i]):
-                img[v] = w
-                yield from rec(i + 1, w)
-                del img[v]
-
-    yield from rec(0, tvs[0])
+    last = k - 1
+    cands = [allowed] + [0] * last  # untried images per slot
+    i = 0
+    while i >= 0:
+        cand = cands[i]
+        if not cand:
+            i -= 1
+            continue
+        low = cand & -cand
+        cands[i] = cand ^ low
+        img[i] = low.bit_length() - 1
+        if i == last:
+            yield img
+            continue
+        i += 1
+        cand = allowed & -low  # monotone: no image below the previous one
+        for p in earlier[i]:
+            cand &= tadj[img[p]]
+        cands[i] = cand
 
 
 def find_oph(g: LabeledGraph, target: LabeledGraph) -> Optional[OphMap]:
     """First order-preserving homomorphism from g to target, or None."""
-    for d in _oph_search(g, target):
-        return OphMap.from_dict(d)
-    return None
+    return next(enumerate_ophs(g, target), None)
 
 
 def enumerate_ophs(g: LabeledGraph, target: LabeledGraph) -> Iterator[OphMap]:
     """All order-preserving homomorphisms, in search order."""
-    for d in _oph_search(g, target):
-        yield OphMap.from_dict(d)
+    for img in _oph_search(g, target):
+        yield OphMap(tuple(zip(g.vertices, img)))
 
 
 def order_isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> bool:
@@ -239,28 +241,22 @@ def ordered_core(g: LabeledGraph, budget: Optional[int] = None) -> LabeledGraph:
     of candidate subgraphs tested.
     """
     tested = 0
-    vs = g.vertices
     for size in range(1, g.n + 1):
-        for subset in itertools.combinations(vs, size):
+        for subset in itertools.combinations(g.vertices, size):
             tested += 1
             if budget is not None and tested > budget:
                 raise BudgetExceeded(
                     "ordered-core candidate budget exhausted", tested=tested
                 )
-            candidate = g.induced(subset)
-            if find_oph(g, candidate) is not None:
-                return candidate
+            mask = sum(1 << v for v in subset)
+            if next(_oph_search(g, g, mask), None) is not None:
+                return g.induced(subset)
     return g  # only reachable for the empty graph
 
 
 def is_ordered_core(g: LabeledGraph) -> bool:
     """No OPH from g to a proper induced subgraph of itself."""
-    vs = g.vertices
-    for size in range(1, g.n):
-        for subset in itertools.combinations(vs, size):
-            if find_oph(g, g.induced(subset)) is not None:
-                return False
-    return True
+    return ordered_core(g) == g
 
 
 @dataclass(frozen=True)
@@ -391,7 +387,7 @@ def _bipartition_or_odd_cycle(
         queue = [root]
         while queue:
             u = queue.pop(0)
-            for w in sorted(g.neighbors(u)):
+            for w in _bits(g._adj[u]):
                 if w not in color:
                     color[w] = color[u] ^ 1
                     parent[w] = u
@@ -436,18 +432,18 @@ def graph_chromatic_number(g: LabeledGraph) -> int:
 
 def _graph_k_colorable(g: LabeledGraph, k: int) -> bool:
     vs = g.vertices
-    assign: dict[int, int] = {}
+    classes = [0] * k  # classes[c]: mask of the vertices coloured c
 
     def rec(i: int, used: int) -> bool:
         if i == len(vs):
             return True
         v = vs[i]
         for c in range(min(used + 1, k)):
-            if all(assign.get(u) != c for u in g.neighbors(v)):
-                assign[v] = c
+            if not classes[c] & g._adj[v]:
+                classes[c] |= 1 << v
                 if rec(i + 1, max(used, c + 1)):
                     return True
-                del assign[v]
+                classes[c] ^= 1 << v
         return False
 
     return rec(0, 0)

@@ -90,6 +90,18 @@ class TestExitCodes:
         assert "at least two vertices" in err
         assert "line 0" not in err
 
+    def test_audit_failure_has_its_own_code(self, monkeypatch, capsys):
+        from tourkit import cli
+        from tourkit.errors import AuditError
+
+        def broken(args):
+            raise AuditError("forced failure")
+
+        monkeypatch.setattr(cli, "_cmd_gadget_verify", broken)
+        code, _ = run_cli(["gadget-verify"])
+        assert code == cli.EXIT_AUDIT == 4
+        assert "audit failure: forced failure" in capsys.readouterr().err
+
     def test_color_negative(self, files, minimal_hard):
         from tourkit.formats import serialize_oriented_graph
 

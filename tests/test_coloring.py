@@ -3,6 +3,7 @@
 import pytest
 
 from tourkit.coloring import (
+    _class_stays_acyclic,
     acyclic_k_coloring,
     chromatic_number,
     classify,
@@ -59,6 +60,23 @@ class TestAcyclicColoring:
             coloring = acyclic_k_coloring(d, 2)
             if coloring is not None:
                 assert verify_coloring(d, coloring)
+
+    def test_class_test_matches_induced_acyclicity(self, rng):
+        checked = 0
+        for _ in range(40):
+            d = random_oriented_graph(rng.choice((7, 8)), rng)
+            for _ in range(10):
+                members = rng.sample(d.vertices, rng.randrange(0, d.n))
+                if not d.induced(members).is_acyclic():
+                    continue
+                mask = sum(1 << u for u in members)
+                for v in d.vertices:
+                    if v in members:
+                        continue
+                    expected = d.induced(members + [v]).is_acyclic()
+                    assert _class_stays_acyclic(d, mask, v) == expected
+                    checked += 1
+        assert checked > 1000
 
 
 class TestNaeSolver:

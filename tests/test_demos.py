@@ -1,5 +1,5 @@
 """The demos that exercise the embedding search, the colorings, the
-gadget sweep and forcing run to completion."""
+gadget sweep, forcing and the ordered cores run to completion."""
 
 import os
 import subprocess
@@ -11,10 +11,17 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-# lowerbound_demo (about 21 s) and orderedhom_demo (about 8 s) are left out
-# for their run time
+# orderedhom_demo takes about 4 s; lowerbound_demo (about 8 s) is left out
+# for its run time
 @pytest.mark.parametrize(
-    "demo", ["colorability_demo", "forcing_demo", "hardness_demo", "kernel_demo"]
+    "demo",
+    [
+        "colorability_demo",
+        "forcing_demo",
+        "hardness_demo",
+        "kernel_demo",
+        "orderedhom_demo",
+    ],
 )
 def test_demo_exits_cleanly(demo):
     env = dict(os.environ)

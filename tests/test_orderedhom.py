@@ -74,16 +74,36 @@ class TestFindOph:
         assert find_oph(path_12_23(), LabeledGraph([1, 2], [(1, 2)])) is None
 
     def test_against_exhaustive_enumeration(self, rng):
+        # the oracle lists image tuples lexicographically, which is the
+        # search order, so the two lists must agree element by element
+        empty = LabeledGraph([], [])
+        pairs = [(empty, empty), (empty, path_12_23()), (path_12_23(), empty)]
         for _ in range(40):
-            g = random_labeled_graph(range(1, 5), 0.5, rng)
-            target = random_labeled_graph(range(1, 5), 0.5, rng)
+            pairs.append((
+                random_labeled_graph(range(1, 5), 0.5, rng),
+                random_labeled_graph(range(1, 5), 0.5, rng),
+            ))
+        for _ in range(60):
+            pairs.append((
+                random_labeled_graph(
+                    sorted(rng.sample(range(1, 13), rng.randrange(0, 6))),
+                    rng.random(),
+                    rng,
+                ),
+                random_labeled_graph(
+                    sorted(rng.sample(range(1, 13), rng.randrange(0, 7))),
+                    rng.random(),
+                    rng,
+                ),
+            ))
+        for g, target in pairs:
             oracle = oracle_monotone_homs(g, target)
             found = find_oph(g, target)
             assert (found is not None) == bool(oracle)
+            if found is not None:
+                assert found.as_dict() == oracle[0]
             ours = [m.as_dict() for m in enumerate_ophs(g, target)]
-            assert sorted(ours, key=sorted) == sorted(
-                (dict(m) for m in oracle), key=sorted
-            )
+            assert ours == oracle
 
     def test_composition_closure(self, rng):
         for _ in range(40):
