@@ -103,15 +103,23 @@ def _greedy_box_collection(ranges: Sequence[int]) -> list[tuple[int, ...]]:
         raise ValueError("ranges must be nonnegative")
     if any(r == 0 for r in ranges):
         return []
-    grids = np.meshgrid(*[np.arange(1, r + 1) for r in ranges], indexing="ij")
-    remaining = np.stack(grids, axis=-1).reshape(-1, len(ranges))
+    # one cell per tuple (0-based), True while the tuple remains; the
+    # flat view walks the tuples in lexicographic order
+    flat = np.ones(int(np.prod(ranges)), dtype=bool)
+    remaining = flat.reshape(tuple(ranges))
     kept: list[tuple[int, ...]] = []
-    while remaining.shape[0]:
-        s = remaining[0]
-        kept.append(tuple(int(x) for x in s))
-        agreements = (remaining == s).sum(axis=1)
-        remaining = remaining[agreements <= 1]
-    return kept
+    pos = 0
+    while True:
+        s = np.unravel_index(pos, remaining.shape)
+        kept.append(tuple(int(x) + 1 for x in s))
+        for i, j in itertools.combinations(range(len(ranges)), 2):
+            agree = [slice(None)] * len(ranges)
+            agree[i], agree[j] = s[i], s[j]
+            remaining[tuple(agree)] = False
+        tail = flat[pos + 1 :]
+        if not tail.any():
+            return kept
+        pos += 1 + int(np.argmax(tail))
 
 
 def disjoint_tuples(t: int, k: int) -> TupleCollection:

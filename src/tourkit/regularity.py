@@ -31,7 +31,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -60,13 +60,28 @@ __all__ = [
 HALF = Fraction(1, 2)
 
 
+def _check_delta(delta) -> Fraction:
+    delta = Fraction(delta)
+    if not 0 < delta < HALF:
+        raise ValueError("delta must lie strictly between 0 and 1/2")
+    return delta
+
+
+def _homogeneous(d: Fraction, delta: Fraction) -> bool:
+    """d >= 1 - delta or d <= delta, in integers: the minority share
+    min(d, 1 - d) is at most delta."""
+    num, den = d.numerator, d.denominator
+    return min(num, den - num) * delta.denominator <= delta.numerator * den
+
+
 class BinaryMatrix:
     """Square 0/1 matrix with 1-based row/column indices."""
 
     __slots__ = ("n", "entries")
 
     def __init__(self, entries):
-        arr = np.asarray(entries, dtype=np.int64)
+        # a copy, so no view of the caller's array can change the matrix
+        arr = np.array(entries, dtype=np.int64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("matrix must be square")
         if not np.isin(arr, (0, 1)).all():
@@ -91,12 +106,27 @@ class BinaryMatrix:
         return int(self.entries[r - 1, c - 1])
 
 
+def _pattern_array(b) -> np.ndarray:
+    bm = b.entries if isinstance(b, BinaryMatrix) else np.asarray(b, dtype=np.int64)
+    if bm.ndim != 2 or bm.shape[0] != bm.shape[1]:
+        raise ValueError("pattern must be a square matrix")
+    return bm
+
+
 def _validate_partition(parts: Sequence[Sequence[int]], n: int, what: str) -> None:
     flat = sorted(v for p in parts for v in p)
     if flat != list(range(1, n + 1)):
         raise ValueError(f"{what} must partition 1..{n}")
     if any(not p for p in parts):
         raise ValueError(f"{what} contains an empty class")
+
+
+def _indicator(parts: Sequence[Sequence[int]], n: int) -> np.ndarray:
+    """Row i is the 0/1 indicator of part i over the vertices 1..n."""
+    ind = np.zeros((len(parts), n), dtype=np.int64)
+    ind[[i for i, part in enumerate(parts) for _ in part],
+        [v - 1 for part in parts for v in part]] = 1
+    return ind
 
 
 @dataclass(frozen=True)
@@ -115,36 +145,26 @@ class BipartitionAudit:
         ones = self.block_ones[i][j]
         return 1 if 2 * ones >= self.block_sizes[i][j] else 0
 
-    def block_homogeneous(self, i: int, j: int) -> bool:
-        ones = self.block_ones[i][j]
-        size = self.block_sizes[i][j]
-        return min(ones, size - ones) <= self.delta * size
-
-    def report_lines(self) -> list[str]:
-        lines = [
-            f"row-classes: {len(self.row_parts)}",
-            f"col-classes: {len(self.col_parts)}",
-            f"delta: {self.delta}",
-            f"bad-weight: {self.bad_weight}",
-            f"homogeneous: {self.homogeneous}",
-        ]
-        return lines
-
 
 def _block_counts(
     a: BinaryMatrix,
     rows: Sequence[Sequence[int]],
     cols: Sequence[Sequence[int]],
-) -> tuple[np.ndarray, np.ndarray]:
-    row_ind = np.zeros((len(rows), a.n), dtype=np.int64)
-    for i, part in enumerate(rows):
-        row_ind[i, [v - 1 for v in part]] = 1
-    col_ind = np.zeros((len(cols), a.n), dtype=np.int64)
-    for j, part in enumerate(cols):
-        col_ind[j, [v - 1 for v in part]] = 1
+    delta: Fraction,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ones and sizes of every block, and the sizes of the bad blocks
+    (0 for a good block)."""
+    row_ind = _indicator(rows, a.n)
+    col_ind = _indicator(cols, a.n)
     ones = row_ind @ a.entries @ col_ind.T
     sizes = np.outer(row_ind.sum(axis=1), col_ind.sum(axis=1))
-    return ones, sizes
+    minority = np.minimum(ones, sizes - ones)
+    if delta.denominator * a.n * a.n >= 2**63:
+        # the products below could wrap in int64: use Python integers
+        minority, sizes = minority.astype(object), sizes.astype(object)
+    # block bad iff minority/size > delta, exactly: minority*q > p*size
+    bad = minority * delta.denominator > sizes * delta.numerator
+    return ones, sizes, np.where(bad, sizes, 0)
 
 
 def audit_bipartition(
@@ -154,17 +174,11 @@ def audit_bipartition(
     delta: Fraction,
 ) -> BipartitionAudit:
     """Exact audit: per-block dominant values and the total bad weight."""
-    delta = Fraction(delta)
-    if not 0 < delta < HALF:
-        raise ValueError("delta must lie strictly between 0 and 1/2")
+    delta = _check_delta(delta)
     _validate_partition(rows, a.n, "row partition")
     _validate_partition(cols, a.n, "column partition")
-    ones, sizes = _block_counts(a, rows, cols)
-    minority = np.minimum(ones, sizes - ones)
-    # block bad iff minority/size > delta, exactly: minority*q > p*size
-    p, q = delta.numerator, delta.denominator
-    bad = minority * q > sizes * p
-    bad_weight = Fraction(int(sizes[bad].sum()), a.n * a.n)
+    ones, sizes, bad = _block_counts(a, rows, cols, delta)
+    bad_weight = Fraction(int(bad.sum()), a.n * a.n)
     return BipartitionAudit(
         row_parts=tuple(tuple(sorted(r)) for r in rows),
         col_parts=tuple(tuple(sorted(c)) for c in cols),
@@ -179,6 +193,43 @@ def audit_bipartition(
 # -- ordered submatrix copies -------------------------------------------
 
 
+def _matrix_copies(
+    a: BinaryMatrix, bm: np.ndarray, avoid_diagonal: bool
+) -> Iterator[tuple[tuple[int, ...], np.ndarray, int]]:
+    """For each column tuple c1<...<ck in lexicographic order, yield
+    (cols, matches, copies): matches[r, i] says row r of A restricted to
+    cols equals row i of the pattern (never for a row in cols under
+    ``avoid_diagonal``), and copies counts the row tuples r1<...<rk with
+    r_i matching row i."""
+    k = bm.shape[0]
+    if k > a.n:
+        return
+    for cols in itertools.combinations(range(a.n), k):
+        matches = (a.entries[:, cols][:, None, :] == bm[None, :, :]).all(axis=2)
+        if avoid_diagonal:
+            matches[list(cols), :] = False
+        dp = [1] + [0] * k
+        for row in matches[matches.any(axis=1)].tolist():
+            for j in range(k, 0, -1):
+                if row[j - 1]:
+                    dp[j] += dp[j - 1]
+        yield cols, matches, dp[k]
+
+
+def _witness(
+    cols: tuple[int, ...], matches: np.ndarray
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The earliest matching row for each pattern row in turn, 1-based;
+    the column tuple must have a copy."""
+    rows: list[int] = []
+    start = 0
+    for j in range(matches.shape[1]):
+        r = start + int(np.argmax(matches[start:, j]))
+        rows.append(r + 1)
+        start = r + 1
+    return tuple(rows), tuple(c + 1 for c in cols)
+
+
 def count_matrix_copies(
     a: BinaryMatrix, b, avoid_diagonal: bool = False
 ) -> int:
@@ -188,57 +239,17 @@ def count_matrix_copies(
     With ``avoid_diagonal`` only copies whose row and column index sets
     are disjoint count.
     """
-    bm = np.asarray(b, dtype=np.int64) if not isinstance(b, BinaryMatrix) else b.entries
-    k = bm.shape[0]
-    if bm.ndim != 2 or bm.shape[1] != k:
-        raise ValueError("pattern must be a square matrix")
-    if k > a.n:
-        return 0
-    total = 0
-    indices = list(range(a.n))
-    for cols in itertools.combinations(indices, k):
-        sub = a.entries[:, cols]
-        matches = (sub[:, None, :] == bm[None, :, :]).all(axis=2)
-        col_set = set(cols) if avoid_diagonal else None
-        dp = [0] * (k + 1)
-        dp[0] = 1
-        for r in range(a.n):
-            if avoid_diagonal and r in col_set:
-                continue
-            for j in range(k, 0, -1):
-                if matches[r, j - 1]:
-                    dp[j] += dp[j - 1]
-        total += dp[k]
-    return total
+    return sum(c for _, _, c in _matrix_copies(a, _pattern_array(b), avoid_diagonal))
 
 
 def find_matrix_copy(
     a: BinaryMatrix, b, avoid_diagonal: bool = False
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """One witness copy as 1-based (rows, cols), or None."""
-    bm = np.asarray(b, dtype=np.int64) if not isinstance(b, BinaryMatrix) else b.entries
-    k = bm.shape[0]
-    if k > a.n:
-        return None
-    for cols in itertools.combinations(range(a.n), k):
-        col_set = set(cols) if avoid_diagonal else None
-        rows = []
-        r = 0
-        for j in range(k):
-            while r < a.n and (
-                (avoid_diagonal and r in col_set)
-                or not (a.entries[r, list(cols)] == bm[j]).all()
-            ):
-                r += 1
-            if r == a.n:
-                break
-            rows.append(r)
-            r += 1
-        if len(rows) == k:
-            return (
-                tuple(x + 1 for x in rows),
-                tuple(c + 1 for c in cols),
-            )
+    """The lexicographically first copy (columns first, then rows) as
+    1-based (rows, cols), or None."""
+    for cols, matches, copies in _matrix_copies(a, _pattern_array(b), avoid_diagonal):
+        if copies:
+            return _witness(cols, matches)
     return None
 
 
@@ -303,23 +314,19 @@ def afn_partition(
     budget is exceeded and the pattern has no copies at all, the result
     is explicitly inconclusive.
     """
-    delta = Fraction(delta)
-    if not 0 < delta < HALF:
-        raise ValueError("delta must lie strictly between 0 and 1/2")
+    delta = _check_delta(delta)
+    bm = _pattern_array(b)
     budget = size_budget if size_budget is not None else a.n
     rows: list[list[int]] = [list(range(1, a.n + 1))]
     cols: list[list[int]] = [list(range(1, a.n + 1))]
     while True:
-        audit = audit_bipartition(a, rows, cols, delta)
-        if audit.homogeneous:
+        _, _, bad_sizes = _block_counts(a, rows, cols, delta)
+        # bad weight <= delta, exactly: bad * q <= p * n^2
+        if int(bad_sizes.sum()) * delta.denominator <= delta.numerator * a.n * a.n:
+            audit = audit_bipartition(a, rows, cols, delta)
             return AfnPartition(audit=audit, size_budget=budget)
         if len(rows) >= budget and len(cols) >= budget:
             break
-        ones, sizes = _block_counts(a, rows, cols)
-        minority = np.minimum(ones, sizes - ones)
-        p, q = delta.numerator, delta.denominator
-        bad = minority * q > sizes * p
-        bad_sizes = np.where(bad, sizes, 0)
         row_contrib = bad_sizes.sum(axis=1)
         col_contrib = bad_sizes.sum(axis=0)
         candidates: list[tuple[int, int, bool, int]] = []
@@ -336,17 +343,21 @@ def afn_partition(
         first, second = _split_class(a, target[idx], by_rows)
         target[idx] = first
         target.insert(idx + 1, second)
-    count = count_matrix_copies(a, b)
+    count = 0
+    witness = None
+    for copy_cols, matches, copies in _matrix_copies(a, bm, False):
+        if copies and witness is None:
+            witness = _witness(copy_cols, matches)
+        count += copies
     if count > 0:
-        witness = find_matrix_copy(a, b)
-        assert witness is not None
-        bm = np.asarray(b, dtype=np.int64) if not isinstance(b, BinaryMatrix) else b.entries
         return AfnCopies(
             count=count,
             witness=witness,
             pattern=tuple(tuple(int(x) for x in row) for row in bm),
         )
-    return AfnInconclusive(last_audit=audit, copy_count=0)
+    return AfnInconclusive(
+        last_audit=audit_bipartition(a, rows, cols, delta), copy_count=0
+    )
 
 
 # -- equipartitions and refinement --------------------------------------
@@ -369,9 +380,6 @@ class Equipartition:
     def q(self) -> int:
         return len(self.parts)
 
-    def audit(self, t: Tournament, delta: Fraction) -> "EquipartitionAudit":
-        return audit_equipartition(t, self, delta)
-
 
 @dataclass(frozen=True)
 class EquipartitionAudit:
@@ -382,52 +390,50 @@ class EquipartitionAudit:
     homogeneous: bool
     densities: tuple[tuple[Fraction, ...], ...]
 
-    def dominant_forward(self, i: int, j: int) -> bool:
-        return self.densities[i][j] >= HALF
 
-    def pair_homogeneous(self, i: int, j: int) -> bool:
-        d = self.densities[i][j]
-        return d >= 1 - self.delta or d <= self.delta
-
-
-def _part_pair_counts(t: Tournament, parts: Sequence[Sequence[int]]) -> np.ndarray:
-    n = t.n
-    a = np.array(t.adjacency_matrix(), dtype=np.int64)
-    ind = np.zeros((len(parts), n), dtype=np.int64)
-    for i, part in enumerate(parts):
-        ind[i, [v - 1 for v in part]] = 1
-    return ind @ a @ ind.T
+def _pair_densities(
+    t: Tournament, groups: Sequence[Sequence[int]]
+) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact density of the edges from group i to group j; 0 when i = j."""
+    ind = _indicator(groups, t.n)
+    counts = ind @ np.array(t.adjacency_matrix(), dtype=np.int64) @ ind.T
+    return tuple(
+        tuple(
+            Fraction(int(counts[i, j]), len(gi) * len(gj)) if i != j else Fraction(0)
+            for j, gj in enumerate(groups)
+        )
+        for i, gi in enumerate(groups)
+    )
 
 
 def audit_equipartition(
     t: Tournament, partition: Equipartition, delta: Fraction
 ) -> EquipartitionAudit:
-    delta = Fraction(delta)
-    if not 0 < delta < HALF:
-        raise ValueError("delta must lie strictly between 0 and 1/2")
+    delta = _check_delta(delta)
     parts = partition.parts
-    counts = _part_pair_counts(t, parts)
-    q = len(parts)
-    densities = []
-    bad_weight = Fraction(0)
-    for i in range(q):
-        row = []
-        for j in range(q):
-            if i == j:
-                row.append(Fraction(0))
-                continue
-            size = len(parts[i]) * len(parts[j])
-            d = Fraction(int(counts[i, j]), size)
-            row.append(d)
-            if not (d >= 1 - delta or d <= delta):
-                bad_weight += Fraction(size, t.n * t.n)
-        densities.append(tuple(row))
+    _validate_partition(parts, t.n, "partition")
+    densities = _pair_densities(t, parts)
+    bad = sum(
+        len(parts[i]) * len(parts[j])
+        for i, j in itertools.permutations(range(len(parts)), 2)
+        if not _homogeneous(densities[i][j], delta)
+    )
+    bad_weight = Fraction(bad, t.n * t.n)
     return EquipartitionAudit(
         delta=delta,
         bad_weight=bad_weight,
         homogeneous=bad_weight <= delta,
-        densities=tuple(densities),
+        densities=densities,
     )
+
+
+def _feasible_q(n: int, parts: Sequence[Sequence[int]]) -> list[int]:
+    """Part counts q with q | n and n/q dividing every part size, ascending."""
+    return [
+        cand
+        for cand in range(1, n + 1)
+        if n % cand == 0 and all(len(part) % (n // cand) == 0 for part in parts)
+    ]
 
 
 def refine_to_equipartition(
@@ -447,12 +453,8 @@ def refine_to_equipartition(
     n = t.n
     if q > n or q < 1:
         raise ValueError(f"q must lie in 1..{n}")
-    feasible = [
-        cand
-        for cand in range(1, n + 1)
-        if n % cand == 0 and all(len(part) % (n // cand) == 0 for part in p.parts)
-    ]
-    if n % q != 0 or any(len(part) % (n // q) != 0 for part in p.parts):
+    feasible = _feasible_q(n, p.parts)
+    if q not in feasible:
         raise ValueError(
             f"q={q} infeasible: need q | n and (n/q) dividing every part size; "
             f"feasible part counts are {feasible}"
@@ -541,36 +543,6 @@ class StrongDecomposition:
     seed: int
 
 
-def _pair_densities(t: Tournament, groups: Sequence[Sequence[int]]) -> list[list[Fraction]]:
-    counts = _part_pair_counts(t, groups)
-    out = []
-    for i in range(len(groups)):
-        row = []
-        for j in range(len(groups)):
-            if i == j:
-                row.append(Fraction(0))
-            else:
-                row.append(
-                    Fraction(int(counts[i, j]), len(groups[i]) * len(groups[j]))
-                )
-        out.append(row)
-    return out
-
-
-def _choose_refinement_q(
-    n: int, parts: Sequence[Sequence[int]], target: Fraction
-) -> int:
-    feasible = [
-        cand
-        for cand in range(1, n + 1)
-        if n % cand == 0 and all(len(p) % (n // cand) == 0 for p in parts)
-    ]
-    for cand in feasible:
-        if cand >= target:
-            return cand
-    return feasible[-1]  # n is always feasible
-
-
 def strong_decomposition(
     t: Tournament,
     f: KPartiteTournament,
@@ -589,9 +561,7 @@ def strong_decomposition(
     either partitioning stage finds pattern copies instead, that branch
     is returned as the outcome.
     """
-    delta = Fraction(delta)
-    if not 0 < delta < HALF:
-        raise ValueError("delta must lie strictly between 0 and 1/2")
+    delta = _check_delta(delta)
     a = BinaryMatrix.from_tournament(t)
     b = bipartite_adjacency(f)
     n = t.n
@@ -612,7 +582,8 @@ def strong_decomposition(
             rows = [list(x) for x in outcome.audit.row_parts]
             cols = [list(x) for x in outcome.audit.col_parts]
         target_q = Fraction(6 * len(p.parts) * len(rows) * len(cols)) / target_delta
-        q = _choose_refinement_q(n, p.parts, target_q)
+        feasible = _feasible_q(n, p.parts)  # n is always feasible
+        q = next((cand for cand in feasible if cand >= target_q), feasible[-1])
         refined = refine_to_equipartition(t, p, rows, cols, q)
         check = audit_equipartition(t, refined, target_delta)
         if not check.homogeneous:
@@ -636,7 +607,7 @@ def strong_decomposition(
         for v in part:
             member_of[v] = idx
 
-    q_audit = audit_equipartition(t, stage1, delta / 5)
+    q_density = audit_equipartition(t, stage1, delta / 5).densities
     digest = hashlib.sha256(f"{seed}:representatives".encode()).digest()
     rng = random.Random(int.from_bytes(digest[:8], "big"))
 
@@ -644,50 +615,37 @@ def strong_decomposition(
         samples = [part[rng.randrange(len(part))] for part in stage1.parts]
         reps = [stage2.parts[member_of[w]] for w in samples]
         rep_density = _pair_densities(t, reps)
-        a1 = all(
-            rep_density[i][j] >= 1 - delta or rep_density[i][j] <= delta
-            for i in range(q)
-            for j in range(i + 1, q)
-        )
-        if not a1:
-            continue
-        bad_pairs = 0
-        for i in range(q):
-            for j in range(i + 1, q):
-                dq = q_audit.densities[i][j]
-                if not (dq >= 1 - delta / 5 or dq <= delta / 5):
-                    continue
-                dw = rep_density[i][j]
-                if (dq >= 1 - delta / 5 and dw <= delta) or (
-                    dq <= delta / 5 and dw >= 1 - delta
-                ):
-                    bad_pairs += 1
-        if Fraction(bad_pairs) > 4 * delta * q * q / 5:
-            continue
-        failures = 0
-        for i in range(q):
-            for j in range(i + 1, q):
-                dq = q_audit.densities[i][j]
-                homog = dq >= 1 - delta or dq <= delta
-                same_dominant = (dq >= HALF) == (rep_density[i][j] >= HALF)
-                if not (homog and same_dominant):
-                    failures += 1
-        if Fraction(failures) > delta * q * q:
-            continue
-        return StrongDecomposition(
-            partition=stage1,
-            representatives=tuple(tuple(r) for r in reps),
-            sample_vertices=tuple(samples),
-            delta=delta,
-            gamma=gamma,
-            q=q,
-            item1_failures=failures,
-            item1_bound=delta * q * q,
-            item2_ok=True,
-            representative_sizes=tuple(len(r) for r in reps),
-            attempts=attempt,
-            seed=seed,
-        )
+        # one pass over the pairs i<j: a representative pair that is not
+        # delta-homogeneous forces a resample; count the pairs homogeneous
+        # at delta/5 whose representatives flip the dominant direction, and
+        # the item-1 failures
+        flips = failures = 0
+        for i, j in itertools.combinations(range(q), 2):
+            dw = rep_density[i][j]
+            if not _homogeneous(dw, delta):
+                break
+            dq = q_density[i][j]
+            same_dominant = (dq >= HALF) == (dw >= HALF)
+            if _homogeneous(dq, delta / 5) and not same_dominant:
+                flips += 1
+            if not (_homogeneous(dq, delta) and same_dominant):
+                failures += 1
+        else:
+            if flips <= 4 * delta * q * q / 5 and failures <= delta * q * q:
+                return StrongDecomposition(
+                    partition=stage1,
+                    representatives=tuple(tuple(r) for r in reps),
+                    sample_vertices=tuple(samples),
+                    delta=delta,
+                    gamma=gamma,
+                    q=q,
+                    item1_failures=failures,
+                    item1_bound=delta * q * q,
+                    item2_ok=True,
+                    representative_sizes=tuple(len(r) for r in reps),
+                    attempts=attempt,
+                    seed=seed,
+                )
     raise BudgetExceeded(
         "representative sampling retries exhausted", retries=retry_budget
     )

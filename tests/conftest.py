@@ -152,6 +152,16 @@ def oracle_monotone_homs(g: LabeledGraph, target: LabeledGraph):
     return out
 
 
+def oracle_greedy_box_collection(ranges) -> list:
+    """Scan the box [1..r1] x ... x [1..rk] in lexicographic order and keep
+    each tuple that agrees with every kept one in at most one slot."""
+    kept = []
+    for s in itertools.product(*(range(1, r + 1) for r in ranges)):
+        if all(sum(x == y for x, y in zip(s, u)) <= 1 for u in kept):
+            kept.append(s)
+    return kept
+
+
 def oracle_max_ap_free(n: int) -> int:
     """Exact maximum size of a progression-free subset of 1..n, by
     branch and bound over elements in increasing order."""

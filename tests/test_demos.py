@@ -1,5 +1,6 @@
 """The demos that exercise the embedding search, the colorings, the
-gadget sweep, forcing and the ordered cores run to completion."""
+gadget sweep, forcing, the ordered cores and the regularity partitioner
+run to completion."""
 
 import os
 import subprocess
@@ -11,8 +12,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-# orderedhom_demo takes about 4 s; lowerbound_demo (about 8 s) is left out
-# for its run time
+# regularity_demo takes under 1 s and orderedhom_demo about 4 s;
+# lowerbound_demo (about 8 s) is left out for its run time
 @pytest.mark.parametrize(
     "demo",
     [
@@ -21,6 +22,7 @@ ROOT = Path(__file__).resolve().parent.parent
         "hardness_demo",
         "kernel_demo",
         "orderedhom_demo",
+        "regularity_demo",
     ],
 )
 def test_demo_exits_cleanly(demo):

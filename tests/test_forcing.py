@@ -15,6 +15,7 @@ from tourkit.digraphs import (
 from tourkit.errors import BudgetExceeded
 from tourkit.forcing import (
     KPartiteTournament,
+    _greedy_box_collection,
     build_forcing,
     certify_completion,
     disjoint_tuples,
@@ -23,7 +24,7 @@ from tourkit.forcing import (
     search_min_forcing,
 )
 
-from conftest import oracle_count_injections
+from conftest import oracle_count_injections, oracle_greedy_box_collection
 
 
 def four_cycle_forcing() -> KPartiteTournament:
@@ -67,6 +68,16 @@ class TestDisjointTuples:
     def test_k_one_rejected(self):
         with pytest.raises(ValueError):
             disjoint_tuples(5, 1)
+
+    def test_greedy_matches_naive_oracle(self, rng):
+        for k in range(2, 5):
+            for t in range(1, 8):
+                expect = oracle_greedy_box_collection([t] * k)
+                assert list(disjoint_tuples(t, k).tuples) == expect
+        # unequal ranges, as certify_completion passes them
+        for _ in range(60):
+            ranges = [rng.randint(0, 6) for _ in range(rng.randint(2, 4))]
+            assert _greedy_box_collection(ranges) == oracle_greedy_box_collection(ranges)
 
     def test_pairwise_property_is_verified_property(self):
         coll = disjoint_tuples(6, 3)

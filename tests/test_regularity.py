@@ -2,8 +2,10 @@
 partitioner, refinement, and the decomposition pipeline."""
 
 import itertools
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tourkit.digraphs import random_tournament, transitive_tournament
@@ -38,6 +40,18 @@ def recount_bad_weight(a: BinaryMatrix, rows, cols, delta: Fraction) -> Fraction
     return bad
 
 
+def first_copy(a: BinaryMatrix, b, avoid_diagonal: bool):
+    """Brute-force lexicographically first copy: columns first, then rows."""
+    k = len(b)
+    for cols in itertools.combinations(range(1, a.n + 1), k):
+        for rows in itertools.combinations(range(1, a.n + 1), k):
+            if avoid_diagonal and set(rows) & set(cols):
+                continue
+            if all(a[(r, c)] == b[i][j] for i, r in enumerate(rows) for j, c in enumerate(cols)):
+                return rows, cols
+    return None
+
+
 def random_partition(n, parts, rng):
     while True:
         labels = [rng.randrange(parts) for _ in range(n)]
@@ -46,6 +60,17 @@ def random_partition(n, parts, rng):
                 [v for v in range(1, n + 1) if labels[v - 1] == p]
                 for p in range(parts)
             ]
+
+
+class TestBinaryMatrix:
+    def test_does_not_alias_the_callers_array(self):
+        x = np.zeros((3, 3), dtype=np.int64)
+        view = x[:]
+        m = BinaryMatrix(x)
+        assert x.flags.writeable
+        view[0, 1] = 1
+        x[2, 2] = 1
+        assert m[(1, 2)] == 0 and m[(3, 3)] == 0
 
 
 class TestAuditBipartition:
@@ -66,9 +91,10 @@ class TestAuditBipartition:
         a = BinaryMatrix.random(20, rng)
         rows = random_partition(20, 4, rng)
         cols = random_partition(20, 4, rng)
-        delta = Fraction(1, 3)
-        audit = audit_bipartition(a, rows, cols, delta)
-        assert audit.bad_weight == recount_bad_weight(a, rows, cols, delta)
+        # the second delta's denominator times n^2 exceeds the int64 range
+        for delta in (Fraction(1, 3), Fraction(1, 2**62)):
+            audit = audit_bipartition(a, rows, cols, delta)
+            assert audit.bad_weight == recount_bad_weight(a, rows, cols, delta)
 
     def test_dominant_ties_resolve_to_one(self):
         a = BinaryMatrix([[1, 0], [0, 1]])
@@ -118,14 +144,32 @@ class TestCountMatrixCopies:
             assert count_matrix_copies(a, b) == brute
 
     def test_witness_realizes_pattern(self, rng):
-        a = BinaryMatrix.random(7, rng)
-        b = [[1, 0], [0, 1]]
-        if count_matrix_copies(a, b):
-            rows, cols = find_matrix_copy(a, b)
-            assert list(rows) == sorted(rows) and list(cols) == sorted(cols)
-            for i, r in enumerate(rows):
-                for j, c in enumerate(cols):
-                    assert a[(r, c)] == b[i][j]
+        cases = [(BinaryMatrix.random(7, rng), [[1, 0], [0, 1]])]
+        for _ in range(30):
+            n, k = rng.randint(1, 7), rng.randint(1, 3)
+            b = [[rng.getrandbits(1) for _ in range(k)] for _ in range(k)]
+            cases.append((BinaryMatrix.random(n, rng), b))
+        for a, b in cases:
+            for avoid in (False, True):
+                witness = find_matrix_copy(a, b, avoid_diagonal=avoid)
+                assert witness == first_copy(a, b, avoid)
+                count = count_matrix_copies(a, b, avoid_diagonal=avoid)
+                assert (witness is None) == (count == 0)
+                if witness is None:
+                    continue
+                rows, cols = witness
+                assert list(rows) == sorted(rows) and list(cols) == sorted(cols)
+                for i, r in enumerate(rows):
+                    for j, c in enumerate(cols):
+                        assert a[(r, c)] == b[i][j]
+
+    def test_pattern_must_be_square(self, rng):
+        a = BinaryMatrix.random(4, rng)
+        for search in (count_matrix_copies, find_matrix_copy):
+            with pytest.raises(ValueError):
+                search(a, [1, 0])
+            with pytest.raises(ValueError):
+                search(a, [[1, 0]])
 
     def test_diagonal_avoiding_copies_match_pattern_embeddings(self, rng):
         # copies with disjoint row/column sets correspond to embeddings of
@@ -353,6 +397,12 @@ class TestEquipartitionType:
         with pytest.raises(ValueError):
             Equipartition(parts=((1, 2, 3), (4,)))
 
+    def test_audit_rejects_a_non_partition(self, rng):
+        t = random_tournament(4, rng)
+        for parts in (((1,), (2,)), ((1, 2), (3, 5)), ((1, 2), (2, 3))):
+            with pytest.raises(ValueError, match="partition"):
+                audit_equipartition(t, Equipartition(parts=parts), Fraction(1, 4))
+
     def test_audit_totals(self, rng):
         t = random_tournament(12, rng)
         p = Equipartition(parts=tuple(
@@ -371,3 +421,42 @@ class TestEquipartitionType:
                 if not (d >= 1 - Fraction(1, 3) or d <= Fraction(1, 3)):
                     recount += Fraction(9, 144)
         assert recount == audit.bad_weight
+
+
+class TestPinnedOutputs:
+    """Frozen results of the pipeline and of the partitioner's copy branch;
+    a change to the partitioner's split order, the equipartition refinement
+    or the copy scan order shows here."""
+
+    STRONG = {
+        (32, 1): (2, 4, 8, 24, 3, 6, 1, 9, 11, 32, 16, 28, 17, 21, 5, 23,
+                  12, 31, 14, 30, 7, 27, 19, 25, 18, 29, 20, 26, 10, 22, 13, 15),
+        (36, 2): (7, 21, 10, 23, 9, 33, 15, 25, 28, 2, 32, 24, 31, 13, 17, 8,
+                  12, 30, 1, 34, 5, 35, 11, 18, 4, 6, 27, 3, 22, 19, 26, 14,
+                  16, 20, 29, 36),
+        (40, 3): (25, 27, 16, 3, 9, 14, 20, 13, 2, 12, 29, 31, 19, 7, 40, 4,
+                  30, 36, 6, 17, 32, 35, 23, 8, 11, 10, 24, 1, 18, 28, 22, 37,
+                  33, 38, 39, 5, 21, 15, 26, 34),
+    }
+
+    @pytest.mark.parametrize("n, tseed", sorted(STRONG))
+    def test_strong_decomposition(self, n, tseed):
+        t = random_tournament(n, random.Random(tseed))
+        out = strong_decomposition(
+            t, default_bipartite_pattern(2), Fraction(1, 4), seed=0
+        )
+        assert isinstance(out, StrongDecomposition)
+        assert out.q == n
+        assert out.sample_vertices == self.STRONG[(n, tseed)]
+        assert out.attempts == 1
+        assert out.item1_failures == 0
+
+    def test_afn_copy_branch(self):
+        rng = random.Random(3)
+        a = BinaryMatrix(
+            [[int(rng.random() < 0.2) for _ in range(24)] for _ in range(24)]
+        )
+        out = afn_partition(a, [[1, 1], [1, 1]], Fraction(1, 10), size_budget=4)
+        assert isinstance(out, AfnCopies)
+        assert out.count == 97
+        assert out.witness == ((8, 16), (1, 16))
