@@ -19,7 +19,7 @@ from typing import Optional
 
 from . import nae
 from .digraphs import OrientedGraph, Tournament, tournament_from_bits, _bits
-from .errors import BudgetExceeded
+from .errors import AuditError, BudgetExceeded
 
 __all__ = [
     "Coloring",
@@ -142,15 +142,12 @@ def nae_two_coloring(
     per cyclic triangle. For general oriented graphs this equivalence
     fails, hence the tournament precondition.
     """
-    if not isinstance(t, Tournament):
-        raise ValueError("nae_two_coloring requires a tournament")
-    triples = cyclic_triangles(t)
-    solution = nae.solve_nae(t.n, triples, budget=budget)
+    solution = nae.solve_tournament(t, budget=budget)
     if solution is None:
         return None
     coloring = Coloring(tuple(v + 1 for v in solution), 2)
     if not verify_coloring(t, coloring):
-        raise AssertionError("NAE solver returned an improper coloring")
+        raise AuditError("NAE solver returned an improper coloring")
     return coloring
 
 

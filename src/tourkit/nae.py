@@ -5,23 +5,40 @@ value. This is exactly the clause form of 2-coloring a tournament without
 a monochromatic cyclic triangle, and of the triangle-free-cut problem for
 undirected graphs.
 
-Propagation rule: once two variables of a clause are assigned equal, the
-third is forced to the opposite value; once two are assigned unequal the
-clause is satisfied. Branching picks the unassigned variable occurring in
-the most clauses (ties to the smallest index). The first branching
-decision is pinned to a single value, which is sound because complementing
-every variable preserves all NAE clauses.
+The search keeps two bit masks, ``side[0]`` and ``side[1]``: the variables
+assigned 0 and 1. For variables v and u, ``link(v, u)`` is the mask of the
+w with {v, u, w} a clause. Assigning v := x forces every w in the OR of
+``link(v, u)`` over the partners u already in ``side[x]`` to 1 - x, and it
+conflicts exactly when that forced set meets ``side[x]``. Propagation runs
+this rule to a fixed point, which does not depend on the order the forced
+variables are visited in; undoing an assignment restores the two masks.
+
+Branching picks the unassigned variable occurring in the most clauses
+(ties to the smallest index). The first branching decision is pinned to a
+single value, which is sound because complementing every variable
+preserves all NAE clauses.
+
+Two fronts run the one search:
+
+- ``solve_nae`` takes a clause list and builds the ``link`` masks from it
+  once.
+- ``solve_tournament`` takes a tournament T, whose clauses are its cyclic
+  triangles, and reads ``link`` off T's adjacency masks without listing
+  them: if v -> u, ``link(v, u)`` is ``out[u] & inn[v]``, otherwise
+  ``out[v] & inn[u]``.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from .digraphs import Tournament
 from .errors import BudgetExceeded
 
-__all__ = ["solve_nae"]
+__all__ = ["solve_nae", "solve_tournament"]
 
-_UNSET = -1
+# clause degree per variable, and link[v][u] for each partner u of v
+_Links = tuple[list[int], list[dict[int, int]]]
 
 
 def solve_nae(
@@ -41,66 +58,124 @@ def solve_nae(
             if not 1 <= v <= num_vars:
                 raise ValueError(f"variable {v} outside 1..{num_vars}")
 
-    occurs: list[list[int]] = [[] for _ in range(num_vars + 1)]
-    for idx, c in enumerate(clauses):
-        for v in c:
-            occurs[v].append(idx)
+    return _search(num_vars, *_clause_links(num_vars, clauses), budget)
 
-    assign = [_UNSET] * (num_vars + 1)
-    by_degree = sorted(
-        range(1, num_vars + 1), key=lambda v: (-len(occurs[v]), v)
-    )
+
+def solve_tournament(
+    t: Tournament, budget: Optional[int] = None
+) -> Optional[list[int]]:
+    """``solve_nae`` over the cyclic triangles of ``t``, without listing them.
+
+    Entry v-1 of the result is the value of vertex v. The search, its node
+    count and its result are those of ``solve_nae(t.n, clauses)`` for the
+    cyclic-triangle clauses, since the degrees and ``link`` masks are the
+    same.
+    """
+    if not isinstance(t, Tournament):
+        raise ValueError("NAE 2-coloring requires a tournament")
+    return _search(t.n, *_tournament_links(t), budget)
+
+
+def _clause_links(num_vars: int, clauses: Sequence[tuple[int, int, int]]) -> _Links:
+    degree = [0] * (num_vars + 1)
+    link: list[dict[int, int]] = [{} for _ in range(num_vars + 1)]
+    for a, b, c in clauses:
+        for v, u, w in ((a, b, c), (b, c, a), (c, a, b)):
+            degree[v] += 1
+            link[v][u] = link[v].get(u, 0) | (1 << w)
+            link[v][w] = link[v].get(w, 0) | (1 << u)
+    return degree, link
+
+
+def _tournament_links(t: Tournament) -> _Links:
+    """``_clause_links`` of the cyclic triangles of t, read off its masks.
+
+    The cyclic triangles through v are the v -> u -> w -> v with u in
+    out[v], so v's degree sums popcount(out[u] & inn[v]) over them.
+    """
+    out, inn = t.out, t.inn
+    degree = [0] * (t.n + 1)
+    link: list[dict[int, int]] = [{} for _ in range(t.n + 1)]
+    for v in t.vertices:
+        links = link[v]
+        m = out[v]
+        while m:
+            low = m & -m
+            u = low.bit_length() - 1
+            w = out[u] & inn[v]
+            if w:
+                links[u] = w
+                degree[v] += w.bit_count()
+            m ^= low
+        m = inn[v]
+        while m:
+            low = m & -m
+            u = low.bit_length() - 1
+            w = out[v] & inn[u]
+            if w:
+                links[u] = w
+            m ^= low
+    return degree, link
+
+
+def _search(
+    num_vars: int,
+    degree: list[int],
+    link: list[dict[int, int]],
+    budget: Optional[int],
+) -> Optional[list[int]]:
+    """The one NAE search over clause degrees and ``link`` masks."""
+    side = [0, 0]
+    partners = [0] * (num_vars + 1)
+    for v in range(1, num_vars + 1):
+        for u in link[v]:
+            partners[v] |= 1 << u
+    by_degree = sorted(range(1, num_vars + 1), key=lambda v: (-degree[v], v))
     nodes = 0
 
-    def propagate(queue: list[int], trail: list[int]) -> bool:
+    def assign(v: int, x: int) -> bool:
+        side[x] |= 1 << v
+        queue = [(v, x)]
         while queue:
-            v = queue.pop()
-            for ci in occurs[v]:
-                a, b, c = clauses[ci]
-                va, vb, vc = assign[a], assign[b], assign[c]
-                unset = (va == _UNSET) + (vb == _UNSET) + (vc == _UNSET)
-                if unset == 0:
-                    if va == vb == vc:
-                        return False
-                    continue
-                if unset != 1:
-                    continue
-                if va == _UNSET:
-                    free, x, y = a, vb, vc
-                elif vb == _UNSET:
-                    free, x, y = b, va, vc
-                else:
-                    free, x, y = c, va, vb
-                if x == y:
-                    assign[free] = 1 - x
-                    trail.append(free)
-                    queue.append(free)
+            v, x = queue.pop()
+            links = link[v]
+            forced = 0
+            m = side[x] & partners[v]
+            while m:
+                low = m & -m
+                forced |= links[low.bit_length() - 1]
+                m ^= low
+            if forced & side[x]:
+                return False
+            y = 1 - x
+            new = forced & ~side[y]
+            if new:
+                side[y] |= new
+                while new:
+                    low = new & -new
+                    queue.append((low.bit_length() - 1, y))
+                    new ^= low
         return True
 
-    def choose() -> Optional[int]:
-        for v in by_degree:
-            if assign[v] == _UNSET:
-                return v
-        return None
-
-    def search(first: bool) -> bool:
+    def search(first: bool, start: int) -> bool:
         nonlocal nodes
         nodes += 1
         if budget is not None and nodes > budget:
             raise BudgetExceeded("NAE search budget exhausted", nodes=nodes)
-        v = choose()
-        if v is None:
+        # assignments only grow along a branch, so the scan resumes at start
+        assigned = side[0] | side[1]
+        while start < num_vars and (assigned >> by_degree[start]) & 1:
+            start += 1
+        if start == num_vars:
             return True
-        values = (0,) if first else (0, 1)
-        for value in values:
-            trail = [v]
-            assign[v] = value
-            if propagate([v], trail) and search(False):
+        v = by_degree[start]
+        saved = side[:]
+        for value in (0,) if first else (0, 1):
+            if assign(v, value) and search(False, start + 1):
                 return True
-            for w in trail:
-                assign[w] = _UNSET
+            side[:] = saved
         return False
 
-    if search(True):
-        return [0 if assign[v] == _UNSET else assign[v] for v in range(1, num_vars + 1)]
+    if search(True, 0):
+        return [(side[1] >> v) & 1 for v in range(1, num_vars + 1)]
     return None

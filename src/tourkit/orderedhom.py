@@ -367,10 +367,10 @@ def odd_cycle_certificate(g: LabeledGraph) -> list[int]:
         raise ValueError("graph is 2-colorable; no odd cycle exists")
     assert cycle is not None
     if len(cycle) % 2 == 0 or len(cycle) < 3:
-        raise AssertionError("certificate construction failed")
+        raise AuditError("certificate construction failed")
     for i, v in enumerate(cycle):
         if not g.has_edge(v, cycle[(i + 1) % len(cycle)]):
-            raise AssertionError("certificate is not a cycle")
+            raise AuditError("certificate is not a cycle")
     return cycle
 
 

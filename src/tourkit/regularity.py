@@ -568,7 +568,7 @@ def strong_decomposition(
 
     def refinement_stage(
         p: Equipartition, target_delta: Fraction
-    ) -> Union[Equipartition, AfnCopies]:
+    ) -> Union[tuple[Equipartition, EquipartitionAudit], AfnCopies]:
         afn_delta = target_delta * target_delta / 3
         outcome = afn_partition(a, b, afn_delta, size_budget=size_budget)
         if isinstance(outcome, AfnCopies):
@@ -590,24 +590,26 @@ def strong_decomposition(
             raise AuditError(
                 f"refinement missed its homogeneity target {target_delta}"
             )
-        return refined
+        return refined, check
 
     trivial = Equipartition(parts=(tuple(range(1, n + 1)),))
-    stage1 = refinement_stage(trivial, delta / 5)
-    if isinstance(stage1, AfnCopies):
-        return stage1
+    outcome = refinement_stage(trivial, delta / 5)
+    if isinstance(outcome, AfnCopies):
+        return outcome
+    stage1, stage1_audit = outcome
     q = stage1.q
     gamma = Fraction(1, 2 * q**4)
-    stage2 = refinement_stage(stage1, gamma)
-    if isinstance(stage2, AfnCopies):
-        return stage2
+    outcome = refinement_stage(stage1, gamma)
+    if isinstance(outcome, AfnCopies):
+        return outcome
+    stage2, _ = outcome
 
     member_of: dict[int, int] = {}
     for idx, part in enumerate(stage2.parts):
         for v in part:
             member_of[v] = idx
 
-    q_density = audit_equipartition(t, stage1, delta / 5).densities
+    q_density = stage1_audit.densities
     digest = hashlib.sha256(f"{seed}:representatives".encode()).digest()
     rng = random.Random(int.from_bytes(digest[:8], "big"))
 

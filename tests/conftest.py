@@ -125,6 +125,17 @@ def brute_force_k_colorable(d: OrientedGraph, k: int) -> bool:
     return False
 
 
+def oracle_nae(num_vars: int, clauses) -> bool:
+    """Exhaustive scan of all 2^num_vars 0/1 assignments for one that
+    leaves no clause with all three values equal."""
+    for code in range(1 << num_vars):
+        if all(
+            len({(code >> (v - 1)) & 1 for v in clause}) > 1 for clause in clauses
+        ):
+            return True
+    return False
+
+
 def oracle_chromatic(d: OrientedGraph) -> int:
     """Least k over exhaustive k^n assignments."""
     for k in range(1, d.n + 1):

@@ -102,6 +102,15 @@ class TestExitCodes:
         assert code == cli.EXIT_AUDIT == 4
         assert "audit failure: forced failure" in capsys.readouterr().err
 
+    def test_broken_nae_solver_is_an_audit_failure(self, files, monkeypatch, capsys):
+        from tourkit import cli, nae
+
+        # all zeros leaves every cyclic triangle of T(K3) monochromatic
+        monkeypatch.setattr(nae, "solve_tournament", lambda t, budget=None: [0] * t.n)
+        code, _ = run_cli(["check-reduction", files["k3"]])
+        assert code == cli.EXIT_AUDIT
+        assert "audit failure:" in capsys.readouterr().err
+
     def test_color_negative(self, files, minimal_hard):
         from tourkit.formats import serialize_oriented_graph
 

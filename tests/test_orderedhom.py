@@ -290,6 +290,18 @@ class TestOddCycle:
         with pytest.raises(ValueError):
             odd_cycle_certificate(square)
 
+    @pytest.mark.parametrize("cycle", [[1, 2], [1, 2, 4]])
+    def test_broken_certificate_is_an_audit_failure(self, monkeypatch, cycle):
+        from tourkit import orderedhom
+        from tourkit.errors import AuditError
+
+        monkeypatch.setattr(
+            orderedhom, "_bipartition_or_odd_cycle", lambda g: (None, cycle)
+        )
+        c5 = LabeledGraph(range(1, 6), [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+        with pytest.raises(AuditError):
+            odd_cycle_certificate(c5)
+
 
 class TestGraphChromatic:
     def test_small_values(self):
