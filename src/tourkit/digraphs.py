@@ -3,11 +3,14 @@
 Vertices are the integers 1..n and the natural order of the labels is
 semantically meaningful (the ordered-homomorphism machinery depends on it).
 Adjacency is a dense bit matrix: ``out[u]`` is an integer whose bit ``v``
-is set iff u -> v, so direction queries, neighbourhood intersections and
-the embedding search are all O(1) word operations.
+is set iff u -> v, and ``inn`` is its transpose, so direction queries,
+neighbourhood intersections and the embedding search are all O(1) word
+operations. The masks are a graph's only stored state: induced
+subgraphs, relabellings and flips are built on them, and the edge set is
+derived from them when it is read.
 
 All values are immutable after construction and safe to share across
-threads.
+threads (a derived edge set is cached on first use).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import BudgetExceeded
+from .errors import AuditError, BudgetExceeded
 
 __all__ = [
     "OrientedGraph",
@@ -55,13 +58,49 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _span(lo: int, hi: int) -> int:
+    """Mask of the labels lo..hi; empty when hi < lo."""
+    return (1 << (hi + 1)) - (1 << lo) if lo <= hi else 0
+
+
+def _mask(vertices: Iterable[int]) -> int:
+    return sum(1 << v for v in set(vertices))
+
+
+def _gather(mask: int, table: Sequence[int]) -> int:
+    """OR of ``table[v]`` over the v in ``mask``."""
+    acc = 0
+    while mask:
+        low = mask & -mask
+        acc |= table[low.bit_length() - 1]
+        mask ^= low
+    return acc
+
+
+def _peel(inn: Sequence[int], members: int) -> Optional[list[int]]:
+    """Topological order of the subdigraph on the vertex mask ``members``,
+    or None if it has a cycle. ``inn`` holds the in-neighbour masks. Each
+    step removes the smallest label with no in-neighbour left."""
+    order: list[int] = []
+    while members:
+        v = next((v for v in _bits(members) if not inn[v] & members), None)
+        if v is None:
+            return None
+        order.append(v)
+        members ^= 1 << v
+    return order
+
+
 class OrientedGraph:
     """A digraph with at most one directed edge per vertex pair, no loops.
 
-    ``edges`` is a frozenset of ordered pairs (u, v) meaning u -> v.
+    The stored state is ``n`` and the masks ``out`` and ``inn``. ``edges``
+    is the frozenset of ordered pairs (u, v) meaning u -> v: a graph built
+    from an edge list keeps the set it validated, and one built from masks
+    derives it from ``out`` on first use.
     """
 
-    __slots__ = ("n", "edges", "out", "inn")
+    __slots__ = ("n", "out", "inn", "_edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -79,9 +118,36 @@ class OrientedGraph:
             out[u] |= 1 << v
             inn[v] |= 1 << u
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", edge_set)
         object.__setattr__(self, "out", tuple(out))
         object.__setattr__(self, "inn", tuple(inn))
+        object.__setattr__(self, "_edges", edge_set)
+
+    @classmethod
+    def _from_masks(
+        cls, n: int, out: Sequence[int], inn: Sequence[int]
+    ) -> "OrientedGraph":
+        """The graph with these masks (``inn`` the transpose of ``out``),
+        for internal builders: a loop, a vertex outside 1..n, a pair in both
+        directions or, in a tournament, an unoriented pair raises AuditError."""
+        complete = issubclass(cls, Tournament)
+        full = _span(1, n)
+        if len(out) != n + 1 or len(inn) != n + 1 or out[0] or inn[0]:
+            raise AuditError(f"masks do not describe a graph on 1..{n}")
+        for v in range(1, n + 1):
+            o, i = out[v], inn[v]
+            others = full ^ (1 << v)
+            if (o | i) & ~others:
+                raise AuditError(f"vertex {v} has a loop or a neighbour outside 1..{n}")
+            if o & i:
+                raise AuditError(f"both directions present at vertex {v}")
+            if complete and (o | i) != others:
+                raise AuditError(f"not a tournament: vertex {v} misses a pair")
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "out", tuple(out))
+        object.__setattr__(g, "inn", tuple(inn))
+        object.__setattr__(g, "_edges", None)
+        return g
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -92,6 +158,13 @@ class OrientedGraph:
     def vertices(self) -> range:
         return range(1, self.n + 1)
 
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        if self._edges is None:
+            edges = ((u, v) for u in self.vertices for v in _bits(self.out[u]))
+            object.__setattr__(self, "_edges", frozenset(edges))
+        return self._edges
+
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.out[u] >> v) & 1)
 
@@ -101,58 +174,55 @@ class OrientedGraph:
     def in_degree(self, v: int) -> int:
         return _popcount(self.inn[v])
 
-    def edge_count(self) -> int:
-        return len(self.edges)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, OrientedGraph)
             and self.n == other.n
-            and self.edges == other.edges
+            and self.out == other.out
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, self.out))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n={self.n}, edges={sorted(self.edges)})"
 
     # -- derived objects -----------------------------------------------
 
+    def _image(self, cls, k: int, label: Sequence[int]) -> "OrientedGraph":
+        """The ``cls`` graph on 1..k with an edge label[u] -> label[v] for
+        each edge u -> v; label[v] is 0 for a dropped vertex."""
+        bit = [1 << x if x else 0 for x in label]
+        out = [0] * (k + 1)
+        inn = [0] * (k + 1)
+        for v in self.vertices:
+            if label[v]:
+                out[label[v]] = _gather(self.out[v], bit)
+                inn[label[v]] = _gather(self.inn[v], bit)
+        return cls._from_masks(k, out, inn)
+
     def relabel(self, perm: Sequence[int]) -> "OrientedGraph":
         """Apply a permutation: vertex v becomes perm[v-1] (a bijection on 1..n)."""
         if sorted(perm) != list(self.vertices):
             raise ValueError("perm must be a bijection on 1..n")
-        return type(self)(
-            self.n, ((perm[u - 1], perm[v - 1]) for u, v in self.edges)
-        )
+        return self._image(type(self), self.n, [0, *perm])
 
     def induced(self, vertices: Sequence[int]) -> "OrientedGraph":
         """Induced subdigraph, relabelled to 1..k in the given label order."""
         vs = sorted(set(vertices))
-        pos = {v: i + 1 for i, v in enumerate(vs)}
-        return OrientedGraph(
-            len(vs),
-            ((pos[u], pos[v]) for u, v in self.edges if u in pos and v in pos),
-        )
+        if vs and not (1 <= vs[0] and vs[-1] <= self.n):
+            raise ValueError(f"induced vertices must lie in 1..{self.n}")
+        label = [0] * (self.n + 1)
+        for i, v in enumerate(vs, start=1):
+            label[v] = i
+        return self._image(OrientedGraph, len(vs), label)
 
     def is_acyclic(self) -> bool:
         return self.topological_order() is not None
 
     def topological_order(self) -> Optional[list[int]]:
         """Topological order with smallest-label-first tie-breaking, or None."""
-        indeg = [self.in_degree(v) for v in range(self.n + 1)]
-        ready = [v for v in self.vertices if indeg[v] == 0]
-        order: list[int] = []
-        while ready:
-            v = min(ready)
-            ready.remove(v)
-            order.append(v)
-            for w in _bits(self.out[v]):
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    ready.append(w)
-        return order if len(order) == self.n else None
+        return _peel(self.inn, _span(1, self.n))
 
 
 class Tournament(OrientedGraph):
@@ -168,20 +238,11 @@ class Tournament(OrientedGraph):
             )
 
     @classmethod
-    def from_matrix(cls, rows: Sequence[Sequence[int]]) -> "Tournament":
-        n = len(rows)
-        edges = []
-        for i in range(n):
-            if len(rows[i]) != n:
-                raise ValueError("adjacency matrix must be square")
-            for j in range(n):
-                if rows[i][j]:
-                    edges.append((i + 1, j + 1))
-        return cls(n, edges)
-
-    @classmethod
     def from_oriented(cls, g: OrientedGraph) -> "Tournament":
-        return cls(g.n, g.edges)
+        count = sum(map(_popcount, g.out))
+        if count != g.n * (g.n - 1) // 2:
+            raise ValueError(f"not a tournament: {count} edges on {g.n} vertices")
+        return cls._from_masks(g.n, g.out, g.inn)
 
     def adjacency_matrix(self) -> list[list[int]]:
         """0/1 matrix with zero diagonal; entry (i,j)=1 iff i -> j."""
@@ -195,17 +256,16 @@ class Tournament(OrientedGraph):
 
     def flip_pairs(self, pairs: Iterable[tuple[int, int]]) -> "Tournament":
         """Reverse the orientation on the given unordered pairs."""
-        edges = set(self.edges)
+        out, inn = list(self.out), list(self.inn)
         for a, b in pairs:
-            if (a, b) in edges:
-                edges.remove((a, b))
-                edges.add((b, a))
-            elif (b, a) in edges:
-                edges.remove((b, a))
-                edges.add((a, b))
-            else:
+            if a == b or not (1 <= a <= self.n and 1 <= b <= self.n):
                 raise ValueError(f"({a},{b}) is not a vertex pair of the tournament")
-        return Tournament(self.n, edges)
+            # exactly one of a -> b and b -> a holds: toggling both swaps them
+            out[a] ^= 1 << b
+            out[b] ^= 1 << a
+            inn[a] ^= 1 << b
+            inn[b] ^= 1 << a
+        return Tournament._from_masks(self.n, out, inn)
 
     def is_transitive(self) -> bool:
         return self.is_acyclic()
@@ -237,13 +297,13 @@ def tournament_from_bits(n: int, bits: int) -> Tournament:
     Bit k of ``bits`` corresponds to the k-th pair (i,j), i<j; a set bit
     means i -> j.
     """
-    edges = []
-    idx = 0
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            edges.append((i, j) if (bits >> idx) & 1 else (j, i))
-            idx += 1
-    return Tournament(n, edges)
+    out = [0] * (n + 1)
+    inn = [0] * (n + 1)
+    for idx, (i, j) in enumerate(itertools.combinations(range(1, n + 1), 2)):
+        a, b = (i, j) if (bits >> idx) & 1 else (j, i)
+        out[a] |= 1 << b
+        inn[b] |= 1 << a
+    return Tournament._from_masks(n, out, inn)
 
 
 def enumerate_tournaments(n: int) -> Iterator[Tournament]:
@@ -269,9 +329,6 @@ class PairStats:
     dominant_xy: bool
     weight: Fraction
 
-    def is_homogeneous(self, delta: Fraction) -> bool:
-        return self.density >= 1 - delta or self.density <= delta
-
 
 def density(t: Tournament, xs: Iterable[int], ys: Iterable[int]) -> PairStats:
     """Exact directed density d(X,Y) = e(X,Y)/(|X||Y|) of disjoint sets.
@@ -287,9 +344,7 @@ def density(t: Tournament, xs: Iterable[int], ys: Iterable[int]) -> PairStats:
     for v in x_set | y_set:
         if not (1 <= v <= t.n):
             raise ValueError(f"vertex {v} outside 1..{t.n}")
-    y_mask = 0
-    for v in y_set:
-        y_mask |= 1 << v
+    y_mask = _mask(y_set)
     e_xy = sum(_popcount(t.out[u] & y_mask) for u in x_set)
     size = len(x_set) * len(y_set)
     d = Fraction(e_xy, size)
@@ -375,7 +430,7 @@ def _search(
     if k > n:
         return
     order = _pattern_order(pattern)
-    full = ((1 << (n + 1)) - 1) & ~1
+    full = _span(1, n)
     allow = None if ban is None else [~b for b in ban]
     # checks[i]: (mapping index, mask table) pairs, one per pattern edge
     # between order[i] and an earlier vertex, plus its ban
@@ -659,7 +714,7 @@ def transitive_subtournament(t: Tournament, k: int) -> Optional[list[int]]:
     """
     if k < 1:
         raise ValueError("target size must be at least 1")
-    return _greedy_transitive(t, ((1 << (t.n + 1)) - 1) & ~1, k)
+    return _greedy_transitive(t, _span(1, t.n), k)
 
 
 def _greedy_transitive(t: Tournament, pool: int, k: int) -> Optional[list[int]]:

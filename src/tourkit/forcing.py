@@ -38,6 +38,8 @@ from .digraphs import (
     Tournament,
     _bits,
     _greedy_transitive,
+    _mask,
+    _peel,
     _popcount,
     find_embedding,
 )
@@ -151,7 +153,7 @@ class KPartiteTournament:
     Inner pairs carry no edge.
     """
 
-    __slots__ = ("k", "m", "out", "deterministic_pairs", "seed")
+    __slots__ = ("k", "m", "out", "_inn", "deterministic_pairs", "seed")
 
     def __init__(
         self,
@@ -165,26 +167,25 @@ class KPartiteTournament:
             raise ValueError("need k >= 2 parts of size m >= 1")
         n = k * m
         out = [0] * (n + 1)
-        seen = set()
+        inn = [0] * (n + 1)
         for u, v in cross_edges:
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ValueError(f"vertex outside 1..{n}")
             pu, pv = (u - 1) // m, (v - 1) // m
             if pu == pv:
                 raise ValueError(f"({u},{v}) is an inner pair; parts carry no edges")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ValueError(f"pair {key} oriented twice")
-            seen.add(key)
+            if (out[u] | inn[u]) >> v & 1:
+                raise ValueError(f"pair {(min(u, v), max(u, v))} oriented twice")
             out[u] |= 1 << v
+            inn[v] |= 1 << u
+        count = sum(map(_popcount, out))
         expected = k * (k - 1) // 2 * m * m
-        if len(seen) != expected:
-            raise ValueError(
-                f"{len(seen)} cross pairs oriented, expected {expected}"
-            )
+        if count != expected:
+            raise ValueError(f"{count} cross pairs oriented, expected {expected}")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "out", tuple(out))
+        object.__setattr__(self, "_inn", tuple(inn))
         object.__setattr__(self, "deterministic_pairs", deterministic_pairs)
         object.__setattr__(self, "seed", seed)
 
@@ -218,12 +219,8 @@ class KPartiteTournament:
 
     def cross_density(self, i: int, j: int) -> Fraction:
         """Fraction of part-i x part-j pairs oriented i -> j."""
-        count = 0
-        mask_j = 0
-        for v in self.part_vertices(j):
-            mask_j |= 1 << v
-        for u in self.part_vertices(i):
-            count += _popcount(self.out[u] & mask_j)
+        mask_j = _mask(self.part_vertices(j))
+        count = sum(_popcount(self.out[u] & mask_j) for u in self.part_vertices(i))
         return Fraction(count, self.m * self.m)
 
     def inner_pairs(self) -> list[tuple[int, int]]:
@@ -240,9 +237,19 @@ class KPartiteTournament:
         return all(t.has_edge(u, v) for u, v in self.cross_edges())
 
     def completion(self, inner_edges: Sequence[tuple[int, int]]) -> Tournament:
-        edges = list(self.cross_edges())
-        edges.extend(inner_edges)
-        return Tournament(self.n, edges)
+        """The tournament that keeps the cross edges and orients every inner
+        pair as ``inner_edges`` lists it."""
+        n = self.n
+        out, inn = list(self.out), list(self._inn)
+        for a, b in inner_edges:
+            inner = 1 <= a <= n and 1 <= b <= n and self.part_of(a) == self.part_of(b)
+            if not inner or (out[a] | inn[a] | 1 << a) >> b & 1:
+                raise ValueError(f"({a},{b}) is not an unoriented inner pair")
+            out[a] |= 1 << b
+            inn[b] |= 1 << a
+        if sum(map(_popcount, out)) != n * (n - 1) // 2:
+            raise ValueError("the inner edges leave a pair unoriented")
+        return Tournament._from_masks(n, out, inn)
 
     def completions(self) -> Iterator[Tournament]:
         """All completions, enumerated over inner-pair orientations."""
@@ -268,7 +275,7 @@ def _validate_coloring_against_d(
     if sorted(flat) != list(h.vertices):
         raise ValueError("classes must partition the pattern's vertex set")
     for idx, cls in enumerate(classes, start=1):
-        if cls and not h.induced(cls).is_acyclic():
+        if _peel(h.inn, _mask(cls)) is None:
             raise ValueError(f"class {idx} does not induce an acyclic digraph")
     k = len(classes)
     if d.n != k:
@@ -358,20 +365,14 @@ class CompletionCertificate:
     def count(self) -> int:
         return len(self.embeddings)
 
-    @property
-    def meets_target(self) -> bool:
-        return self.count >= self.target
-
 
 def _forward_order(h: OrientedGraph, cls: Sequence[int]) -> list[int]:
     """Linear order of a class in which all its pattern edges point
     forward; smallest-label-first among the ready vertices."""
-    sub = h.induced(cls)
-    topo = sub.topological_order()
-    if topo is None:
+    order = _peel(h.inn, _mask(cls))
+    if order is None:
         raise ValueError("class is not acyclic")
-    ordered = sorted(cls)
-    return [ordered[p - 1] for p in topo]
+    return order
 
 
 def certify_completion(
@@ -404,9 +405,7 @@ def certify_completion(
     blocks: list[list[tuple[int, ...]]] = []
     for i in range(1, k + 1):
         size = len(classes[i - 1])
-        pool = 0
-        for v in f.part_vertices(i):
-            pool |= 1 << v
+        pool = _mask(f.part_vertices(i))
         part_blocks: list[tuple[int, ...]] = []
         if size:
             while _popcount(pool) >= size:

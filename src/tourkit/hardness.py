@@ -17,12 +17,13 @@ gadget is ever used.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
 from . import nae
-from .coloring import Coloring, verify_coloring
-from .digraphs import Tournament, _bits
+from .coloring import Coloring, nae_two_coloring, verify_coloring
+from .digraphs import Tournament, _bits, _span, cyclic_triangle
 from .errors import AuditError
 from .orderedhom import LabeledGraph
 
@@ -223,104 +224,60 @@ def reduce_graph(g: LabeledGraph) -> ReductionOutput:
     follows the sorted graph labels, and all unscripted cross pairs point
     spine -> triples, spine -> blocks, blocks -> triples.
     """
-    labels = g.vertices
     n = g.n
-    pos = {lab: i + 1 for i, lab in enumerate(labels)}
+    pos = {lab: i + 1 for i, lab in enumerate(g.vertices)}
     triangles = tuple(graph_triangles(g))
     m = len(triangles)
+    size = n + 18 * m
+    z0 = n + 1  # first triple vertex; triple t starts at z0 + 3(t-1)
+    k0 = n + 3 * m + 1  # first block vertex; block b starts at k0 + 5b
+    ys, zs, ks = _span(1, n), _span(z0, k0 - 1), _span(k0, size)
+    out = [0] * (size + 1)
+    inn = [0] * (size + 1)
 
-    def z_vertex(t: int, r: int) -> int:
-        return n + 3 * (t - 1) + r
+    # the spine, the triples and the blocks each in label order: a vertex,
+    # a triple or a block beats every later one of its kind
+    for lo, hi, group in ((1, n, 1), (z0, k0 - 1, 3), (k0, size, 5)):
+        for x in range(lo, hi + 1):
+            start = x - (x - lo) % group
+            out[x] |= _span(start + group, hi)
+            inn[x] |= _span(lo, start - 1)
+    # block b = 3(t-1) + (r-1) is the gadget of triangle t's r-th vertex:
+    # its u is that vertex's spine position and its v the triple vertex
+    # z0 + b; the pairs of u or v with the block take the gadget's edges
+    us = [pos[tri[r]] for tri in triangles for r in range(3)]
+    own = [0] * (n + 1)  # own[y]: the blocks whose u is y
+    for b, u in enumerate(us):
+        block = _span(k0 + 5 * b, k0 + 5 * b + 4)
+        own[u] |= block
+        for x in _bits(block):
+            out[x] |= zs ^ (1 << (z0 + b))
+            inn[x] |= ys ^ (1 << u)
+        inn[z0 + b] |= ys | (ks ^ block)
+    for y in range(1, n + 1):
+        out[y] |= zs | (ks & ~own[y])
+    # each triple is a cyclic triangle
+    c3 = cyclic_triangle()
+    for z, x in itertools.product(range(z0, k0, 3), range(3)):
+        out[z + x] |= c3.out[x + 1] << (z - 1)
+        inn[z + x] |= c3.inn[x + 1] << (z - 1)
+    # the gadget's own edges, shifted onto each block: gadget vertices
+    # 1..7 are u, v, then the block in order (w, a, b, c, d)
+    gt = gadget().tournament
+    inside = _span(3, 7)
+    for b, u in enumerate(us):
+        v, shift = z0 + b, k0 + 5 * b - 3
+        for masks, g_masks in ((out, gt.out), (inn, gt.inn)):
+            for x in range(3, 8):
+                hit = g_masks[x]
+                masks[x + shift] |= (
+                    (hit & inside) << shift | (hit >> 1 & 1) << u | (hit >> 2 & 1) << v
+                )
+            masks[u] |= (g_masks[1] & inside) << shift
+            masks[v] |= (g_masks[2] & inside) << shift
 
-    def k_block(t: int, r: int) -> tuple[int, ...]:
-        base = n + 3 * m + 15 * (t - 1) + 5 * (r - 1)
-        return tuple(range(base + 1, base + 6))
-
-    y_range = range(1, n + 1)
-    z_range = range(n + 1, n + 3 * m + 1)
-    k_range = range(n + 3 * m + 1, n + 18 * m + 1)
-
-    edges: set[tuple[int, int]] = set()
-
-    def add(x: int, y: int) -> None:
-        if (y, x) in edges:
-            raise AuditError(f"conflicting orientation for pair ({x},{y})")
-        edges.add((x, y))
-
-    # spine is transitive
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            add(i, j)
-    # cyclic triple per triangle, earlier triples beat later ones
-    for t in range(1, m + 1):
-        z1, z2, z3 = (z_vertex(t, r) for r in (1, 2, 3))
-        add(z1, z2)
-        add(z2, z3)
-        add(z3, z1)
-        for s in range(1, t):
-            for zs in (z_vertex(s, r) for r in (1, 2, 3)):
-                for zt in (z1, z2, z3):
-                    add(zs, zt)
-    # spine beats all triples
-    for y in y_range:
-        for z in z_range:
-            add(y, z)
-
-    gadget_pairs_yk: set[tuple[int, int]] = set()
-    gadget_pairs_kz: set[tuple[int, int]] = set()
-    for t in range(1, m + 1):
-        tri = triangles[t - 1]
-        for r in range(1, 4):
-            u_vertex = pos[tri[r - 1]]
-            v_vertex = z_vertex(t, r)
-            block = k_block(t, r)
-            place = {
-                "u": u_vertex,
-                "v": v_vertex,
-                "w": block[0],
-                "a": block[1],
-                "b": block[2],
-                "c": block[3],
-                "d": block[4],
-            }
-            for x, y in _GADGET_EDGES:
-                px, py = place[x], place[y]
-                if x == "u" and y == "v":
-                    continue  # already oriented by spine -> triples
-                add(px, py)
-                if "u" in (x, y):
-                    key = (min(px, py), max(px, py))
-                    gadget_pairs_yk.add(key)
-                if "v" in (x, y):
-                    key = (min(px, py), max(px, py))
-                    gadget_pairs_kz.add(key)
-        # the three blocks of one triangle are ordered forward
-        for r in range(1, 4):
-            for s in range(r + 1, 4):
-                for x in k_block(t, r):
-                    for y in k_block(t, s):
-                        add(x, y)
-    # earlier triangles' block groups beat later ones
-    for s in range(1, m + 1):
-        for t in range(s + 1, m + 1):
-            for x in range(k_block(s, 1)[0], k_block(s, 3)[-1] + 1):
-                for y in range(k_block(t, 1)[0], k_block(t, 3)[-1] + 1):
-                    add(x, y)
-    # all remaining spine-block pairs point forward
-    for y in y_range:
-        for kk in k_range:
-            key = (min(y, kk), max(y, kk))
-            if key not in gadget_pairs_yk:
-                add(y, kk)
-    # all remaining block-triple pairs point from blocks to triples
-    for z in z_range:
-        for kk in k_range:
-            key = (min(z, kk), max(z, kk))
-            if key not in gadget_pairs_kz:
-                add(kk, z)
-
-    t_out = Tournament(n + 18 * m, edges)
-    return ReductionOutput(graph=g, triangles=triangles, tournament=t_out)
+    t = Tournament._from_masks(size, out, inn)
+    return ReductionOutput(graph=g, triangles=triangles, tournament=t)
 
 
 def has_triangle_free_cut(
@@ -362,8 +319,6 @@ def check_reduction(
 ) -> ReductionCheck:
     """Solve both sides and, when the tournament side is colorable, lift
     the coloring back to a cut of the graph and validate it."""
-    from .coloring import nae_two_coloring
-
     reduction = reduce_graph(g)
     cut = has_triangle_free_cut(g, budget=budget)
     tcol = nae_two_coloring(reduction.tournament, budget=budget)
@@ -405,17 +360,17 @@ def lift(t: Tournament, k: int) -> Tournament:
     """
     if k < 3:
         raise ValueError("the lift is meaningful for k >= 3")
+    if not isinstance(t, Tournament):
+        raise ValueError("the lift takes a tournament")
     n = t.n
-    edges: list[tuple[int, int]] = []
-    for (x, y) in t.edges:
-        edges.append((x, y))
-        edges.append((n + x, n + y))
     apex = 2 * n + 1
-    for x in range(1, n + 1):
-        for y in range(n + 1, 2 * n + 1):
-            edges.append((x, y))
-    for y in range(n + 1, 2 * n + 1):
-        edges.append((y, apex))
-    for x in range(1, n + 1):
-        edges.append((apex, x))
-    return Tournament(2 * n + 1, edges)
+    first, second = _span(1, n), _span(n + 1, 2 * n)
+    out = [0] * (apex + 1)
+    inn = [0] * (apex + 1)
+    for x in t.vertices:
+        out[x] = t.out[x] | second
+        inn[x] = t.inn[x] | 1 << apex
+        out[n + x] = t.out[x] << n | 1 << apex
+        inn[n + x] = t.inn[x] << n | first
+    out[apex], inn[apex] = first, second
+    return Tournament._from_masks(apex, out, inn)

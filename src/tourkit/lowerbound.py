@@ -38,6 +38,9 @@ from .digraphs import (
     OrientedGraph,
     Tournament,
     _bits,
+    _mask,
+    _popcount,
+    _span,
     enumerate_embeddings,
 )
 from .errors import AuditError, BudgetExceeded
@@ -188,9 +191,6 @@ class RSGraph:
 
     def part_of(self, v: int) -> int:
         return (v - 1) // self.n_max + 1
-
-    def position_of(self, v: int) -> int:
-        return (v - 1) % self.n_max + 1
 
     def vertex(self, part: int, position: int) -> int:
         return (part - 1) * self.n_max + position
@@ -449,39 +449,43 @@ def blowup_tournament(
     if m < 1:
         raise ValueError(f"n={n} too small: the base graph has {r} vertices")
     forcing = build_forcing(h, [list(c) for c in classes], part_digraph, m, seed)
+    size = r * m
+    out = [0] * (size + 1)
+    inn = [0] * (size + 1)
 
-    edges: list[tuple[int, int]] = []
-
-    def block(x: int) -> range:
-        return range((x - 1) * m + 1, x * m + 1)
-
-    # item 1: each part's block union is transitive in global vertex order
-    for part in range(1, k + 1):
-        vs = [v for x in base.part_vertices(part) for v in block(x)]
-        vs.sort()
-        edges.extend(itertools.combinations(vs, 2))
+    def block(x: int) -> int:
+        return _span((x - 1) * m + 1, x * m)
 
     # item 2: non-edges of the base orient lower part -> higher part
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            for x in base.part_vertices(i):
-                for y in base.part_vertices(j):
-                    if not base.has_edge(x, y):
-                        edges.extend(
-                            (u, v) for u in block(x) for v in block(y)
-                        )
+    # (a part's base vertices are consecutive, so x < y across parts)
+    beats = [0] * (r + 1)
+    beaten = [0] * (r + 1)
+    for x, y in itertools.combinations(range(1, r + 1), 2):
+        if base.part_of(x) != base.part_of(y) and not base.has_edge(x, y):
+            beats[x] |= block(y)
+            beaten[y] |= block(x)
+    # item 1: each part's block union, one interval, is transitive in
+    # global vertex order
+    for part in range(1, k + 1):
+        xs = base.part_vertices(part)
+        lo, hi = (xs[0] - 1) * m + 1, xs[-1] * m
+        for v in range(lo, hi + 1):
+            out[v] |= _span(v + 1, hi) | beats[(v - 1) // m + 1]
+            inn[v] |= _span(lo, v - 1) | beaten[(v - 1) // m + 1]
 
-    # item 3: one copy of the forcing construction per clique
+    # item 3: one copy of the forcing construction per clique; the clique
+    # puts forcing part p on the block of its p-th vertex
+    f_parts = [_span(p * m + 1, p * m + m) for p in range(k)]
+    f_masks = ((out, forcing.out), (inn, forcing._inn))
     for clique in base.cliques:
-        for (u, v) in forcing.cross_edges():
-            pu, pv = forcing.part_of(u), forcing.part_of(v)
-            au = (u - 1) % m + 1
-            av = (v - 1) % m + 1
-            edges.append(
-                (block(clique[pu - 1])[au - 1], block(clique[pv - 1])[av - 1])
-            )
+        shifts = [(x - p) * m for p, x in enumerate(clique, start=1)]
+        for w in range(1, k * m + 1):
+            v = w + shifts[(w - 1) // m]
+            for masks, local in f_masks:
+                for part, shift in zip(f_parts, shifts):
+                    masks[v] |= (local[w] & part) << shift
 
-    tournament = Tournament(r * m, edges)
+    tournament = Tournament._from_masks(size, out, inn)
     return BlowupTournament(
         base=base,
         pattern=h,
@@ -531,13 +535,10 @@ def _count_special_tuples(b: BlowupTournament, limit: int) -> int:
     pattern = b.base.cycle_pattern
     length = len(pattern)
     backwards = _tuple_directions(pattern)
-    part_masks = []
-    for idx in pattern:
-        mask = 0
-        for x in b.base.part_vertices(idx):
-            for v in b.block(x):
-                mask |= 1 << v
-        part_masks.append(mask)
+    part_masks = [
+        _mask(v for x in b.base.part_vertices(idx) for v in b.block(x))
+        for idx in pattern
+    ]
     count = 0
 
     def extend(j: int, first: int, current: int) -> Iterator[int]:
@@ -668,41 +669,33 @@ def farness_certificate(
     """
     pattern = h if h is not None else b.pattern
     t = b.tournament
-    if mutated.n != t.n:
-        raise ValueError("mutated tournament has the wrong vertex count")
+    if not isinstance(mutated, Tournament) or mutated.n != t.n:
+        raise ValueError("the mutation must be a tournament on the blow-up's vertices")
+    # cluster[v]: the vertices of v's part, one interval of this width;
+    # a cut pair joins two parts
+    width = b.base.n_max * b.m
+    cluster = [0] + [((1 << width) - 1) << (v - (v - 1) % width) for v in t.vertices]
     cut_diffs = 0
     cluster_diffs = 0
-    for (u, v) in t.edges:
-        if not mutated.has_edge(u, v):
-            if b.is_cut_pair(u, v):
-                cut_diffs += 1
-            else:
-                cluster_diffs += 1
-
     # hybrid: cut-edges from the blow-up, cluster-edges from the mutation
-    hybrid_edges = []
-    for (u, v) in t.edges:
-        if b.is_cut_pair(u, v):
-            hybrid_edges.append((u, v))
-        else:
-            hybrid_edges.append((u, v) if mutated.has_edge(u, v) else (v, u))
-    hybrid = Tournament(t.n, hybrid_edges)
+    out = [0] * (t.n + 1)
+    inn = [0] * (t.n + 1)
+    for v in t.vertices:
+        lost = t.out[v] & ~mutated.out[v]
+        cut_diffs += _popcount(lost & ~cluster[v])
+        cluster_diffs += _popcount(lost & cluster[v])
+        out[v] = t.out[v] & ~cluster[v] | mutated.out[v] & cluster[v]
+        inn[v] = t.inn[v] & ~cluster[v] | mutated.inn[v] & cluster[v]
+    hybrid = Tournament._from_masks(t.n, out, inn)
 
     classes = [list(c) for c in b.classes]
     family: list[tuple[int, Embedding]] = []
     per_clique: list[int] = []
     m = b.m
     for ci in range(len(b.base.cliques)):
+        # the zone is sorted, so local label i is zone[i - 1]
         zone = b.clique_zone(ci)
-        local_of_global = {v: i + 1 for i, v in enumerate(zone)}
-        zone_edges = []
-        for i, u in enumerate(zone):
-            for v in zone[i + 1 :]:
-                if hybrid.has_edge(u, v):
-                    zone_edges.append((local_of_global[u], local_of_global[v]))
-                else:
-                    zone_edges.append((local_of_global[v], local_of_global[u]))
-        zone_t = Tournament(len(zone), zone_edges)
+        zone_t = hybrid.subtournament(zone)
         cert = certify_completion(b.forcing, zone_t, pattern, classes)
         per_clique.append(cert.count)
         for emb in cert.embeddings:

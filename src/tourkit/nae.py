@@ -18,27 +18,25 @@ Branching picks the unassigned variable occurring in the most clauses
 single value, which is sound because complementing every variable
 preserves all NAE clauses.
 
-Two fronts run the one search:
+Two fronts run the one search, each with its own forced-set rule:
 
 - ``solve_nae`` takes a clause list and builds the ``link`` masks from it
   once.
 - ``solve_tournament`` takes a tournament T, whose clauses are its cyclic
-  triangles, and reads ``link`` off T's adjacency masks without listing
-  them: if v -> u, ``link(v, u)`` is ``out[u] & inn[v]``, otherwise
-  ``out[v] & inn[u]``.
+  triangles, and lists neither them nor ``link``: if v -> u,
+  ``link(v, u)`` is ``out[u] & inn[v]``, otherwise ``out[v] & inn[u]``,
+  so the forced set is ``inn[v] & OR out[u]`` over the partners u in
+  ``out[v]``, joined with ``out[v] & OR inn[u]`` over those in ``inn[v]``.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .digraphs import Tournament
+from .digraphs import Tournament, _gather
 from .errors import BudgetExceeded
 
 __all__ = ["solve_nae", "solve_tournament"]
-
-# clause degree per variable, and link[v][u] for each partner u of v
-_Links = tuple[list[int], list[dict[int, int]]]
 
 
 def solve_nae(
@@ -58,7 +56,21 @@ def solve_nae(
             if not 1 <= v <= num_vars:
                 raise ValueError(f"variable {v} outside 1..{num_vars}")
 
-    return _search(num_vars, *_clause_links(num_vars, clauses), budget)
+    degree = [0] * (num_vars + 1)
+    # link[v][u] for each partner u of v, and the mask of those partners
+    link: list[dict[int, int]] = [{} for _ in range(num_vars + 1)]
+    partners = [0] * (num_vars + 1)
+    for a, b, c in clauses:
+        for v, u, w in ((a, b, c), (b, c, a), (c, a, b)):
+            degree[v] += 1
+            link[v][u] = link[v].get(u, 0) | (1 << w)
+            link[v][w] = link[v].get(w, 0) | (1 << u)
+            partners[v] |= (1 << u) | (1 << w)
+
+    def forced(v: int, same: int) -> int:
+        return _gather(same & partners[v], link[v])
+
+    return _search(num_vars, degree, forced, budget)
 
 
 def solve_tournament(
@@ -68,68 +80,54 @@ def solve_tournament(
 
     Entry v-1 of the result is the value of vertex v. The search, its node
     count and its result are those of ``solve_nae(t.n, clauses)`` for the
-    cyclic-triangle clauses, since the degrees and ``link`` masks are the
+    cyclic-triangle clauses, since the degrees and forced sets are the
     same.
     """
     if not isinstance(t, Tournament):
         raise ValueError("NAE 2-coloring requires a tournament")
-    return _search(t.n, *_tournament_links(t), budget)
+    out, inn = t.out, t.inn
+    degree, partners = _triangle_partners(t)
+
+    def forced(v: int, same: int) -> int:
+        same &= partners[v]
+        return inn[v] & _gather(same & out[v], out) | out[v] & _gather(
+            same & inn[v], inn
+        )
+
+    return _search(t.n, degree, forced, budget)
 
 
-def _clause_links(num_vars: int, clauses: Sequence[tuple[int, int, int]]) -> _Links:
-    degree = [0] * (num_vars + 1)
-    link: list[dict[int, int]] = [{} for _ in range(num_vars + 1)]
-    for a, b, c in clauses:
-        for v, u, w in ((a, b, c), (b, c, a), (c, a, b)):
-            degree[v] += 1
-            link[v][u] = link[v].get(u, 0) | (1 << w)
-            link[v][w] = link[v].get(w, 0) | (1 << u)
-    return degree, link
-
-
-def _tournament_links(t: Tournament) -> _Links:
-    """``_clause_links`` of the cyclic triangles of t, read off its masks.
-
-    The cyclic triangles through v are the v -> u -> w -> v with u in
-    out[v], so v's degree sums popcount(out[u] & inn[v]) over them.
-    """
+def _triangle_partners(t: Tournament) -> tuple[list[int], list[int]]:
+    """The number of cyclic triangles through each vertex, and the mask of
+    the vertices sharing one with it. Those through v are the
+    v -> u -> w -> v with u in out[v] and w in out[u] & inn[v]."""
     out, inn = t.out, t.inn
     degree = [0] * (t.n + 1)
-    link: list[dict[int, int]] = [{} for _ in range(t.n + 1)]
+    partners = [0] * (t.n + 1)
     for v in t.vertices:
-        links = link[v]
         m = out[v]
         while m:
             low = m & -m
             u = low.bit_length() - 1
             w = out[u] & inn[v]
             if w:
-                links[u] = w
                 degree[v] += w.bit_count()
+                partners[v] |= low
+                partners[u] |= 1 << v
             m ^= low
-        m = inn[v]
-        while m:
-            low = m & -m
-            u = low.bit_length() - 1
-            w = out[v] & inn[u]
-            if w:
-                links[u] = w
-            m ^= low
-    return degree, link
+    return degree, partners
 
 
 def _search(
     num_vars: int,
     degree: list[int],
-    link: list[dict[int, int]],
+    forced: Callable[[int, int], int],
     budget: Optional[int],
 ) -> Optional[list[int]]:
-    """The one NAE search over clause degrees and ``link`` masks."""
+    """The one NAE search over clause degrees and a front's forced-set rule:
+    ``forced(v, same)`` is the OR of ``link(v, u)`` over the u in the mask
+    ``same``."""
     side = [0, 0]
-    partners = [0] * (num_vars + 1)
-    for v in range(1, num_vars + 1):
-        for u in link[v]:
-            partners[v] |= 1 << u
     by_degree = sorted(range(1, num_vars + 1), key=lambda v: (-degree[v], v))
     nodes = 0
 
@@ -138,17 +136,11 @@ def _search(
         queue = [(v, x)]
         while queue:
             v, x = queue.pop()
-            links = link[v]
-            forced = 0
-            m = side[x] & partners[v]
-            while m:
-                low = m & -m
-                forced |= links[low.bit_length() - 1]
-                m ^= low
-            if forced & side[x]:
+            new = forced(v, side[x])
+            if new & side[x]:
                 return False
             y = 1 - x
-            new = forced & ~side[y]
+            new &= ~side[y]
             if new:
                 side[y] |= new
                 while new:

@@ -1,9 +1,12 @@
 """Text format round-trips and line-numbered error reporting."""
 
+import random
+
 import pytest
 
-from tourkit.digraphs import cyclic_triangle, random_tournament
+from tourkit.digraphs import OrientedGraph, cyclic_triangle, random_tournament
 from tourkit.forcing import KPartiteTournament
+from tourkit.hardness import reduce_graph
 from tourkit.formats import (
     ParseError,
     parse_kpartite,
@@ -20,6 +23,10 @@ from tourkit.formats import (
 )
 from tourkit.orderedhom import LabeledGraph
 from tourkit.regularity import BinaryMatrix
+
+from conftest import random_labeled_graph, random_oriented_graph
+
+STYLES = ("edges", "matrix")
 
 
 class TestOrientedGraphFormat:
@@ -60,6 +67,79 @@ class TestOrientedGraphFormat:
     def test_comment_and_blank_lines_ignored(self):
         text = "# a triangle\n3\n\nedges\n1 2\n2 3\n3 1\n"
         assert parse_oriented_graph(text).edges == cyclic_triangle().edges
+
+    @pytest.mark.parametrize(
+        "text, line_no",
+        [
+            ("3\nedges\n1 2\n2 3\n", 4),
+            ("3\nmatrix\n010\n000\n100\n# no 2 -> 3\n", 6),
+        ],
+    )
+    def test_non_tournament_reports_its_line(self, text, line_no):
+        assert parse_oriented_graph(text).n == 3
+        with pytest.raises(ParseError, match="not a tournament") as exc:
+            parse_tournament(text)
+        assert exc.value.line_no == line_no
+        assert str(exc.value).startswith(f"line {line_no}:")
+
+
+def check_roundtrip(g):
+    for style in STYLES:
+        parsed = parse_oriented_graph(serialize_oriented_graph(g, style))
+        assert parsed == g and parsed.inn == g.inn
+
+
+class TestOrientedGraphRoundTrip:
+    def test_seeded_random_graphs(self):
+        rng = random.Random(0x5E41)
+        for n in range(10):
+            check_roundtrip(random_oriented_graph(n, rng))
+            check_roundtrip(random_tournament(n, rng))
+
+    def test_mask_built_graphs(self):
+        rng = random.Random(0x5E42)
+        for _ in range(6):
+            g = random_labeled_graph(range(1, rng.randrange(4, 7)), 0.6, rng)
+            t = reduce_graph(g).tournament
+            check_roundtrip(t)
+            pairs = [tuple(rng.sample(t.vertices, 2)) for _ in range(5)]
+            check_roundtrip(t.flip_pairs(pairs))
+            check_roundtrip(t.induced(rng.sample(t.vertices, t.n // 2)))
+
+    def test_hypothesis(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def graphs(draw):
+            n = draw(st.integers(0, 9))
+            complete = draw(st.booleans())
+            pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+            # per pair: 0 no edge, 1 u -> v, 2 v -> u
+            states = draw(
+                st.lists(
+                    st.integers(1 if complete else 0, 2),
+                    min_size=len(pairs),
+                    max_size=len(pairs),
+                )
+            )
+            g = OrientedGraph(
+                n,
+                [(u, v) if s == 1 else (v, u) for (u, v), s in zip(pairs, states) if s],
+            )
+            if not complete or n < 2:
+                return g
+            flips = draw(st.lists(st.sampled_from(pairs), max_size=6))
+            return parse_tournament(serialize_oriented_graph(g)).flip_pairs(flips)
+
+        @hypothesis.settings(
+            max_examples=200, deadline=None, derandomize=True, database=None
+        )
+        @hypothesis.given(graphs())
+        def check(g):
+            check_roundtrip(g)
+
+        check()
 
 
 class TestLabeledGraphFormat:
