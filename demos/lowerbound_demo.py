@@ -9,8 +9,8 @@ pattern copy threads a patterned cycle of the base graph, and the
 certified copy family is pairwise disjoint on cut-edges, so each
 reversed cut-edge costs at most one copy.
 
-Run:  python demos/lowerbound_demo.py   (takes ~15s: the kernel sweep
-      dominates; instances here are micro-scale on purpose)
+Run:  python demos/lowerbound_demo.py   (takes a few seconds; instances
+      here are micro-scale on purpose)
 """
 
 import itertools

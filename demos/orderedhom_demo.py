@@ -8,7 +8,7 @@ ordering the family by monotone homomorphisms singles out a maximal
 element; for a hard pattern that element carries an odd cycle, which is
 what the lower-bound construction threads its copies through.
 
-Run:  python demos/orderedhom_demo.py   (the h=7 sweep takes a few seconds)
+Run:  python demos/orderedhom_demo.py   (the h=7 sweep takes under a second)
 """
 
 from tourkit import (

@@ -246,10 +246,7 @@ class Tournament(OrientedGraph):
 
     def adjacency_matrix(self) -> list[list[int]]:
         """0/1 matrix with zero diagonal; entry (i,j)=1 iff i -> j."""
-        return [
-            [1 if self.has_edge(i, j) else 0 for j in self.vertices]
-            for i in self.vertices
-        ]
+        return [[o >> j & 1 for j in self.vertices] for o in self.out[1:]]
 
     def subtournament(self, vertices: Sequence[int]) -> "Tournament":
         return Tournament.from_oriented(self.induced(vertices))
@@ -408,15 +405,43 @@ def _pattern_order(pattern: OrientedGraph) -> list[int]:
     return order
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """What the embedding search needs of a pattern, built once per pattern.
+
+    ``slots[i]`` is the mapping index of the i-th pattern vertex in
+    ``_pattern_order``; ``links[i]`` lists, for each pattern edge between
+    it and an earlier vertex u, the pair (u - 1, True) for u -> it and
+    (u - 1, False) for it -> u.
+    """
+
+    slots: tuple[int, ...]
+    links: tuple[tuple[tuple[int, bool], ...], ...]
+
+
+def _plan(pattern: OrientedGraph) -> _Plan:
+    order = _pattern_order(pattern)
+    links = []
+    for i, v in enumerate(order):
+        level = []
+        for u in order[:i]:
+            if pattern.has_edge(u, v):
+                level.append((u - 1, True))
+            elif pattern.has_edge(v, u):
+                level.append((u - 1, False))
+        links.append(tuple(level))
+    return _Plan(tuple(v - 1 for v in order), tuple(links))
+
+
 def _search(
     out: Sequence[int],
     inn: Sequence[int],
     n: int,
-    pattern: OrientedGraph,
+    plan: _Plan,
     ban: Optional[Sequence[int]] = None,
 ) -> Iterator[tuple[list[int], int, int]]:
     """The embedding search: backtracking over bit masks, pattern vertices
-    in ``_pattern_order``, host candidates in increasing label order.
+    in the plan's order, host candidates in increasing label order.
 
     Yields ``(mapping, slot, cand)`` once per placement of every pattern
     vertex but the last one searched: ``mapping[v-1]`` is the host vertex
@@ -426,35 +451,29 @@ def _search(
     the host vertices y whose pair {x, y} no pattern edge may use. The
     pattern must have at least one vertex.
     """
-    k = pattern.n
+    slots = plan.slots
+    k = len(slots)
     if k > n:
         return
-    order = _pattern_order(pattern)
     full = _span(1, n)
     allow = None if ban is None else [~b for b in ban]
     # checks[i]: (mapping index, mask table) pairs, one per pattern edge
-    # between order[i] and an earlier vertex, plus its ban
+    # between the i-th vertex and an earlier one, plus its ban
     checks: list[list[tuple[int, Sequence[int]]]] = []
-    for i, v in enumerate(order):
-        level = []
-        for u in order[:i]:
-            if pattern.has_edge(u, v):
-                level.append((u - 1, out))
-            elif pattern.has_edge(v, u):
-                level.append((u - 1, inn))
-            else:
-                continue
+    for level in plan.links:
+        check = []
+        for p, forward in level:
+            check.append((p, out if forward else inn))
             if allow is not None:
-                level.append((u - 1, allow))
-        checks.append(level)
-    slots = [v - 1 for v in order]
+                check.append((p, allow))
+        checks.append(check)
     mapping = [0] * k
     last = k - 1
     if not last:
         yield mapping, slots[0], full
         return
     cands = [full] + [0] * last  # untried host vertices per level
-    used = [0] * k  # used[i]: hosts of order[:i]
+    used = [0] * k  # used[i]: hosts of the first i vertices placed
     depth = 0
     while depth >= 0:
         cand = cands[depth]
@@ -485,14 +504,14 @@ def _embeddings(
     out: Sequence[int],
     inn: Sequence[int],
     n: int,
-    pattern: OrientedGraph,
+    plan: _Plan,
     ban: Optional[Sequence[int]] = None,
 ) -> Iterator[tuple[int, ...]]:
     """Every embedding's host-vertex tuple, in search order."""
-    if not pattern.n:
+    if not plan.slots:
         yield ()
         return
-    for mapping, slot, cand in _search(out, inn, n, pattern, ban):
+    for mapping, slot, cand in _search(out, inn, n, plan, ban):
         for w in _bits(cand):
             mapping[slot] = w
             yield tuple(mapping)
@@ -507,7 +526,7 @@ def count_embeddings(host: OrientedGraph, pattern: OrientedGraph) -> int:
         return 1
     return sum(
         _popcount(cand)
-        for _, _, cand in _search(host.out, host.inn, host.n, pattern)
+        for _, _, cand in _search(host.out, host.inn, host.n, _plan(pattern))
     )
 
 
@@ -520,7 +539,7 @@ def enumerate_embeddings(
     raises BudgetExceeded since a truncated enumeration is not exhaustive.
     """
     yielded = 0
-    for mapping in _embeddings(host.out, host.inn, host.n, pattern):
+    for mapping in _embeddings(host.out, host.inn, host.n, _plan(pattern)):
         yielded += 1
         if limit is not None and yielded > limit:
             raise BudgetExceeded(
@@ -532,7 +551,7 @@ def enumerate_embeddings(
 def find_embedding(
     host: OrientedGraph, pattern: OrientedGraph
 ) -> Optional[Embedding]:
-    mapping = next(_embeddings(host.out, host.inn, host.n, pattern), None)
+    mapping = next(_embeddings(host.out, host.inn, host.n, _plan(pattern)), None)
     return None if mapping is None else Embedding(mapping)
 
 
@@ -590,14 +609,14 @@ class DistanceResult:
 
 
 def _greedy_disjoint_copies(
-    out: list[int], inn: list[int], n: int, pattern: OrientedGraph
+    out: list[int], inn: list[int], n: int, pattern: OrientedGraph, plan: _Plan
 ) -> int:
     """Number of pairwise pair-disjoint copies found greedily (a lower bound
     on the reversal distance, since each copy needs its own reversal)."""
     ban = [0] * (n + 1)
     found = 0
     while True:
-        witness = next(_embeddings(out, inn, n, pattern, ban), None)
+        witness = next(_embeddings(out, inn, n, plan, ban), None)
         if witness is None:
             return found
         found += 1
@@ -640,6 +659,7 @@ def distance_to_h_free(
 
     out = list(t.out)
     inn = list(t.inn)
+    plan = _plan(pattern)
 
     def flip(a: int, b: int) -> None:
         # reverse a->b into b->a
@@ -658,12 +678,12 @@ def distance_to_h_free(
         limit = cap if best is None else min(cap, best - 1)
         if depth > limit:
             return
-        lb = depth + _greedy_disjoint_copies(out, inn, n, pattern)
+        lb = depth + _greedy_disjoint_copies(out, inn, n, pattern, plan)
         if not flipped:
             root_lb = max(root_lb, lb)
         if lb > limit:
             return
-        witness = next(_embeddings(out, inn, n, pattern), None)
+        witness = next(_embeddings(out, inn, n, plan), None)
         if witness is None:
             if best is None or depth < best:
                 best = depth

@@ -11,6 +11,21 @@ Sweeping all h! labelings of an oriented pattern and taking the core of
 each labeling's backedge graph yields a finite family; a maximal element
 of that family under the OPH order is the object the lower-bound
 construction is built around.
+
+Three facts keep this fast with the same output:
+
+* A smallest subset S receiving an OPH f from g also receives a
+  retraction, an OPH fixing every vertex of S: otherwise f after f maps g
+  into the smaller set f(S). So ``ordered_core`` pins S's own vertices
+  and searches only where the others go.
+* The interval chromatic number (fewest runs of consecutive labels, each
+  an independent set) is a lower bound on the core's size, since the
+  preimages of an OPH's image vertices are such runs. ``ordered_core``
+  starts its size loop there.
+* OPHs compose and, between distinct cores of the family, never go both
+  ways. So one sweep that keeps an antichain of the members receiving no
+  map finds every maximal member, and ``select_k`` re-checks the member
+  it picks against the whole family.
 """
 
 from __future__ import annotations
@@ -167,33 +182,35 @@ def backedge_graph(h: OrientedGraph, labeling: Sequence[int]) -> LabeledGraph:
     return LabeledGraph(range(1, h.n + 1), edges)
 
 
-def _oph_search(
-    g: LabeledGraph, target: LabeledGraph, allowed: Optional[int] = None
-) -> Iterator[list[int]]:
-    """Backtracking over bit masks, vertices of g and their images in
-    increasing label order.
-
-    Yields ``img``, reused between yields, once per map: ``img[i]`` is the
-    image of the i-th vertex of g, drawn from the target labels in the
-    mask ``allowed`` (default: all) at or above the previous image and
-    adjacent to the images of its earlier neighbours.
-    """
+def _earlier(g: LabeledGraph) -> list[list[int]]:
+    """``earlier[i]``: the slots of the neighbours of the i-th vertex of g
+    (slots in label order) that precede it."""
     gvs = g.vertices
-    k = len(gvs)
+    return [
+        [j for j in range(i) if g._adj[v] >> gvs[j] & 1]
+        for i, v in enumerate(gvs)
+    ]
+
+
+def _oph_search(
+    earlier: Sequence[Sequence[int]], tadj: dict[int, int], domains: Sequence[int]
+) -> Iterator[list[int]]:
+    """Backtracking over bit masks, the vertices of a source graph and
+    their images in increasing label order.
+
+    ``earlier`` is the source's ``_earlier`` list and ``tadj`` the target's
+    neighbour masks. Yields ``img``, reused between yields, once per map:
+    ``img[i]`` is the image of the i-th source vertex, drawn from the mask
+    ``domains[i]`` at or above the previous image and adjacent to the
+    images of its earlier neighbours.
+    """
+    k = len(domains)
     img = [0] * k
     if not k:
         yield img
         return
-    tadj = target._adj
-    if allowed is None:
-        allowed = sum(1 << w for w in target.vertices)
-    # earlier[i]: slots of the neighbours of gvs[i] that precede it
-    earlier = [
-        [j for j in range(i) if g._adj[v] >> gvs[j] & 1]
-        for i, v in enumerate(gvs)
-    ]
     last = k - 1
-    cands = [allowed] + [0] * last  # untried images per slot
+    cands = [domains[0]] + [0] * last  # untried images per slot
     i = 0
     while i >= 0:
         cand = cands[i]
@@ -207,10 +224,16 @@ def _oph_search(
             yield img
             continue
         i += 1
-        cand = allowed & -low  # monotone: no image below the previous one
+        cand = domains[i] & -low  # monotone: no image below the previous one
         for p in earlier[i]:
             cand &= tadj[img[p]]
         cands[i] = cand
+
+
+def _maps(g: LabeledGraph, target: LabeledGraph) -> Iterator[list[int]]:
+    """``_oph_search`` from g to target with every target label allowed."""
+    full = sum(1 << w for w in target.vertices)
+    return _oph_search(_earlier(g), target._adj, [full] * g.n)
 
 
 def find_oph(g: LabeledGraph, target: LabeledGraph) -> Optional[OphMap]:
@@ -220,7 +243,7 @@ def find_oph(g: LabeledGraph, target: LabeledGraph) -> Optional[OphMap]:
 
 def enumerate_ophs(g: LabeledGraph, target: LabeledGraph) -> Iterator[OphMap]:
     """All order-preserving homomorphisms, in search order."""
-    for img in _oph_search(g, target):
+    for img in _maps(g, target):
         yield OphMap(tuple(zip(g.vertices, img)))
 
 
@@ -233,25 +256,101 @@ def order_isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> bool:
     return g1.canonical_key() == g2.canonical_key()
 
 
+def _interval_chromatic(g: LabeledGraph) -> int:
+    """The fewest runs of consecutive labels, each an independent set,
+    that cover the vertices: the interval chromatic number of Pach and
+    Tardos (2006).
+
+    The greedy scan that extends each run while it stays independent is
+    optimal.
+    """
+    runs = run = 0
+    for v in g.vertices:
+        if not run or g._adj[v] & run:
+            runs += 1
+            run = 0
+        run |= 1 << v
+    return runs
+
+
+def _retraction_domains(
+    bits: Sequence[int], bad: Sequence[Sequence[int]], subset: Sequence[int]
+) -> Optional[list[int]]:
+    """Per-slot image masks for a retraction onto the vertex slots
+    ``subset`` (ascending), or None when some vertex has no image.
+
+    A chosen vertex maps to itself. Any other vertex lies between two
+    consecutive chosen ones, or before the first or after the last, so by
+    monotonicity its image is one of those at most two. Slot i may map to
+    slot j only if the chosen mask misses ``bad[i][j]``: the neighbours
+    of i that are not neighbours of j (j itself among them when i and j
+    are adjacent). ``bits[i]`` is slot i's label bit. Both tables carry a
+    sentinel at index n (also reached as index -1): no bit, and a bad
+    mask that meets every nonempty chosen set.
+    """
+    n = len(bits) - 1
+    chosen = 0
+    for j in subset:
+        chosen |= bits[j]
+    domains = bits[:n]
+    a = -1
+    for b in (*subset, n):
+        for i in range(a + 1, b):
+            bad_i = bad[i]
+            dom = (0 if chosen & bad_i[a] else bits[a]) | (
+                0 if chosen & bad_i[b] else bits[b]
+            )
+            if not dom:
+                return None
+            domains[i] = dom
+        a = b
+    return domains
+
+
 def ordered_core(g: LabeledGraph, budget: Optional[int] = None) -> LabeledGraph:
     """Minimum-vertex induced subgraph receiving an OPH from the graph.
 
-    Candidates are enumerated by increasing vertex count, ties broken by
-    the lexicographically smallest label tuple. ``budget`` caps the number
-    of candidate subgraphs tested.
+    The core's vertex set is the first subset S, by increasing size and
+    then in lexicographic label order, such that g has an OPH onto g[S].
+
+    Only retractions are searched: OPHs that fix every vertex of S. This
+    finds the same first S. Let S be a smallest subset admitting an OPH
+    f: g -> g[S]. If f(S) != S, then f after f maps g into g[f(S)], a
+    smaller subset, against the minimality of S. So f restricted to S is
+    a monotone bijection of S onto itself, which is the identity. Every S
+    of the smallest size that admits an OPH therefore admits a
+    retraction, and no smaller S admits either.
+
+    The sizes start at the interval chromatic number of g: the preimages
+    of an OPH's image vertices are runs of consecutive labels, each an
+    independent set, so no smaller subset can receive one.
+
+    ``budget`` caps the number of candidate subsets tested, counted from
+    that first size on; subsets skipped below it do not count. Exceeding
+    it raises BudgetExceeded carrying ``tested``.
     """
+    gvs = g.vertices
+    n = len(gvs)
+    if not n:
+        return g
+    adj = [g._adj[v] for v in gvs]
+    bits = [1 << v for v in gvs] + [0]
+    bad = [[a & ~b for b in adj] + [-1] for a in adj]
+    earlier = _earlier(g)
     tested = 0
-    for size in range(1, g.n + 1):
-        for subset in itertools.combinations(g.vertices, size):
+    for size in range(_interval_chromatic(g), n + 1):
+        for subset in itertools.combinations(range(n), size):
             tested += 1
             if budget is not None and tested > budget:
                 raise BudgetExceeded(
                     "ordered-core candidate budget exhausted", tested=tested
                 )
-            mask = sum(1 << v for v in subset)
-            if next(_oph_search(g, g, mask), None) is not None:
-                return g.induced(subset)
-    return g  # only reachable for the empty graph
+            domains = _retraction_domains(bits, bad, subset)
+            if domains is not None and next(
+                _oph_search(earlier, g._adj, domains), None
+            ) is not None:
+                return g.induced(gvs[i] for i in subset)
+    raise AuditError("no retraction onto the whole graph")
 
 
 def is_ordered_core(g: LabeledGraph) -> bool:
@@ -279,43 +378,73 @@ def core_family(h: OrientedGraph, budget: Optional[int] = None) -> CoreFamily:
     """Sweep all h! labelings, take each backedge graph's ordered core,
     deduplicate up to order-preserving isomorphism.
 
+    Each labeling is first reduced to a bit code of its backedge graph,
+    read straight off the labeling; the graph, its core and the core's
+    key are built only for the first labeling with a new code, since a
+    later one can only repeat a class already seen.
+
     ``budget`` caps the number of labelings processed (h! needed for an
     exhaustive family).
     """
-    seen: dict = {}
+    m = h.n + 1
+    # pair_bit[a][b]: the code bit of backedge {b, a} when label a > b
+    pair_bit = [
+        [1 << (a * m + b) if a > b else 0 for b in range(m)] for a in range(m)
+    ]
+    arcs = [(u - 1, v - 1) for u, v in h.edges]
+    seen_codes: set[int] = set()
+    seen_keys: set = set()
     members: list[LabeledGraph] = []
     witnesses: list[tuple[int, ...]] = []
-    core_cache: dict[frozenset, LabeledGraph] = {}
     processed = 0
-    for labeling in itertools.permutations(range(1, h.n + 1)):
+    for labeling in itertools.permutations(range(1, m)):
         processed += 1
         if budget is not None and processed > budget:
             raise BudgetExceeded(
                 "labeling sweep budget exhausted", processed=processed
             )
-        g = backedge_graph(h, labeling)
-        core = core_cache.get(g.edges)
-        if core is None:
-            core = ordered_core(g)
-            core_cache[g.edges] = core
+        code = 0
+        for u, v in arcs:
+            code |= pair_bit[labeling[u]][labeling[v]]
+        if code in seen_codes:
+            continue
+        seen_codes.add(code)
+        core = ordered_core(backedge_graph(h, labeling))
         key = core.canonical_key()
-        if key not in seen:
-            seen[key] = len(members)
+        if key not in seen_keys:
+            seen_keys.add(key)
             members.append(core)
-            witnesses.append(tuple(labeling))
+            witnesses.append(labeling)
     return CoreFamily(tuple(members), tuple(witnesses))
 
 
 def _maximal_indices(family: CoreFamily) -> list[int]:
-    """Members receiving no OPH from any non-isomorphic member."""
-    out = []
-    for i, k in enumerate(family.members):
-        if all(
-            j == i or find_oph(c, k) is None
-            for j, c in enumerate(family.members)
-        ):
-            out.append(i)
-    return out
+    """Members receiving no OPH from any other member, ascending.
+
+    One maximal-element sweep (Daskalakis et al., "Sorting and selection
+    in posets", SICOMP 2011) keeps the antichain M of members seen so far
+    that receive no OPH from another seen member. A new member x is
+    dropped if some m in M maps into it; otherwise the members of M that x
+    maps into are dropped and x joins M. Checking M alone suffices: OPHs
+    compose, so a map into x from a dropped member follows from a map out
+    of some member of M, as long as the order is antisymmetric on the
+    family (distinct cores that map both ways are order-isomorphic, and
+    the family keeps one core per isomorphism class). ``select_k``
+    re-checks its choice against every member, so a failure of
+    antisymmetry surfaces as an AuditError rather than a wrong kernel.
+    """
+    members = family.members
+
+    def maps(a: int, b: int) -> bool:
+        return next(_maps(members[a], members[b]), None) is not None
+
+    antichain: list[int] = []
+    for x in range(len(members)):
+        if any(maps(m, x) for m in antichain):
+            continue
+        antichain = [m for m in antichain if not maps(x, m)]
+        antichain.append(x)
+    return antichain
 
 
 def select_k(

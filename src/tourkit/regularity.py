@@ -392,11 +392,12 @@ class EquipartitionAudit:
 
 
 def _pair_densities(
-    t: Tournament, groups: Sequence[Sequence[int]]
+    adj: np.ndarray, groups: Sequence[Sequence[int]]
 ) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact density of the edges from group i to group j; 0 when i = j."""
-    ind = _indicator(groups, t.n)
-    counts = ind @ np.array(t.adjacency_matrix(), dtype=np.int64) @ ind.T
+    """Exact density of the edges from group i to group j; 0 when i = j.
+    ``adj`` is the tournament's int64 adjacency matrix."""
+    ind = _indicator(groups, adj.shape[0])
+    counts = ind @ adj @ ind.T
     return tuple(
         tuple(
             Fraction(int(counts[i, j]), len(gi) * len(gj)) if i != j else Fraction(0)
@@ -409,16 +410,25 @@ def _pair_densities(
 def audit_equipartition(
     t: Tournament, partition: Equipartition, delta: Fraction
 ) -> EquipartitionAudit:
+    return _audit_equipartition(
+        np.array(t.adjacency_matrix(), dtype=np.int64), partition, delta
+    )
+
+
+def _audit_equipartition(
+    adj: np.ndarray, partition: Equipartition, delta: Fraction
+) -> EquipartitionAudit:
     delta = _check_delta(delta)
+    n = adj.shape[0]
     parts = partition.parts
-    _validate_partition(parts, t.n, "partition")
-    densities = _pair_densities(t, parts)
+    _validate_partition(parts, n, "partition")
+    densities = _pair_densities(adj, parts)
     bad = sum(
         len(parts[i]) * len(parts[j])
         for i, j in itertools.permutations(range(len(parts)), 2)
         if not _homogeneous(densities[i][j], delta)
     )
-    bad_weight = Fraction(bad, t.n * t.n)
+    bad_weight = Fraction(bad, n * n)
     return EquipartitionAudit(
         delta=delta,
         bad_weight=bad_weight,
@@ -585,7 +595,7 @@ def strong_decomposition(
         feasible = _feasible_q(n, p.parts)  # n is always feasible
         q = next((cand for cand in feasible if cand >= target_q), feasible[-1])
         refined = refine_to_equipartition(t, p, rows, cols, q)
-        check = audit_equipartition(t, refined, target_delta)
+        check = _audit_equipartition(a.entries, refined, target_delta)
         if not check.homogeneous:
             raise AuditError(
                 f"refinement missed its homogeneity target {target_delta}"
@@ -616,7 +626,7 @@ def strong_decomposition(
     for attempt in range(1, retry_budget + 1):
         samples = [part[rng.randrange(len(part))] for part in stage1.parts]
         reps = [stage2.parts[member_of[w]] for w in samples]
-        rep_density = _pair_densities(t, reps)
+        rep_density = _pair_densities(a.entries, reps)
         # one pass over the pairs i<j: a representative pair that is not
         # delta-homogeneous forces a resample; count the pairs homogeneous
         # at delta/5 whose representatives flip the dominant direction, and

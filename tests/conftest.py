@@ -25,7 +25,7 @@ from tourkit.coloring import (
 from tourkit.digraphs import OrientedGraph, Tournament
 from tourkit.forcing import build_forcing, certify_completion
 from tourkit.lowerbound import blowup_tournament, derive_part_structure
-from tourkit.orderedhom import LabeledGraph, core_family
+from tourkit.orderedhom import LabeledGraph, backedge_graph, core_family, find_oph
 
 
 @pytest.fixture(scope="session")
@@ -175,6 +175,62 @@ def oracle_monotone_homs(g: LabeledGraph, target: LabeledGraph):
         if all(target.has_edge(m[a], m[b]) for a, b in g.edges):
             out.append(m)
     return out
+
+
+def oracle_ordered_core(g: LabeledGraph) -> LabeledGraph:
+    """The first vertex subset, by size and then in lexicographic label
+    order, that g maps into by any OPH; every size from one up is tried
+    and every OPH into the subset is searched, not only retractions."""
+    for size in range(1, g.n + 1):
+        for subset in itertools.combinations(g.vertices, size):
+            target = g.induced(subset)
+            if find_oph(g, target) is not None:
+                return target
+    return g
+
+
+def oracle_core_family(h: OrientedGraph):
+    """Members and witnesses of the core family, from a labeling sweep
+    with ``oracle_ordered_core``."""
+    keys = set()
+    members, witnesses = [], []
+    cores: dict = {}
+    for labeling in itertools.permutations(range(1, h.n + 1)):
+        g = backedge_graph(h, labeling)
+        if g.edges not in cores:
+            cores[g.edges] = oracle_ordered_core(g)
+        core = cores[g.edges]
+        if core.canonical_key() not in keys:
+            keys.add(core.canonical_key())
+            members.append(core)
+            witnesses.append(labeling)
+    return tuple(members), tuple(witnesses)
+
+
+def oracle_maximal_indices(members) -> list[int]:
+    """Members receiving no OPH from any other member, testing every
+    ordered pair."""
+    return [
+        i
+        for i, k in enumerate(members)
+        if all(j == i or find_oph(c, k) is None for j, c in enumerate(members))
+    ]
+
+
+def oracle_interval_chromatic(g: LabeledGraph) -> int:
+    """Fewest runs of consecutive labels, each an independent set, by
+    trying every way to cut the label sequence."""
+    vs = g.vertices
+    for runs in range(1, len(vs) + 1):
+        for cuts in itertools.combinations(range(1, len(vs)), runs - 1):
+            bounds = (0, *cuts, len(vs))
+            if all(
+                not g.has_edge(a, b)
+                for lo, hi in zip(bounds, bounds[1:])
+                for a, b in itertools.combinations(vs[lo:hi], 2)
+            ):
+                return runs
+    return 0
 
 
 def oracle_greedy_box_collection(ranges) -> list:

@@ -1,6 +1,6 @@
 """The demos that exercise the embedding search, the colorings, the
-gadget sweep, forcing, the ordered cores and the regularity partitioner
-run to completion."""
+gadget sweep, forcing, the ordered cores, the lower-bound instances and
+the regularity partitioner run to completion."""
 
 import os
 import subprocess
@@ -12,8 +12,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-# regularity_demo takes under 1 s and orderedhom_demo about 4 s;
-# lowerbound_demo (about 8 s) is left out for its run time
+# each takes a few seconds at most: regularity_demo under 1 s,
+# orderedhom_demo about 2 s and lowerbound_demo about 2.5 s
 @pytest.mark.parametrize(
     "demo",
     [
@@ -21,6 +21,7 @@ ROOT = Path(__file__).resolve().parent.parent
         "forcing_demo",
         "hardness_demo",
         "kernel_demo",
+        "lowerbound_demo",
         "orderedhom_demo",
         "regularity_demo",
     ],

@@ -2,13 +2,19 @@
 core and its odd cycle."""
 
 import itertools
+import random
+from math import comb
 
 import pytest
 
-from tourkit.coloring import chromatic_number
-from tourkit.digraphs import c3_pattern, transitive_tournament
+from tourkit.coloring import acyclic_k_coloring, chromatic_number
+from tourkit.digraphs import c3_pattern, random_tournament, transitive_tournament
+from tourkit.errors import BudgetExceeded
 from tourkit.orderedhom import (
+    CoreFamily,
     LabeledGraph,
+    _interval_chromatic,
+    _maximal_indices,
     backedge_graph,
     core_family,
     enumerate_ophs,
@@ -23,7 +29,15 @@ from tourkit.orderedhom import (
     verify_core_projection,
 )
 
-from conftest import oracle_monotone_homs, random_labeled_graph, random_oriented_graph
+from conftest import (
+    oracle_core_family,
+    oracle_interval_chromatic,
+    oracle_maximal_indices,
+    oracle_monotone_homs,
+    oracle_ordered_core,
+    random_labeled_graph,
+    random_oriented_graph,
+)
 
 
 def path_13_23():
@@ -32,6 +46,33 @@ def path_13_23():
 
 def path_12_23():
     return LabeledGraph([1, 2, 3], [(1, 2), (2, 3)])
+
+
+def first_hard_draw(n: int, seed: int):
+    """The first non-2-colourable tournament drawn from
+    ``random_tournament(n, random.Random(seed))``."""
+    rng = random.Random(seed)
+    while True:
+        t = random_tournament(n, rng)
+        if acyclic_k_coloring(t, 2) is None:
+            return t
+
+
+def distinct_backedge_graphs(h):
+    graphs = {}
+    for labeling in itertools.permutations(range(1, h.n + 1)):
+        g = backedge_graph(h, labeling)
+        graphs.setdefault(g.edges, g)
+    return list(graphs.values())
+
+
+def six_vertex_patterns():
+    rng = random.Random(6)
+    return [
+        random_oriented_graph(6, rng),
+        random_oriented_graph(6, rng),
+        random_tournament(6, rng),
+    ]
 
 
 class TestBackedgeGraph:
@@ -173,6 +214,103 @@ class TestOrderedCore:
             core = ordered_core(g)
             if core.n > 1:
                 assert all(core.neighbors(v) for v in core.vertices)
+
+
+class TestRetractionCoreAgainstOracle:
+    """The retraction search from the interval chromatic number against
+    the subset-order search over every OPH."""
+
+    def test_every_minimal_hard_backedge_graph(self, minimal_hard):
+        graphs = distinct_backedge_graphs(minimal_hard)
+        assert len(graphs) == 560
+        for g in graphs:
+            assert ordered_core(g) == oracle_ordered_core(g)
+
+    def test_sampled_eight_vertex_backedge_graphs(self):
+        h = first_hard_draw(8, 5)
+        rng = random.Random(8)
+        for _ in range(200):
+            g = backedge_graph(h, rng.sample(range(1, 9), 8))
+            assert ordered_core(g) == oracle_ordered_core(g)
+
+    def test_against_oracle_hypothesis(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def graphs(draw):
+            labels = sorted(draw(st.sets(st.integers(1, 12), max_size=7)))
+            pairs = list(itertools.combinations(labels, 2))
+            chosen = draw(
+                st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs))
+            )
+            return LabeledGraph(labels, [p for p, c in zip(pairs, chosen) if c])
+
+        @hypothesis.settings(
+            max_examples=300, deadline=None, derandomize=True, database=None
+        )
+        @hypothesis.given(graphs())
+        def check(g):
+            assert ordered_core(g) == oracle_ordered_core(g)
+
+        check()
+
+    def test_interval_chromatic(self, rng):
+        for _ in range(150):
+            labels = sorted(rng.sample(range(1, 12), rng.randrange(0, 8)))
+            g = random_labeled_graph(labels, rng.random(), rng)
+            assert _interval_chromatic(g) == oracle_interval_chromatic(g)
+
+    def test_budget_counts_subsets_from_interval_chromatic(self, rng):
+        graphs = [path_13_23(), path_12_23()]
+        graphs += [random_labeled_graph(range(1, 8), 0.4, rng) for _ in range(10)]
+        for g in graphs:
+            core = oracle_ordered_core(g)
+            skipped = oracle_interval_chromatic(g)
+            rank = list(itertools.combinations(g.vertices, core.n)).index(
+                core.vertices
+            )
+            exact = sum(comb(g.n, size) for size in range(skipped, core.n)) + rank + 1
+            assert ordered_core(g, budget=exact) == core
+            with pytest.raises(BudgetExceeded) as err:
+                ordered_core(g, budget=exact - 1)
+            assert err.value.info["tested"] == exact
+
+
+class TestFamilyAgainstOracle:
+    def test_minimal_hard_family(self, minimal_hard, hard_family):
+        members, witnesses = oracle_core_family(minimal_hard)
+        assert hard_family.members == members
+        assert hard_family.witnesses == witnesses
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_six_vertex_families(self, index):
+        h = six_vertex_patterns()[index]
+        family = core_family(h)
+        members, witnesses = oracle_core_family(h)
+        assert family.members == members
+        assert family.witnesses == witnesses
+        assert _maximal_indices(family) == oracle_maximal_indices(members)
+
+    def test_sweep_on_minimal_hard_family(self, hard_family):
+        assert _maximal_indices(hard_family) == oracle_maximal_indices(
+            hard_family.members
+        )
+
+    def test_sweep_on_sampled_eight_vertex_cores(self):
+        # a sub-family of cores from the eight-vertex pattern, in the order
+        # the sampled labelings meet them
+        h = first_hard_draw(8, 5)
+        rng = random.Random(80)
+        members, keys = [], set()
+        while len(members) < 150:
+            labeling = tuple(rng.sample(range(1, 9), 8))
+            core = ordered_core(backedge_graph(h, labeling))
+            if core.canonical_key() not in keys:
+                keys.add(core.canonical_key())
+                members.append(core)
+        family = CoreFamily(tuple(members), ((),) * len(members))
+        assert _maximal_indices(family) == oracle_maximal_indices(members)
 
 
 class TestCoreFamily:
