@@ -407,139 +407,125 @@ def _cmd_lift(args) -> tuple[int, Report]:
 # -- wiring ---------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors raise ValueError, so they exit
+    with the malformed-input code rather than argparse's 2."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
+# the optional flags a subcommand declares when its handler reads them;
+# every subcommand takes --out
+_FLAGS = {
+    "--seed": dict(type=int, default=0, help="64-bit seed"),
+    "--budget": dict(type=int, default=None, help="node budget"),
+    "--format": dict(
+        choices=("matrix", "edges"), default="edges",
+        help="serialization style for written graphs",
+    ),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tourkit",
         description="tournament colorability, forcing, regularity, "
         "lower-bound and hardness toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=0, help="64-bit seed")
-        p.add_argument("--budget", type=int, default=None, help="node budget")
-        p.add_argument(
-            "--format", choices=("matrix", "edges"), default="edges",
-            help="serialization style for written graphs",
-        )
+    def command(name: str, handler, summary: str, *flags: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
         p.add_argument("--out", default=None, help="write outputs here")
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("color", help="acyclic k-coloring")
+    p = command("color", _cmd_color, "acyclic k-coloring", "--budget")
     p.add_argument("graph")
     p.add_argument("--k", type=int, required=True)
-    common(p)
-    p.set_defaults(handler=_cmd_color)
 
-    p = sub.add_parser("chromatic", help="tournament chromatic number")
+    p = command("chromatic", _cmd_chromatic, "tournament chromatic number", "--budget")
     p.add_argument("graph")
-    common(p)
-    p.set_defaults(handler=_cmd_chromatic)
 
-    p = sub.add_parser("classify", help="easy/hard pattern classification")
+    p = command("classify", _cmd_classify, "easy/hard pattern classification", "--budget")
     p.add_argument("graph")
-    common(p)
-    p.set_defaults(handler=_cmd_classify)
 
-    p = sub.add_parser("count", help="embedding count")
+    p = command("count", _cmd_count, "embedding count")
     p.add_argument("host")
     p.add_argument("pattern")
-    common(p)
-    p.set_defaults(handler=_cmd_count)
 
-    p = sub.add_parser("distance", help="reversal distance to pattern-freeness")
+    p = command(
+        "distance", _cmd_distance, "reversal distance to pattern-freeness", "--budget"
+    )
     p.add_argument("host")
     p.add_argument("pattern")
-    common(p)
-    p.set_defaults(handler=_cmd_distance)
 
-    p = sub.add_parser("core", help="ordered core of a labeled graph")
+    p = command("core", _cmd_core, "ordered core of a labeled graph")
     p.add_argument("graph")
-    common(p)
-    p.set_defaults(handler=_cmd_core)
 
-    p = sub.add_parser("kofh", help="maximal ordered core of a pattern")
+    p = command("kofh", _cmd_kofh, "maximal ordered core of a pattern")
     p.add_argument("graph")
-    common(p)
-    p.set_defaults(handler=_cmd_kofh)
 
-    p = sub.add_parser("forcing-build", help="seeded k-partite construction")
+    p = command(
+        "forcing-build", _cmd_forcing_build, "seeded k-partite construction", "--seed"
+    )
     p.add_argument("pattern")
     p.add_argument("--m", type=int, required=True)
-    common(p)
-    p.set_defaults(handler=_cmd_forcing_build)
 
-    p = sub.add_parser("forcing-check", help="exhaustive forcing check")
+    p = command("forcing-check", _cmd_forcing_check, "exhaustive forcing check")
     p.add_argument("forcing")
     p.add_argument("pattern")
-    common(p)
-    p.set_defaults(handler=_cmd_forcing_check)
 
-    p = sub.add_parser("forcing-search", help="minimal bipartite forcing search")
+    p = command("forcing-search", _cmd_forcing_search, "minimal bipartite forcing search")
     p.add_argument("pattern")
     p.add_argument("--m-max", type=int, default=3)
-    common(p)
-    p.set_defaults(handler=_cmd_forcing_search)
 
-    p = sub.add_parser("regularity", help="decomposition pipeline")
+    p = command("regularity", _cmd_regularity, "decomposition pipeline", "--seed")
     p.add_argument("tournament")
     p.add_argument("--delta", default="1/4")
     p.add_argument("--pattern-size", type=int, default=2)
-    common(p)
-    p.set_defaults(handler=_cmd_regularity)
 
-    p = sub.add_parser("behrend", help="progression-free set")
+    p = command("behrend", _cmd_behrend, "progression-free set")
     p.add_argument("--n", type=int, required=True)
-    common(p)
-    p.set_defaults(handler=_cmd_behrend)
 
-    p = sub.add_parser("rsgraph", help="clique-decomposable base graph")
+    p = command("rsgraph", _cmd_rsgraph, "clique-decomposable base graph")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--cycle", required=True, help="comma-separated part indices")
     p.add_argument("--nmax", type=int, required=True)
-    common(p)
-    p.set_defaults(handler=_cmd_rsgraph)
 
-    p = sub.add_parser("blowup", help="hard-instance blow-up")
+    p = command("blowup", _cmd_blowup, "hard-instance blow-up", "--seed", "--format")
     p.add_argument("pattern")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--nmax", type=int, default=None)
-    common(p)
-    p.set_defaults(handler=_cmd_blowup)
 
-    p = sub.add_parser("audit-copies", help="copy localization audit")
+    p = command("audit-copies", _cmd_audit_copies, "copy localization audit", "--seed")
     p.add_argument("pattern")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--nmax", type=int, default=None)
-    common(p)
-    p.set_defaults(handler=_cmd_audit_copies)
 
-    p = sub.add_parser("gadget-verify", help="exhaustive gadget sweep")
-    common(p)
-    p.set_defaults(handler=_cmd_gadget_verify)
+    command("gadget-verify", _cmd_gadget_verify, "exhaustive gadget sweep")
 
-    p = sub.add_parser("reduce", help="triangle-free-cut reduction")
+    p = command("reduce", _cmd_reduce, "triangle-free-cut reduction", "--format")
     p.add_argument("graph")
-    common(p)
-    p.set_defaults(handler=_cmd_reduce)
 
-    p = sub.add_parser("check-reduction", help="reduction equivalence check")
+    p = command(
+        "check-reduction", _cmd_check_reduction, "reduction equivalence check", "--budget"
+    )
     p.add_argument("graph")
-    common(p)
-    p.set_defaults(handler=_cmd_check_reduction)
 
-    p = sub.add_parser("lift", help="colorability lift")
+    p = command("lift", _cmd_lift, "colorability lift", "--format")
     p.add_argument("tournament")
     p.add_argument("--k", type=int, default=3)
-    common(p)
-    p.set_defaults(handler=_cmd_lift)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         code, report = args.handler(args)
     except fmt.ParseError as exc:
         sys.stderr.write(f"input error: {exc}\n")
@@ -555,7 +541,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INPUT
     # commands whose --out already received an artifact only report to stdout
     artifact_commands = ("forcing-build", "forcing-search", "blowup", "reduce", "lift")
-    out = None if args.command in artifact_commands else getattr(args, "out", None)
+    out = None if args.command in artifact_commands else args.out
     _emit(report, out)
     return code
 

@@ -27,7 +27,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -441,7 +441,7 @@ def certify_completion(
             embeddings.append(emb)
             winners.append(s)
 
-    _assert_cross_disjoint(f, h, embeddings)
+    _assert_cross_disjoint(f.part_of, h, embeddings)
     params = forcing_parameters(max(h.n, 2))
     return CompletionCertificate(
         embeddings=tuple(embeddings),
@@ -454,13 +454,14 @@ def certify_completion(
 
 
 def _assert_cross_disjoint(
-    f: KPartiteTournament, h: OrientedGraph, embeddings: Sequence[Embedding]
+    part_of: Callable[[int], int], h: OrientedGraph, embeddings: Sequence[Embedding]
 ) -> None:
+    """Raise AuditError when two copies share a pair across two parts."""
     used: dict[tuple[int, int], int] = {}
     for idx, emb in enumerate(embeddings):
         for (u, v) in h.edges:
             a, b = emb.mapping[u - 1], emb.mapping[v - 1]
-            if f.part_of(a) == f.part_of(b):
+            if part_of(a) == part_of(b):
                 continue
             key = (min(a, b), max(a, b))
             if key in used and used[key] != idx:

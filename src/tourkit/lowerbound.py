@@ -14,6 +14,12 @@ The pipeline for a non-2-colorable pattern H:
    transitive, orient non-edge block pairs forward, and plant one copy
    of the forcing construction on every clique.
 
+R is stored as neighbour masks (``RSGraph.adj``), and its edge set is
+derived from them. One bit-mask walker, ``_cycles``, finds the closed
+walks v_1 .. v_l with v_j in a given slot and consecutive slots joined
+by a given mask table; it counts the patterned cycles of R, counts the
+special tuples of the blow-up, and finds the tuple each copy threads.
+
 Two audits make the construction checkable at desk scale: the copy
 localization audit verifies that every embedding of H threads a
 patterned cycle of R (exact combinatorics, not asymptotics), and the
@@ -30,6 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from .coloring import acyclic_k_coloring
@@ -46,6 +53,7 @@ from .digraphs import (
 from .errors import AuditError, BudgetExceeded
 from .forcing import (
     KPartiteTournament,
+    _assert_cross_disjoint,
     build_forcing,
     certify_completion,
 )
@@ -72,6 +80,13 @@ __all__ = [
     "audit_copy_localization",
     "farness_certificate",
 ]
+
+
+# digit vectors one (digits, dimension) grid of ``behrend`` may hold
+_VECTOR_BUDGET = 300_000
+# embeddings of the pattern, and special tuples, one localization audit
+# may enumerate
+_EMBEDDING_BUDGET = 2_000_000
 
 
 # -- AP-free sets --------------------------------------------------------
@@ -106,7 +121,7 @@ def _digit_vectors(d: int, dim: int) -> Iterator[tuple[int, ...]]:
     yield from itertools.product(range(d), repeat=dim)
 
 
-def behrend(n_max: int, vector_budget: int = 300_000) -> BehrendSet:
+def behrend(n_max: int) -> BehrendSet:
     """Largest 3-AP-free set found over digit-sphere candidates.
 
     Candidates use digit vectors in {0..d-1}^dim read in base 2d (so
@@ -144,7 +159,7 @@ def behrend(n_max: int, vector_budget: int = 300_000) -> BehrendSet:
     while 2 * d <= 2 * (n_max + 1):
         base = 2 * d
         dim = 1
-        while base ** (dim - 1) <= n_max and d**dim <= vector_budget:
+        while base ** (dim - 1) <= n_max and d**dim <= _VECTOR_BUDGET:
             shells: dict[int, list[int]] = {}
             weights = [base**i for i in range(dim)]
             for vec in _digit_vectors(d, dim):
@@ -162,6 +177,45 @@ def behrend(n_max: int, vector_budget: int = 300_000) -> BehrendSet:
     return best
 
 
+# -- the closed-walk search ---------------------------------------------
+
+
+def _cycles(
+    slots: Sequence[int], step: Sequence[Sequence[int]], close: Sequence[int]
+) -> Iterator[tuple[list[int], int]]:
+    """The closed-walk search: backtracking over bit masks, slots in
+    order, vertices in increasing label order.
+
+    ``slots[j]`` is the mask of slot j's vertices, ``step[j][v]`` the mask
+    allowed in slot j+1 after v in slot j, and ``close[v]`` the mask
+    allowed in the last slot when v is in slot 0. Yields ``(walk, cand)``
+    once per placement of every slot but the last: ``walk[j]`` is slot
+    j's vertex and ``cand`` the nonempty mask of last-slot vertices that
+    close the walk. ``walk`` is reused between yields. Needs two or more
+    slots.
+    """
+    last = len(slots) - 1
+    walk = [0] * last
+    cands = [slots[0]] + [0] * (last - 1)  # untried vertices per slot
+    j = 0
+    while j >= 0:
+        cand = cands[j]
+        if not cand:
+            j -= 1
+            continue
+        low = cand & -cand
+        cands[j] = cand ^ low
+        walk[j] = low.bit_length() - 1
+        cand = slots[j + 1] & step[j][walk[j]]
+        if j + 1 < last:
+            j += 1
+            cands[j] = cand
+        else:
+            cand &= close[walk[0]]
+            if cand:
+                yield walk, cand
+
+
 # -- the base graph ------------------------------------------------------
 
 
@@ -174,12 +228,13 @@ class RSGraph:
     (i-1)*n_max+1 .. i*n_max. Clique (a, d) uses position a + (i-1)d in
     part i, so an edge determines its clique uniquely and the family is
     edge-disjoint by construction; the audit re-checks it anyway.
+    ``adj[v]`` is the mask of v's neighbours (``adj[0]`` is unused).
     """
 
     k: int
     n_max: int
     cliques: tuple[tuple[int, ...], ...]
-    edges: frozenset[tuple[int, int]]
+    adj: tuple[int, ...]
     delta: Fraction
     cycle_pattern: tuple[int, ...]
     difference_set: BehrendSet
@@ -188,6 +243,13 @@ class RSGraph:
     @property
     def r(self) -> int:
         return self.k * self.n_max
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edges (u, v), u < v, read off the neighbour masks."""
+        return frozenset(
+            (u, v) for u in range(1, self.r + 1) for v in _bits(self.adj[u]) if u < v
+        )
 
     def part_of(self, v: int) -> int:
         return (v - 1) // self.n_max + 1
@@ -200,43 +262,10 @@ class RSGraph:
         return range(base + 1, base + self.n_max + 1)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
+        return bool(self.adj[u] >> v & 1)
 
 
-def _count_patterned_cycles(
-    edges: frozenset[tuple[int, int]],
-    part_of,
-    part_vertices,
-    pattern: Sequence[int],
-) -> int:
-    """Exhaustive count of cycles v_1 ... v_l v_1 with v_j in part
-    pattern[j] and every consecutive pair an edge."""
-    adjacency: dict[int, dict[int, list[int]]] = {}
-    for (u, v) in edges:
-        adjacency.setdefault(u, {}).setdefault(part_of(v), []).append(v)
-        adjacency.setdefault(v, {}).setdefault(part_of(u), []).append(u)
-    count = 0
-    length = len(pattern)
-
-    def walk(j: int, first: int, current: int) -> int:
-        if j == length:
-            return 1 if (min(current, first), max(current, first)) in edges else 0
-        total = 0
-        for nxt in adjacency.get(current, {}).get(pattern[j], ()):
-            total += walk(j + 1, first, nxt)
-        return total
-
-    for start in part_vertices(pattern[0]):
-        count += walk(1, start, start)
-    return count
-
-
-def rs_graph(
-    k: int,
-    cycle_idx: Sequence[int],
-    n_max: int,
-    audit_cycles: bool = True,
-) -> RSGraph:
+def rs_graph(k: int, cycle_idx: Sequence[int], n_max: int) -> RSGraph:
     """Build the clique-decomposable base graph and audit it.
 
     Parts are equal intervals of length n_max. For every start a and
@@ -271,43 +300,30 @@ def rs_graph(
                 continue
             cliques.append(tuple(vertex(i, a + (i - 1) * d) for i in range(1, k + 1)))
 
-    edges: set[tuple[int, int]] = set()
+    adj = [0] * (r + 1)
     for clique in cliques:
         if len({(v - 1) // n_max for v in clique}) != k:
             raise AuditError("clique is not transversal")
         for u, v in itertools.combinations(clique, 2):
-            key = (min(u, v), max(u, v))
-            if key in edges:
-                raise AuditError(f"cliques share edge {key}")
+            if adj[u] >> v & 1:
+                raise AuditError(f"cliques share edge {(min(u, v), max(u, v))}")
             if (u - 1) // n_max == (v - 1) // n_max:
                 raise AuditError("edge inside a part; parts must be independent")
-            edges.add(key)
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
 
-    graph = RSGraph(
-        k=k,
-        n_max=n_max,
-        cliques=tuple(cliques),
-        edges=frozenset(edges),
-        delta=Fraction(len(cliques), r * r),
-        cycle_pattern=cycle_idx,
-        difference_set=diff,
-        patterned_cycles=-1,
+    parts = [_span(vertex(i, 1), vertex(i, n_max)) for i in cycle_idx]
+    cycles = sum(
+        _popcount(cand) for _, cand in _cycles(parts, [adj] * (len(parts) - 1), adj)
     )
-    cycles = -1
-    if audit_cycles:
-        cycles = _count_patterned_cycles(
-            graph.edges, graph.part_of, graph.part_vertices, cycle_idx
-        )
-        if cycles > r * r:
-            raise AuditError(
-                f"{cycles} patterned cycles exceed the r^2 = {r * r} bound"
-            )
+    if cycles > r * r:
+        raise AuditError(f"{cycles} patterned cycles exceed the r^2 = {r * r} bound")
     return RSGraph(
         k=k,
         n_max=n_max,
-        cliques=graph.cliques,
-        edges=graph.edges,
-        delta=graph.delta,
+        cliques=tuple(cliques),
+        adj=tuple(adj),
+        delta=Fraction(len(cliques), r * r),
         cycle_pattern=cycle_idx,
         difference_set=diff,
         patterned_cycles=cycles,
@@ -460,8 +476,8 @@ def blowup_tournament(
     # (a part's base vertices are consecutive, so x < y across parts)
     beats = [0] * (r + 1)
     beaten = [0] * (r + 1)
-    for x, y in itertools.combinations(range(1, r + 1), 2):
-        if base.part_of(x) != base.part_of(y) and not base.has_edge(x, y):
+    for x in range(1, r + 1):
+        for y in _bits(_span(base.part_of(x) * n_max + 1, r) & ~base.adj[x]):
             beats[x] |= block(y)
             beaten[y] |= block(x)
     # item 1: each part's block union, one interval, is transitive in
@@ -520,113 +536,64 @@ class LocalizationReport:
         return not self.violations
 
 
-def _tuple_directions(part_cycle: Sequence[int]) -> list[bool]:
-    """For each consecutive pattern position j -> j+1 (cyclically), True
-    when the tuple edge must point from slot j+1 back to slot j."""
-    length = len(part_cycle)
-    return [
-        part_cycle[j] < part_cycle[(j + 1) % length] for j in range(length)
-    ]
+def _tuple_tables(b: BlowupTournament) -> tuple[list[int], list[list[int]], list[int]]:
+    """``_cycles`` arguments for the cycle-patterned tuples.
 
-
-def _count_special_tuples(b: BlowupTournament, limit: int) -> int:
-    """Exhaustive count of the cycle-patterned tuples."""
+    Slot j is the blow-up of part ``cycle_pattern[j]``. The tuple edge
+    between slots j and j+1 (cyclically) points back, from slot j+1 to
+    slot j, when the part index rises from slot j to slot j+1.
+    """
     t = b.tournament
     pattern = b.base.cycle_pattern
     length = len(pattern)
-    backwards = _tuple_directions(pattern)
-    part_masks = [
-        _mask(v for x in b.base.part_vertices(idx) for v in b.block(x))
-        for idx in pattern
-    ]
-    count = 0
-
-    def extend(j: int, first: int, current: int) -> Iterator[int]:
-        # candidates for slot j+1 given slot j's vertex
-        if backwards[j]:
-            cand = t.inn[current]
-        else:
-            cand = t.out[current]
-        yield from _bits(cand & part_masks[(j + 1) % length])
-
-    def rec(j: int, first: int, current: int) -> int:
-        nonlocal count
-        if j == length - 1:
-            # close the cycle: edge between slot l-1 and slot 0
-            if backwards[j]:
-                ok = t.has_edge(first, current)
-            else:
-                ok = t.has_edge(current, first)
-            return 1 if ok else 0
-        total = 0
-        for nxt in extend(j, first, current):
-            total += rec(j + 1, first, nxt)
-            if count + total > limit:
-                raise BudgetExceeded("special tuple enumeration budget", count=count)
-        return total
-
-    for first in _bits(part_masks[0]):
-        count += rec(0, first, first)
-    return count
+    slots = []
+    for idx in pattern:
+        xs = b.base.part_vertices(idx)
+        slots.append(_span(b.block(xs[0]).start, b.block(xs[-1]).stop - 1))
+    back = [pattern[j] < pattern[(j + 1) % length] for j in range(length)]
+    step = [t.inn if back[j] else t.out for j in range(length - 1)]
+    # indexed by slot 0's vertex, so the closing edge reads the other way
+    close = t.out if back[-1] else t.inn
+    return slots, step, close
 
 
-def audit_copy_localization(
-    b: BlowupTournament,
-    h: Optional[OrientedGraph] = None,
-    embedding_budget: int = 2_000_000,
-) -> LocalizationReport:
+def audit_copy_localization(b: BlowupTournament) -> LocalizationReport:
     """Enumerate every embedding of the pattern and verify localization.
 
     For each embedding, some choice of image vertices in the cycle
     pattern's parts must realize the backward-edge tuple conditions, and
-    its base projection must be a patterned cycle of the base graph.
-    Violations are collected (and expected to be impossible).
+    the base projection of the first such choice in label order must be a
+    patterned cycle of the base graph. Violations are collected (and
+    expected to be impossible).
     """
-    pattern = h if h is not None else b.pattern
     t = b.tournament
-    part_cycle = b.base.cycle_pattern
-    length = len(part_cycle)
-    backwards = _tuple_directions(part_cycle)
+    slots, step, close = _tuple_tables(b)
     total = 0
     violations: list[Embedding] = []
-    for emb in enumerate_embeddings(t, pattern, limit=embedding_budget):
+    for emb in enumerate_embeddings(t, b.pattern, limit=_EMBEDDING_BUDGET):
         total += 1
-        slots: list[list[int]] = []
-        for idx in part_cycle:
-            slots.append(
-                [v for v in emb.mapping if b.part_of(v) == idx]
-            )
-        found = False
-        for combo in itertools.product(*slots):
-            ok = True
-            for j in range(length):
-                u, w = combo[j], combo[(j + 1) % length]
-                if backwards[j]:
-                    if not t.has_edge(w, u):
-                        ok = False
-                        break
-                elif not t.has_edge(u, w):
-                    ok = False
-                    break
-            if ok:
-                bases = [b.block_of(v) for v in combo]
-                for j in range(length):
-                    if not b.base.has_edge(bases[j], bases[(j + 1) % length]):
-                        raise AuditError(
-                            "tuple found whose base projection is not a cycle"
-                        )
-                found = True
-                break
-        if not found:
+        image = _mask(emb.mapping)
+        found = next(_cycles([s & image for s in slots], step, close), None)
+        if found is None:
             violations.append(emb)
-    special = _count_special_tuples(b, limit=embedding_budget)
+            continue
+        walk, cand = found
+        bases = [b.block_of(v) for v in (*walk, (cand & -cand).bit_length() - 1)]
+        if not all(b.base.has_edge(x, bases[j - 1]) for j, x in enumerate(bases)):
+            raise AuditError("tuple found whose base projection is not a cycle")
+    special = 0
+    for _, cand in _cycles(slots, step, close):
+        special += _popcount(cand)
+        if special > _EMBEDDING_BUDGET:
+            raise BudgetExceeded("special tuple enumeration budget", count=special)
     n = t.n
+    length = len(slots)
     return LocalizationReport(
         total_copies=total,
         violations=tuple(violations),
         special_tuples=special,
         special_tuple_bound=Fraction(n**length, b.base.r),
-        copy_bound=special * n ** (pattern.n - length),
+        copy_bound=special * n ** (b.pattern.n - length),
     )
 
 
@@ -655,11 +622,7 @@ class FarnessCertificate:
         return len(self.family)
 
 
-def farness_certificate(
-    b: BlowupTournament,
-    mutated: Tournament,
-    h: Optional[OrientedGraph] = None,
-) -> FarnessCertificate:
+def farness_certificate(b: BlowupTournament, mutated: Tournament) -> FarnessCertificate:
     """Certify survival of pattern copies under an edge mutation.
 
     Builds the hybrid tournament agreeing with the blow-up on cut-edges
@@ -667,7 +630,7 @@ def farness_certificate(
     clique zone, pools the copies, and verifies the cut-edge
     disjointness plus the survival bound directly.
     """
-    pattern = h if h is not None else b.pattern
+    pattern = b.pattern
     t = b.tournament
     if not isinstance(mutated, Tournament) or mutated.n != t.n:
         raise ValueError("the mutation must be a tournament on the blow-up's vertices")
@@ -691,7 +654,6 @@ def farness_certificate(
     classes = [list(c) for c in b.classes]
     family: list[tuple[int, Embedding]] = []
     per_clique: list[int] = []
-    m = b.m
     for ci in range(len(b.base.cliques)):
         # the zone is sorted, so local label i is zone[i - 1]
         zone = b.clique_zone(ci)
@@ -703,25 +665,9 @@ def farness_certificate(
                 (ci, Embedding(tuple(zone[local - 1] for local in emb.mapping)))
             )
 
-    # global cut-edge disjointness across the whole family
-    used: dict[tuple[int, int], int] = {}
-    for idx, (_, emb) in enumerate(family):
-        for (u, v) in pattern.edges:
-            a, bb = emb.mapping[u - 1], emb.mapping[v - 1]
-            if not b.is_cut_pair(a, bb):
-                continue
-            key = (min(a, bb), max(a, bb))
-            if key in used and used[key] != idx:
-                raise AuditError(f"copies {used[key]} and {idx} share cut pair {key}")
-            used[key] = idx
-
-    survivors = 0
-    for _, emb in family:
-        if all(
-            mutated.has_edge(emb.mapping[u - 1], emb.mapping[v - 1])
-            for (u, v) in pattern.edges
-        ):
-            survivors += 1
+    # cut pairs are the cross pairs of the part map
+    _assert_cross_disjoint(b.part_of, pattern, [emb for _, emb in family])
+    survivors = sum(emb.is_valid(mutated, pattern) for _, emb in family)
     certified = len(family) - cut_diffs
     if survivors < certified:
         raise AuditError(

@@ -22,7 +22,7 @@ from tourkit.coloring import (
     smallest_non_two_colorable_tournament,
     verify_coloring,
 )
-from tourkit.digraphs import OrientedGraph, Tournament
+from tourkit.digraphs import OrientedGraph, Tournament, enumerate_embeddings
 from tourkit.forcing import build_forcing, certify_completion
 from tourkit.lowerbound import blowup_tournament, derive_part_structure
 from tourkit.orderedhom import LabeledGraph, backedge_graph, core_family, find_oph
@@ -271,6 +271,84 @@ def oracle_max_ap_free(n: int) -> int:
 
     rec(1, [], set())
     return best
+
+
+def oracle_patterned_cycles(g) -> int:
+    """Cycles v_1 .. v_l v_1 of a base graph with v_j in part
+    ``cycle_pattern[j]`` and every consecutive pair an edge, by recursion
+    over neighbour lists grouped by part."""
+    edges = g.edges
+    adjacency: dict[int, dict[int, list[int]]] = {}
+    for (u, v) in edges:
+        adjacency.setdefault(u, {}).setdefault(g.part_of(v), []).append(v)
+        adjacency.setdefault(v, {}).setdefault(g.part_of(u), []).append(u)
+    pattern = g.cycle_pattern
+
+    def walk(j: int, first: int, current: int) -> int:
+        if j == len(pattern):
+            return 1 if (min(current, first), max(current, first)) in edges else 0
+        return sum(
+            walk(j + 1, first, nxt)
+            for nxt in adjacency.get(current, {}).get(pattern[j], ())
+        )
+
+    return sum(walk(1, start, start) for start in g.part_vertices(pattern[0]))
+
+
+def _tuple_joined(b, j: int, u: int, w: int) -> bool:
+    """Whether u in tuple slot j and w in slot j+1 (cyclically) are joined
+    as a cycle-patterned tuple needs: the edge points back, from w to u,
+    when the part index rises from slot j to slot j+1."""
+    pattern = b.base.cycle_pattern
+    if pattern[j] < pattern[(j + 1) % len(pattern)]:
+        return b.tournament.has_edge(w, u)
+    return b.tournament.has_edge(u, w)
+
+
+def oracle_special_tuples(b) -> int:
+    """Cycle-patterned tuples of a blow-up: slot j holds a vertex of part
+    ``cycle_pattern[j]``, counted by recursion over vertex lists."""
+    pattern = b.base.cycle_pattern
+    slots = [[v for v in b.tournament.vertices if b.part_of(v) == i] for i in pattern]
+    last = len(pattern) - 1
+
+    def rec(j: int, first: int, current: int) -> int:
+        if j == last:
+            return 1 if _tuple_joined(b, j, current, first) else 0
+        return sum(
+            rec(j + 1, first, nxt)
+            for nxt in slots[j + 1]
+            if _tuple_joined(b, j, current, nxt)
+        )
+
+    return sum(rec(0, first, first) for first in slots[0])
+
+
+def oracle_localization(b) -> tuple[int, list]:
+    """Copies of the pattern in a blow-up and those threading no
+    cycle-patterned tuple, by a product over each copy's image vertices in
+    the cycle's parts; a threaded tuple whose base projection is not a
+    cycle fails an assertion."""
+    pattern = b.base.cycle_pattern
+    length = len(pattern)
+    copies = list(enumerate_embeddings(b.tournament, b.pattern))
+    violations = []
+    for emb in copies:
+        slots = [[v for v in emb.mapping if b.part_of(v) == i] for i in pattern]
+        for combo in itertools.product(*slots):
+            if all(
+                _tuple_joined(b, j, combo[j], combo[(j + 1) % length])
+                for j in range(length)
+            ):
+                bases = [b.block_of(v) for v in combo]
+                assert all(
+                    b.base.has_edge(bases[j], bases[(j + 1) % length])
+                    for j in range(length)
+                ), "tuple whose base projection is not a cycle"
+                break
+        else:
+            violations.append(emb)
+    return len(copies), violations
 
 
 def random_oriented_graph(n: int, rng: random.Random) -> OrientedGraph:

@@ -81,6 +81,24 @@ class TestExitCodes:
         code, _ = run_cli(["classify", "/nonexistent/path.txt"])
         assert code == 3
 
+    def test_usage_errors_are_input_errors(self, files, capsys):
+        from tourkit import cli
+
+        usage_errors = [
+            ["color", files["c3"], "--k", "x"],  # not an integer
+            ["kofh"],  # missing file argument
+            ["kofh", files["c3"], "--budget", "5"],  # flag kofh does not read
+            ["count", files["c3"], files["c3"], "--seed", "1"],
+            ["nonsense"],
+        ]
+        for argv in usage_errors:
+            code, _ = run_cli(argv)
+            assert code == cli.EXIT_INPUT == 3
+            assert "input error:" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["color", "--help"])
+        assert exc.value.code == 0
+
     def test_forcing_build_rejects_one_vertex_pattern(self, files, capsys):
         single = files["dir"] / "single.txt"
         single.write_text("1\nedges\n")

@@ -1,6 +1,8 @@
 """Progression-free sets, the base graph, the blow-up and its audits."""
 
+import dataclasses
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +19,12 @@ from tourkit.lowerbound import (
 )
 from tourkit.orderedhom import graph_two_colorable
 
-from conftest import oracle_max_ap_free
+from conftest import (
+    oracle_localization,
+    oracle_max_ap_free,
+    oracle_patterned_cycles,
+    oracle_special_tuples,
+)
 
 
 class TestBehrend:
@@ -66,21 +73,19 @@ class TestRSGraph:
         assert g.delta == Fraction(len(g.cliques), g.r**2)
 
     def test_patterned_cycles_match_independent_recount(self):
-        g = rs_graph(3, (1, 2, 3), 8)
-        adj = {v: set() for part in range(1, 4) for v in g.part_vertices(part)}
-        for u, v in g.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        count = 0
-        for x1 in g.part_vertices(1):
-            for x2 in adj[x1]:
-                if g.part_of(x2) != 2:
-                    continue
-                for x3 in adj[x2]:
-                    if g.part_of(x3) == 3 and x1 in adj[x3]:
-                        count += 1
-        assert count == g.patterned_cycles
-        assert count <= g.r**2
+        cases = [
+            (3, (1, 2, 3), 8),
+            (3, (2, 1, 3), 25),
+            (4, (1, 3, 2), 12),
+            (4, (4, 2, 1, 3), 16),
+            (5, (1, 3, 5, 2, 4), 20),
+            (5, (5, 3, 1, 4, 2), 40),
+            (5, (5, 3, 1, 4, 2), 60),
+        ]
+        for k, pattern, nmax in cases:
+            g = rs_graph(k, pattern, nmax)
+            assert g.patterned_cycles == oracle_patterned_cycles(g)
+            assert g.patterned_cycles <= g.r**2
 
     def test_cycle_bound_across_small_parameters(self):
         for k, nmax in ((3, 5), (3, 25), (3, 40), (4, 12), (5, 10)):
@@ -183,6 +188,28 @@ class TestLocalization:
     def test_special_tuple_bound(self, micro_blowup):
         report = audit_copy_localization(micro_blowup)
         assert report.special_tuples <= report.special_tuple_bound
+
+    def test_matches_oracles_on_blowups_and_mutants(self, micro_blowup, farness_blowup):
+        b = micro_blowup
+        pairs = list(itertools.combinations(b.tournament.vertices, 2))
+        # 40 random reversals; the mutant of seed 10 mixes copies that
+        # thread a tuple with copies that do not
+        mutants = [
+            dataclasses.replace(
+                b,
+                tournament=b.tournament.flip_pairs(random.Random(seed).sample(pairs, 40)),
+            )
+            for seed in (0, 3, 4, 10)
+        ]
+        mixed = False
+        for case in [micro_blowup, farness_blowup, *mutants]:
+            report = audit_copy_localization(case)
+            total, violations = oracle_localization(case)
+            assert report.total_copies == total
+            assert list(report.violations) == violations
+            assert report.special_tuples == oracle_special_tuples(case)
+            mixed |= 0 < len(violations) < total
+        assert mixed
 
 
 class TestFarness:
