@@ -12,15 +12,17 @@ Run:  python demos/regularity_demo.py
 import random
 from fractions import Fraction
 
-from tourkit import (
+from tourkit.digraphs import random_tournament, transitive_tournament
+from tourkit.regularity import (
+    AfnCopies,
+    AfnPartition,
     BinaryMatrix,
     afn_partition,
     audit_bipartition,
     count_matrix_copies,
+    default_bipartite_pattern,
     strong_decomposition,
 )
-from tourkit.digraphs import random_tournament, transitive_tournament
-from tourkit.regularity import AfnCopies, AfnPartition, default_bipartite_pattern
 
 rng = random.Random(11)
 

@@ -19,14 +19,13 @@ Subpackages by concern:
   reduction and the colorability lift;
 * :mod:`tourkit.formats` -- text formats with line-numbered errors;
 * :mod:`tourkit.cli` -- the batch command-line front door.
+
+The top-level names are the demos' entry points. Regularity names come
+from :mod:`tourkit.regularity`, whose matrices are numpy arrays; numpy
+loads when the first one is built, not on import.
 """
 
 from .digraphs import (
-    DistanceResult,
-    Embedding,
-    OrientedGraph,
-    PairStats,
-    Tournament,
     count_embeddings,
     density,
     distance_to_h_free,
@@ -34,8 +33,6 @@ from .digraphs import (
     transitive_subtournament,
 )
 from .coloring import (
-    Coloring,
-    acyclic_k_coloring,
     chromatic_number,
     classify,
     nae_two_coloring,
@@ -43,8 +40,6 @@ from .coloring import (
 )
 from .errors import AuditError, BudgetExceeded
 from .forcing import (
-    KPartiteTournament,
-    TupleCollection,
     build_forcing,
     certify_completion,
     disjoint_tuples,
@@ -54,16 +49,12 @@ from .forcing import (
 )
 from .hardness import (
     check_reduction,
-    gadget,
     has_triangle_free_cut,
     lift,
     reduce_graph,
     verify_gadget,
 )
 from .lowerbound import (
-    BehrendSet,
-    BlowupTournament,
-    RSGraph,
     audit_copy_localization,
     behrend,
     blowup_tournament,
@@ -71,25 +62,12 @@ from .lowerbound import (
     rs_graph,
 )
 from .orderedhom import (
-    CoreFamily,
-    LabeledGraph,
-    OphMap,
     backedge_graph,
     core_family,
     find_oph,
     odd_cycle_certificate,
     ordered_core,
     select_k,
-)
-from .regularity import (
-    BinaryMatrix,
-    Equipartition,
-    StrongDecomposition,
-    afn_partition,
-    audit_bipartition,
-    count_matrix_copies,
-    refine_to_equipartition,
-    strong_decomposition,
 )
 
 __version__ = "0.1.0"

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 negative decision, 2 budget exhaustion,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -144,7 +145,11 @@ def _cmd_distance(args) -> tuple[int, Report]:
                 "flips", " ".join(f"{a}-{b}" for a, b in result.flips)
             )
         return EXIT_OK, rep
-    rep.note(f"distance exceeds budget; proven lower bound {result.lower_bound}")
+    # a cap-stopped search proves lower_bound = budget + 1; otherwise the
+    # search's own node budget ran out
+    capped = args.budget is not None and result.lower_bound > args.budget
+    limit = "distance exceeds budget" if capped else "search node budget exhausted"
+    rep.note(f"{limit}; proven lower bound {result.lower_bound}")
     if result.upper_bound is not None:
         rep.put("upper-bound", result.upper_bound)
     return EXIT_BUDGET, rep
@@ -415,11 +420,18 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+def _budget(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"budget must be non-negative, got {value}")
+    return value
+
+
 # the optional flags a subcommand declares when its handler reads them;
 # every subcommand takes --out
 _FLAGS = {
     "--seed": dict(type=int, default=0, help="64-bit seed"),
-    "--budget": dict(type=int, default=None, help="node budget"),
+    "--budget": dict(type=_budget, default=None, help="node budget"),
     "--format": dict(
         choices=("matrix", "edges"), default="edges",
         help="serialization style for written graphs",
@@ -427,7 +439,11 @@ _FLAGS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused by every
+    later ``main`` call in the process; each parse returns a fresh
+    namespace, and ``main`` looks the handler up by command name."""
     parser = _Parser(
         prog="tourkit",
         description="tournament colorability, forcing, regularity, "
@@ -435,88 +451,81 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, handler, summary: str, *flags: str) -> argparse.ArgumentParser:
+    def command(name: str, summary: str, *flags: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
         p.add_argument("--out", default=None, help="write outputs here")
-        p.set_defaults(handler=handler)
         return p
 
-    p = command("color", _cmd_color, "acyclic k-coloring", "--budget")
+    p = command("color", "acyclic k-coloring", "--budget")
     p.add_argument("graph")
     p.add_argument("--k", type=int, required=True)
 
-    p = command("chromatic", _cmd_chromatic, "tournament chromatic number", "--budget")
+    p = command("chromatic", "tournament chromatic number", "--budget")
     p.add_argument("graph")
 
-    p = command("classify", _cmd_classify, "easy/hard pattern classification", "--budget")
+    p = command("classify", "easy/hard pattern classification", "--budget")
     p.add_argument("graph")
 
-    p = command("count", _cmd_count, "embedding count")
+    p = command("count", "embedding count")
     p.add_argument("host")
     p.add_argument("pattern")
 
-    p = command(
-        "distance", _cmd_distance, "reversal distance to pattern-freeness", "--budget"
-    )
+    p = command("distance", "reversal distance to pattern-freeness", "--budget")
     p.add_argument("host")
     p.add_argument("pattern")
 
-    p = command("core", _cmd_core, "ordered core of a labeled graph")
+    p = command("core", "ordered core of a labeled graph")
     p.add_argument("graph")
 
-    p = command("kofh", _cmd_kofh, "maximal ordered core of a pattern")
+    p = command("kofh", "maximal ordered core of a pattern")
     p.add_argument("graph")
 
-    p = command(
-        "forcing-build", _cmd_forcing_build, "seeded k-partite construction", "--seed"
-    )
+    p = command("forcing-build", "seeded k-partite construction", "--seed")
     p.add_argument("pattern")
     p.add_argument("--m", type=int, required=True)
 
-    p = command("forcing-check", _cmd_forcing_check, "exhaustive forcing check")
+    p = command("forcing-check", "exhaustive forcing check")
     p.add_argument("forcing")
     p.add_argument("pattern")
 
-    p = command("forcing-search", _cmd_forcing_search, "minimal bipartite forcing search")
+    p = command("forcing-search", "minimal bipartite forcing search")
     p.add_argument("pattern")
     p.add_argument("--m-max", type=int, default=3)
 
-    p = command("regularity", _cmd_regularity, "decomposition pipeline", "--seed")
+    p = command("regularity", "decomposition pipeline", "--seed")
     p.add_argument("tournament")
     p.add_argument("--delta", default="1/4")
     p.add_argument("--pattern-size", type=int, default=2)
 
-    p = command("behrend", _cmd_behrend, "progression-free set")
+    p = command("behrend", "progression-free set")
     p.add_argument("--n", type=int, required=True)
 
-    p = command("rsgraph", _cmd_rsgraph, "clique-decomposable base graph")
+    p = command("rsgraph", "clique-decomposable base graph")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--cycle", required=True, help="comma-separated part indices")
     p.add_argument("--nmax", type=int, required=True)
 
-    p = command("blowup", _cmd_blowup, "hard-instance blow-up", "--seed", "--format")
+    p = command("blowup", "hard-instance blow-up", "--seed", "--format")
     p.add_argument("pattern")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--nmax", type=int, default=None)
 
-    p = command("audit-copies", _cmd_audit_copies, "copy localization audit", "--seed")
+    p = command("audit-copies", "copy localization audit", "--seed")
     p.add_argument("pattern")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--nmax", type=int, default=None)
 
-    command("gadget-verify", _cmd_gadget_verify, "exhaustive gadget sweep")
+    command("gadget-verify", "exhaustive gadget sweep")
 
-    p = command("reduce", _cmd_reduce, "triangle-free-cut reduction", "--format")
+    p = command("reduce", "triangle-free-cut reduction", "--format")
     p.add_argument("graph")
 
-    p = command(
-        "check-reduction", _cmd_check_reduction, "reduction equivalence check", "--budget"
-    )
+    p = command("check-reduction", "reduction equivalence check", "--budget")
     p.add_argument("graph")
 
-    p = command("lift", _cmd_lift, "colorability lift", "--format")
+    p = command("lift", "colorability lift", "--format")
     p.add_argument("tournament")
     p.add_argument("--k", type=int, default=3)
 
@@ -526,7 +535,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        code, report = args.handler(args)
+        code, report = globals()["_cmd_" + args.command.replace("-", "_")](args)
     except fmt.ParseError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT

@@ -29,8 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
-import numpy as np
-
 from .coloring import acyclic_k_coloring
 from .digraphs import (
     Embedding,
@@ -101,6 +99,8 @@ def _greedy_box_collection(ranges: Sequence[int]) -> list[tuple[int, ...]]:
     Add the lexicographically first remaining tuple, discard every tuple
     that coincides with it in more than one slot, repeat.
     """
+    import numpy as np
+
     if any(r < 0 for r in ranges):
         raise ValueError("ranges must be nonnegative")
     if any(r == 0 for r in ranges):

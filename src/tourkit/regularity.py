@@ -22,6 +22,9 @@ constants are reported, not enforced.
 Audits are pure functions of immutable inputs and may run concurrently;
 the refinement loop and the seeded sampling are deliberately sequential
 so identical seeds give identical outputs.
+
+Matrices are numpy arrays, but numpy is imported by the functions that
+build them, so importing this module (or the CLI) does not load it.
 """
 
 from __future__ import annotations
@@ -31,13 +34,14 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
 
 from .digraphs import Tournament
 from .errors import AuditError, BudgetExceeded
 from .forcing import KPartiteTournament
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "BinaryMatrix",
@@ -80,6 +84,8 @@ class BinaryMatrix:
     __slots__ = ("n", "entries")
 
     def __init__(self, entries):
+        import numpy as np
+
         # a copy, so no view of the caller's array can change the matrix
         arr = np.array(entries, dtype=np.int64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -107,6 +113,8 @@ class BinaryMatrix:
 
 
 def _pattern_array(b) -> np.ndarray:
+    import numpy as np
+
     bm = b.entries if isinstance(b, BinaryMatrix) else np.asarray(b, dtype=np.int64)
     if bm.ndim != 2 or bm.shape[0] != bm.shape[1]:
         raise ValueError("pattern must be a square matrix")
@@ -123,6 +131,8 @@ def _validate_partition(parts: Sequence[Sequence[int]], n: int, what: str) -> No
 
 def _indicator(parts: Sequence[Sequence[int]], n: int) -> np.ndarray:
     """Row i is the 0/1 indicator of part i over the vertices 1..n."""
+    import numpy as np
+
     ind = np.zeros((len(parts), n), dtype=np.int64)
     ind[[i for i, part in enumerate(parts) for _ in part],
         [v - 1 for part in parts for v in part]] = 1
@@ -154,6 +164,8 @@ def _block_counts(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ones and sizes of every block, and the sizes of the bad blocks
     (0 for a good block)."""
+    import numpy as np
+
     row_ind = _indicator(rows, a.n)
     col_ind = _indicator(cols, a.n)
     ones = row_ind @ a.entries @ col_ind.T
@@ -224,7 +236,7 @@ def _witness(
     rows: list[int] = []
     start = 0
     for j in range(matches.shape[1]):
-        r = start + int(np.argmax(matches[start:, j]))
+        r = start + int(matches[start:, j].argmax())
         rows.append(r + 1)
         start = r + 1
     return tuple(rows), tuple(c + 1 for c in cols)
@@ -291,7 +303,7 @@ def _split_class(
     idx = [v - 1 for v in members]
     patterns = a.entries[idx, :] if by_rows else a.entries[:, idx].T
     centroid = patterns.mean(axis=0)
-    dists = np.abs(patterns - centroid).sum(axis=1)
+    dists = abs(patterns - centroid).sum(axis=1)
     order = sorted(range(len(members)), key=lambda i: (dists[i], members[i]))
     half = len(members) // 2
     first = sorted(members[i] for i in order[:half])
@@ -411,7 +423,7 @@ def audit_equipartition(
     t: Tournament, partition: Equipartition, delta: Fraction
 ) -> EquipartitionAudit:
     return _audit_equipartition(
-        np.array(t.adjacency_matrix(), dtype=np.int64), partition, delta
+        BinaryMatrix.from_tournament(t).entries, partition, delta
     )
 
 

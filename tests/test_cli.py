@@ -1,11 +1,20 @@
 """Front-door subcommands: exit codes and report determinism."""
 
 import io
-from contextlib import redirect_stdout
+import os
+import random
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import tourkit
+from tourkit import cli
 from tourkit.cli import main
+from tourkit.digraphs import random_tournament
+from tourkit.formats import serialize_oriented_graph
 
 
 def run_cli(argv):
@@ -13,6 +22,25 @@ def run_cli(argv):
     with redirect_stdout(buf):
         code = main(argv)
     return code, buf.getvalue()
+
+
+def run_cli_full(argv):
+    """Exit code, stdout and stderr of one ``main`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def usage_errors(files):
+    return [
+        ["color", files["c3"], "--k", "x"],  # not an integer
+        ["kofh"],  # missing file argument
+        ["kofh", files["c3"], "--budget", "5"],  # flag kofh does not read
+        ["count", files["c3"], files["c3"], "--seed", "1"],
+        ["distance", files["c3"], files["c3"], "--budget", "-1"],  # negative
+        ["nonsense"],
+    ]
 
 
 @pytest.fixture()
@@ -31,9 +59,11 @@ def files(tmp_path):
     )
     labeled = tmp_path / "labeled.txt"
     labeled.write_text("vertices: 1 2 3\n1 3\n2 3\n")
+    t12 = tmp_path / "t12.txt"
+    t12.write_text(serialize_oriented_graph(random_tournament(12, random.Random(0))))
     return {
         "c3": str(c3), "tt4": str(tt4), "k3": str(k3), "k5": str(k5),
-        "labeled": str(labeled), "dir": tmp_path,
+        "labeled": str(labeled), "t12": str(t12), "dir": tmp_path,
     }
 
 
@@ -71,6 +101,22 @@ class TestExitCodes:
         code, out = run_cli(["distance", files["c3"], files["c3"], "--budget", "0"])
         assert code == 2
 
+    def test_distance_says_which_limit_stopped_it(self, files, monkeypatch):
+        # C3 needs one reversal: a cap of 0 proves the distance is at least 1
+        code, out = run_cli(["distance", files["c3"], files["c3"], "--budget", "0"])
+        assert "distance exceeds budget; proven lower bound 1" in out
+        assert "lower-bound: 1" in out
+        # a node budget of 0 runs out at the root, before any bound is proven
+        search = cli.dg.distance_to_h_free
+        monkeypatch.setattr(
+            cli.dg, "distance_to_h_free",
+            lambda *a, **kw: search(*a, **kw, node_budget=0),
+        )
+        code, out = run_cli(["distance", files["c3"], files["c3"]])
+        assert code == 2
+        assert "search node budget exhausted; proven lower bound 0" in out
+        assert "exceeds" not in out
+
     def test_malformed_input(self, files, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("nonsense\n")
@@ -82,16 +128,7 @@ class TestExitCodes:
         assert code == 3
 
     def test_usage_errors_are_input_errors(self, files, capsys):
-        from tourkit import cli
-
-        usage_errors = [
-            ["color", files["c3"], "--k", "x"],  # not an integer
-            ["kofh"],  # missing file argument
-            ["kofh", files["c3"], "--budget", "5"],  # flag kofh does not read
-            ["count", files["c3"], files["c3"], "--seed", "1"],
-            ["nonsense"],
-        ]
-        for argv in usage_errors:
+        for argv in usage_errors(files):
             code, _ = run_cli(argv)
             assert code == cli.EXIT_INPUT == 3
             assert "input error:" in capsys.readouterr().err
@@ -228,3 +265,79 @@ class TestDeterminism:
         run_cli(["forcing-build", files["c3"], "--m", "4", "--seed", "9",
                  "--out", str(out2)])
         assert out1.read_text() == out2.read_text()
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; reusing it must give
+    the same exit code, stdout and stderr as a freshly built one."""
+
+    def test_reused_parser_matches_fresh_parser(self, files, minimal_hard, tmp_path):
+        hard = tmp_path / "hard.txt"
+        hard.write_text(serialize_oriented_graph(minimal_hard))
+        forcing = tmp_path / "f.txt"
+        forcing.write_text("parts: 2 2\n1.1 2.1\n1.1 2.2\n1.2 2.1\n1.2 2.2\n")
+        c3, out = files["c3"], str(tmp_path / "out.txt")
+        argvs = [
+            ["color", c3, "--k", "2"],
+            ["chromatic", c3],
+            ["classify", c3],
+            ["count", c3, c3],
+            ["distance", c3, c3],
+            ["core", files["labeled"]],
+            ["kofh", c3],
+            ["forcing-build", c3, "--m", "3", "--seed", "1", "--out", out],
+            ["forcing-check", str(forcing), c3],
+            ["forcing-search", c3, "--m-max", "2"],
+            ["regularity", files["t12"]],
+            ["behrend", "--n", "14"],
+            ["rsgraph", "--k", "3", "--cycle", "1,2,3", "--nmax", "8"],
+            ["blowup", str(hard), "--n", "30", "--nmax", "3", "--out", out],
+            ["audit-copies", str(hard), "--n", "30", "--nmax", "3"],
+            ["gadget-verify"],
+            ["reduce", files["k3"], "--out", out],
+            ["check-reduction", files["k3"]],
+            ["lift", c3, "--out", out],
+        ]
+        handlers = {name[len("_cmd_"):].replace("_", "-")
+                    for name in vars(cli) if name.startswith("_cmd_")}
+        assert {argv[0] for argv in argvs} == handlers
+        argvs += usage_errors(files)
+        fresh = []
+        for argv in argvs:
+            cli._build_parser.cache_clear()
+            fresh.append(run_cli_full(argv))
+        # every subcommand reaches a decision, every usage error is one
+        codes = [code for code, _, _ in fresh]
+        assert set(codes[:len(handlers)]) <= {cli.EXIT_OK, cli.EXIT_NEGATIVE}
+        assert set(codes[len(handlers):]) == {cli.EXIT_INPUT}
+        cli._build_parser.cache_clear()
+        order = list(range(len(argvs)))
+        for i in order + order[::-1]:
+            assert run_cli_full(argvs[i]) == fresh[i], argvs[i]
+        with pytest.raises(SystemExit) as exc:
+            run_cli_full(["color", "--help"])
+        assert exc.value.code == 0
+        assert run_cli_full(argvs[0]) == fresh[0]
+        assert cli._build_parser.cache_info().misses == 1
+
+
+def test_numpy_loads_only_for_regularity(files):
+    script = f"""
+import contextlib, io, sys
+import tourkit, tourkit.cli
+from tourkit.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["check-reduction", {files["k3"]!r}]) == 0
+    assert main(["kofh", {files["c3"]!r}]) == 0
+    assert main(["count", {files["c3"]!r}, {files["c3"]!r}]) == 0
+    assert "numpy" not in sys.modules
+    assert main(["regularity", {files["t12"]!r}]) == 0
+assert "numpy" in sys.modules
+"""
+    src = str(Path(tourkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
