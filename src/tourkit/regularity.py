@@ -16,8 +16,15 @@ to dominant value 1, mirroring the >= 1/2 rule for dominant directions.
 The decomposition pipeline runs the partitioner at delta/5, refines to an
 equipartition, reruns at gamma = 1/(2 q^4), then samples one
 representative block per part (seeded) and retries until the two
-homogeneity events hold. Size bounds of the underlying existential
-constants are reported, not enforced.
+homogeneity events hold. Every stage's equipartition is audited at its
+target delta. Audits and the sampling work on integer block counts:
+a block of ``ones`` ones in ``size`` entries is delta-homogeneous iff
+min(ones, size - ones) * q <= p * size for delta = p/q, with Python
+integers wherever int64 could overflow. When stage one ends in
+singletons and the size budget leaves room for n classes, stage two
+reuses it: the only equipartition refining singletons is itself. Size
+bounds of the underlying existential constants are reported, not
+enforced.
 
 Audits are pure functions of immutable inputs and may run concurrently;
 the refinement loop and the seeded sampling are deliberately sequential
@@ -71,11 +78,16 @@ def _check_delta(delta) -> Fraction:
     return delta
 
 
-def _homogeneous(d: Fraction, delta: Fraction) -> bool:
-    """d >= 1 - delta or d <= delta, in integers: the minority share
-    min(d, 1 - d) is at most delta."""
-    num, den = d.numerator, d.denominator
-    return min(num, den - num) * delta.denominator <= delta.numerator * den
+def _homogeneous(ones: np.ndarray, sizes: np.ndarray, delta: Fraction) -> np.ndarray:
+    """Elementwise: the block's density ones/size is >= 1 - delta or
+    <= delta, in integers: minority * q <= p * size for delta = p/q."""
+    import numpy as np
+
+    minority = np.minimum(ones, sizes - ones)
+    if delta.denominator * int(sizes.max(initial=1)) >= 2**63:
+        # the products below could wrap in int64: use Python integers
+        minority, sizes = minority.astype(object), sizes.astype(object)
+    return minority * delta.denominator <= sizes * delta.numerator
 
 
 class BinaryMatrix:
@@ -157,26 +169,17 @@ class BipartitionAudit:
 
 
 def _block_counts(
-    a: BinaryMatrix,
+    m: np.ndarray,
     rows: Sequence[Sequence[int]],
     cols: Sequence[Sequence[int]],
-    delta: Fraction,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ones and sizes of every block, and the sizes of the bad blocks
-    (0 for a good block)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ones and sizes of every block of the int64 0/1 matrix ``m``."""
     import numpy as np
 
-    row_ind = _indicator(rows, a.n)
-    col_ind = _indicator(cols, a.n)
-    ones = row_ind @ a.entries @ col_ind.T
-    sizes = np.outer(row_ind.sum(axis=1), col_ind.sum(axis=1))
-    minority = np.minimum(ones, sizes - ones)
-    if delta.denominator * a.n * a.n >= 2**63:
-        # the products below could wrap in int64: use Python integers
-        minority, sizes = minority.astype(object), sizes.astype(object)
-    # block bad iff minority/size > delta, exactly: minority*q > p*size
-    bad = minority * delta.denominator > sizes * delta.numerator
-    return ones, sizes, np.where(bad, sizes, 0)
+    row_ind = _indicator(rows, m.shape[0])
+    col_ind = _indicator(cols, m.shape[1])
+    ones = row_ind @ m @ col_ind.T
+    return ones, np.outer(row_ind.sum(axis=1), col_ind.sum(axis=1))
 
 
 def audit_bipartition(
@@ -189,7 +192,8 @@ def audit_bipartition(
     delta = _check_delta(delta)
     _validate_partition(rows, a.n, "row partition")
     _validate_partition(cols, a.n, "column partition")
-    ones, sizes, bad = _block_counts(a, rows, cols, delta)
+    ones, sizes = _block_counts(a.entries, rows, cols)
+    bad = sizes[~_homogeneous(ones, sizes, delta)]
     bad_weight = Fraction(int(bad.sum()), a.n * a.n)
     return BipartitionAudit(
         row_parts=tuple(tuple(sorted(r)) for r in rows),
@@ -311,6 +315,23 @@ def _split_class(
     return first, second
 
 
+def _split_choice(
+    bad: np.ndarray, sizes: np.ndarray
+) -> Optional[tuple[int, int, int]]:
+    """The class to split on one axis as (bad weight, -size, index): the
+    largest bad weight, then the smallest class, then the earliest index;
+    None when no class of two or more members has bad weight."""
+    import numpy as np
+
+    weight = np.where(sizes >= 2, bad, 0)
+    top = int(weight.max())
+    if top == 0:
+        return None
+    tied = weight == top
+    size = int(sizes[tied].min())
+    return top, -size, int(np.flatnonzero(tied & (sizes == size))[0])
+
+
 def afn_partition(
     a: BinaryMatrix,
     b,
@@ -321,40 +342,62 @@ def afn_partition(
     or a copy count of the pattern with a witness.
 
     The refinement loop splits the class with the largest bad-weight
-    contribution. Since the all-singleton pair is 0-homogeneous, the loop
-    always terminates; the budget is what forces the copy branch. If the
-    budget is exceeded and the pattern has no copies at all, the result
-    is explicitly inconclusive.
+    contribution, ties going to the smaller class, then to rows, then to
+    the earlier class. Since the all-singleton pair is 0-homogeneous, the
+    loop always terminates; the budget is what forces the copy branch. If
+    the budget is exceeded and the pattern has no copies at all, the
+    result is explicitly inconclusive.
+
+    The block counts are kept across splits: a split replaces one row
+    (column) of them by its two halves' counts, so an iteration costs
+    O(n^2) rather than a full recount.
     """
+    import numpy as np
+
     delta = _check_delta(delta)
     bm = _pattern_array(b)
-    budget = size_budget if size_budget is not None else a.n
-    rows: list[list[int]] = [list(range(1, a.n + 1))]
-    cols: list[list[int]] = [list(range(1, a.n + 1))]
+    n = a.n
+    budget = size_budget if size_budget is not None else n
+    rows: list[list[int]] = [list(range(1, n + 1))]
+    cols: list[list[int]] = [list(range(1, n + 1))]
+    row_ind = np.ones((1, n), dtype=np.int64)
+    col_ind = np.ones((1, n), dtype=np.int64)
+    ones = a.entries.sum(keepdims=True)
     while True:
-        _, _, bad_sizes = _block_counts(a, rows, cols, delta)
+        row_sizes = np.array([len(part) for part in rows], dtype=np.int64)
+        col_sizes = np.array([len(part) for part in cols], dtype=np.int64)
+        sizes = np.outer(row_sizes, col_sizes)
+        bad = np.where(_homogeneous(ones, sizes, delta), 0, sizes)
         # bad weight <= delta, exactly: bad * q <= p * n^2
-        if int(bad_sizes.sum()) * delta.denominator <= delta.numerator * a.n * a.n:
+        if int(bad.sum()) * delta.denominator <= delta.numerator * n * n:
             audit = audit_bipartition(a, rows, cols, delta)
             return AfnPartition(audit=audit, size_budget=budget)
         if len(rows) >= budget and len(cols) >= budget:
             break
-        row_contrib = bad_sizes.sum(axis=1)
-        col_contrib = bad_sizes.sum(axis=0)
-        candidates: list[tuple[int, int, bool, int]] = []
-        for i, part in enumerate(rows):
-            if len(part) >= 2 and row_contrib[i] > 0 and len(rows) < budget:
-                candidates.append((int(row_contrib[i]), -len(part), True, i))
-        for j, part in enumerate(cols):
-            if len(part) >= 2 and col_contrib[j] > 0 and len(cols) < budget:
-                candidates.append((int(col_contrib[j]), -len(part), False, j))
-        if not candidates:
+        row_pick = _split_choice(bad.sum(axis=1), row_sizes) if len(rows) < budget else None
+        col_pick = _split_choice(bad.sum(axis=0), col_sizes) if len(cols) < budget else None
+        if row_pick is None and col_pick is None:
             break
-        _, _, by_rows, idx = max(candidates, key=lambda c: (c[0], c[1], c[2], -c[3]))
+        by_rows = col_pick is None or (row_pick is not None and row_pick[:2] >= col_pick[:2])
+        idx = (row_pick if by_rows else col_pick)[2]
         target = rows if by_rows else cols
         first, second = _split_class(a, target[idx], by_rows)
-        target[idx] = first
-        target.insert(idx + 1, second)
+        target[idx : idx + 1] = [first, second]
+        # the class's indicator and counts become the first half's, then
+        # what is left of them, the second half's
+        half_ind = _indicator([first], n)
+        if by_rows:
+            half = half_ind @ a.entries @ col_ind.T
+            row_ind = np.concatenate((row_ind[:idx], half_ind, row_ind[idx:]))
+            row_ind[idx + 1] -= half_ind[0]
+            ones = np.concatenate((ones[:idx], half, ones[idx:]))
+            ones[idx + 1] -= half[0]
+        else:
+            half = row_ind @ (a.entries @ half_ind.T)
+            col_ind = np.concatenate((col_ind[:idx], half_ind, col_ind[idx:]))
+            col_ind[idx + 1] -= half_ind[0]
+            ones = np.concatenate((ones[:, :idx], half, ones[:, idx:]), axis=1)
+            ones[:, idx + 1] -= half[:, 0]
     count = 0
     witness = None
     for copy_cols, matches, copies in _matrix_copies(a, bm, False):
@@ -403,50 +446,43 @@ class EquipartitionAudit:
     densities: tuple[tuple[Fraction, ...], ...]
 
 
-def _pair_densities(
-    adj: np.ndarray, groups: Sequence[Sequence[int]]
-) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact density of the edges from group i to group j; 0 when i = j.
-    ``adj`` is the tournament's int64 adjacency matrix."""
-    ind = _indicator(groups, adj.shape[0])
-    counts = ind @ adj @ ind.T
-    return tuple(
-        tuple(
-            Fraction(int(counts[i, j]), len(gi) * len(gj)) if i != j else Fraction(0)
-            for j, gj in enumerate(groups)
-        )
-        for i, gi in enumerate(groups)
-    )
-
-
 def audit_equipartition(
     t: Tournament, partition: Equipartition, delta: Fraction
 ) -> EquipartitionAudit:
-    return _audit_equipartition(
-        BinaryMatrix.from_tournament(t).entries, partition, delta
-    )
-
-
-def _audit_equipartition(
-    adj: np.ndarray, partition: Equipartition, delta: Fraction
-) -> EquipartitionAudit:
+    """Exact audit, with the density of the edges from part i to part j
+    (0 when i = j)."""
     delta = _check_delta(delta)
-    n = adj.shape[0]
-    parts = partition.parts
-    _validate_partition(parts, n, "partition")
-    densities = _pair_densities(adj, parts)
-    bad = sum(
-        len(parts[i]) * len(parts[j])
-        for i, j in itertools.permutations(range(len(parts)), 2)
-        if not _homogeneous(densities[i][j], delta)
-    )
-    bad_weight = Fraction(bad, n * n)
+    adj = BinaryMatrix.from_tournament(t).entries
+    bad_weight = _equipartition_bad_weight(adj, partition.parts, delta)
+    ones, sizes = _block_counts(adj, partition.parts, partition.parts)
     return EquipartitionAudit(
         delta=delta,
         bad_weight=bad_weight,
         homogeneous=bad_weight <= delta,
-        densities=densities,
+        densities=tuple(
+            tuple(
+                Fraction(int(ones[i, j]), int(sizes[i, j])) if i != j else Fraction(0)
+                for j in range(partition.q)
+            )
+            for i in range(partition.q)
+        ),
     )
+
+
+def _equipartition_bad_weight(
+    adj: np.ndarray, parts: Sequence[Sequence[int]], delta: Fraction
+) -> Fraction:
+    """Share of the n^2 entries lying in ordered pairs of distinct parts
+    whose edge density is not delta-homogeneous; ``adj`` is the
+    tournament's int64 adjacency matrix."""
+    import numpy as np
+
+    n = adj.shape[0]
+    _validate_partition(parts, n, "partition")
+    ones, sizes = _block_counts(adj, parts, parts)
+    bad = ~_homogeneous(ones, sizes, delta)
+    np.fill_diagonal(bad, False)
+    return Fraction(int(sizes[bad].sum()), n * n)
 
 
 def _feasible_q(n: int, parts: Sequence[Sequence[int]]) -> list[int]:
@@ -576,21 +612,33 @@ def strong_decomposition(
     """Two-stage refinement plus seeded representative sampling.
 
     Stage one partitions at delta/5 starting from the trivial partition;
-    stage two refines at gamma = 1/(2 q^4). Representatives are the
-    stage-two parts containing one uniformly sampled vertex per stage-one
-    part, resampled until all representative pairs are delta-homogeneous
-    and at most 4 delta q^2 / 5 pairs flip their dominant direction. If
-    either partitioning stage finds pattern copies instead, that branch
-    is returned as the outcome.
+    stage two refines at gamma = 1/(2 q^4). When stage one has n
+    singleton parts and ``size_budget`` is None or at least n, stage two
+    is stage one itself, since the partitioner would end on a homogeneous
+    pair and the refinement could only return the singletons; it is still
+    audited at gamma. Representatives are the stage-two parts containing
+    one uniformly sampled vertex per stage-one part, resampled until all
+    representative pairs are delta-homogeneous and at most 4 delta q^2 / 5
+    pairs flip their dominant direction. Both audits and the sampling
+    test homogeneity on integer block counts. If either partitioning
+    stage finds pattern copies instead, that branch is returned as the
+    outcome.
     """
     delta = _check_delta(delta)
     a = BinaryMatrix.from_tournament(t)
     b = bipartite_adjacency(f)
     n = t.n
 
+    def audited(p: Equipartition, target_delta: Fraction) -> Equipartition:
+        if _equipartition_bad_weight(a.entries, p.parts, target_delta) > target_delta:
+            raise AuditError(
+                f"refinement missed its homogeneity target {target_delta}"
+            )
+        return p
+
     def refinement_stage(
         p: Equipartition, target_delta: Fraction
-    ) -> Union[tuple[Equipartition, EquipartitionAudit], AfnCopies]:
+    ) -> Union[Equipartition, AfnCopies]:
         afn_delta = target_delta * target_delta / 3
         outcome = afn_partition(a, b, afn_delta, size_budget=size_budget)
         if isinstance(outcome, AfnCopies):
@@ -606,70 +654,84 @@ def strong_decomposition(
         target_q = Fraction(6 * len(p.parts) * len(rows) * len(cols)) / target_delta
         feasible = _feasible_q(n, p.parts)  # n is always feasible
         q = next((cand for cand in feasible if cand >= target_q), feasible[-1])
-        refined = refine_to_equipartition(t, p, rows, cols, q)
-        check = _audit_equipartition(a.entries, refined, target_delta)
-        if not check.homogeneous:
-            raise AuditError(
-                f"refinement missed its homogeneity target {target_delta}"
-            )
-        return refined, check
+        return audited(refine_to_equipartition(t, p, rows, cols, q), target_delta)
 
     trivial = Equipartition(parts=(tuple(range(1, n + 1)),))
-    outcome = refinement_stage(trivial, delta / 5)
-    if isinstance(outcome, AfnCopies):
-        return outcome
-    stage1, stage1_audit = outcome
+    stage1 = refinement_stage(trivial, delta / 5)
+    if isinstance(stage1, AfnCopies):
+        return stage1
     q = stage1.q
     gamma = Fraction(1, 2 * q**4)
-    outcome = refinement_stage(stage1, gamma)
-    if isinstance(outcome, AfnCopies):
-        return outcome
-    stage2, _ = outcome
+    if q == n and (size_budget is None or size_budget >= n):
+        # With room for n classes the partitioner always ends on a
+        # homogeneous pair (a bad block has a class of two or more members
+        # to split, and the all-singleton pair is 0-homogeneous), and the
+        # only equipartition refining singletons is itself.
+        stage2 = audited(stage1, gamma)
+    else:
+        stage2 = refinement_stage(stage1, gamma)
+        if isinstance(stage2, AfnCopies):
+            return stage2
 
-    member_of: dict[int, int] = {}
-    for idx, part in enumerate(stage2.parts):
-        for v in part:
-            member_of[v] = idx
+    samples, reps, failures, attempts = _sample_representatives(
+        a.entries, stage1, stage2, delta, seed, retry_budget
+    )
+    return StrongDecomposition(
+        partition=stage1,
+        representatives=tuple(tuple(r) for r in reps),
+        sample_vertices=tuple(samples),
+        delta=delta,
+        gamma=gamma,
+        q=q,
+        item1_failures=failures,
+        item1_bound=delta * q * q,
+        item2_ok=True,
+        representative_sizes=tuple(len(r) for r in reps),
+        attempts=attempts,
+        seed=seed,
+    )
 
-    q_density = stage1_audit.densities
+
+def _sample_representatives(
+    adj: np.ndarray,
+    stage1: Equipartition,
+    stage2: Equipartition,
+    delta: Fraction,
+    seed: int,
+    retry_budget: int,
+) -> tuple[list[int], list[tuple[int, ...]], int, int]:
+    """Seeded sampling of one vertex per stage-one part; its representative
+    is the stage-two part holding it. Resampled until every representative
+    pair is delta-homogeneous, at most 4 delta q^2 / 5 pairs homogeneous
+    at delta/5 flip their dominant direction, and at most delta q^2 pairs
+    fail item 1. Returns the samples, the representatives, the item-1
+    failures and the number of attempts."""
+    import numpy as np
+
+    q = stage1.q
+    member_of = {v: idx for idx, part in enumerate(stage2.parts) for v in part}
+    pairs = np.triu_indices(q, 1)
+    ones, sizes = _block_counts(adj, stage1.parts, stage1.parts)
+    near = _homogeneous(ones, sizes, delta / 5)[pairs]
+    good = _homogeneous(ones, sizes, delta)[pairs]
+    dominant = (2 * ones >= sizes)[pairs]
+    ones, sizes = _block_counts(adj, stage2.parts, stage2.parts)
+    rep_good = _homogeneous(ones, sizes, delta)
+    rep_dominant = 2 * ones >= sizes
+
     digest = hashlib.sha256(f"{seed}:representatives".encode()).digest()
     rng = random.Random(int.from_bytes(digest[:8], "big"))
-
     for attempt in range(1, retry_budget + 1):
         samples = [part[rng.randrange(len(part))] for part in stage1.parts]
-        reps = [stage2.parts[member_of[w]] for w in samples]
-        rep_density = _pair_densities(a.entries, reps)
-        # one pass over the pairs i<j: a representative pair that is not
-        # delta-homogeneous forces a resample; count the pairs homogeneous
-        # at delta/5 whose representatives flip the dominant direction, and
-        # the item-1 failures
-        flips = failures = 0
-        for i, j in itertools.combinations(range(q), 2):
-            dw = rep_density[i][j]
-            if not _homogeneous(dw, delta):
-                break
-            dq = q_density[i][j]
-            same_dominant = (dq >= HALF) == (dw >= HALF)
-            if _homogeneous(dq, delta / 5) and not same_dominant:
-                flips += 1
-            if not (_homogeneous(dq, delta) and same_dominant):
-                failures += 1
-        else:
-            if flips <= 4 * delta * q * q / 5 and failures <= delta * q * q:
-                return StrongDecomposition(
-                    partition=stage1,
-                    representatives=tuple(tuple(r) for r in reps),
-                    sample_vertices=tuple(samples),
-                    delta=delta,
-                    gamma=gamma,
-                    q=q,
-                    item1_failures=failures,
-                    item1_bound=delta * q * q,
-                    item2_ok=True,
-                    representative_sizes=tuple(len(r) for r in reps),
-                    attempts=attempt,
-                    seed=seed,
-                )
+        idx = np.array([member_of[w] for w in samples], dtype=np.intp)
+        rep_pairs = (idx[pairs[0]], idx[pairs[1]])
+        if not rep_good[rep_pairs].all():
+            continue
+        same = dominant == rep_dominant[rep_pairs]
+        flips = int((near & ~same).sum())
+        failures = int((~(good & same)).sum())
+        if flips <= 4 * delta * q * q / 5 and failures <= delta * q * q:
+            return samples, [stage2.parts[i] for i in idx], failures, attempt
     raise BudgetExceeded(
         "representative sampling retries exhausted", retries=retry_budget
     )

@@ -5,9 +5,11 @@ exhaustive assignment scans) kept independent of the library's search
 paths; tests freeze expected values computed by these oracles.
 """
 
+import hashlib
 import itertools
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -23,6 +25,7 @@ from tourkit.coloring import (
     verify_coloring,
 )
 from tourkit.digraphs import OrientedGraph, Tournament, enumerate_embeddings
+from tourkit.errors import BudgetExceeded
 from tourkit.forcing import build_forcing, certify_completion
 from tourkit.lowerbound import blowup_tournament, derive_part_structure
 from tourkit.orderedhom import LabeledGraph, backedge_graph, core_family, find_oph
@@ -371,3 +374,101 @@ def random_labeled_graph(labels, p: float, rng: random.Random) -> LabeledGraph:
         if rng.random() < p
     ]
     return LabeledGraph(labels, edges)
+
+
+def oracle_afn_partition(a, b, delta: Fraction, size_budget=None):
+    """The conditional partitioner with every block recounted from raw
+    entries and tested as a ``Fraction`` after each split; the split rule
+    itself, the copy scan and the final audit are the library's."""
+    from tourkit.regularity import (
+        AfnCopies,
+        AfnInconclusive,
+        AfnPartition,
+        _split_class,
+        audit_bipartition,
+        count_matrix_copies,
+        find_matrix_copy,
+    )
+
+    n = a.n
+    entries = a.entries.tolist()
+    budget = size_budget if size_budget is not None else n
+    rows = [list(range(1, n + 1))]
+    cols = [list(range(1, n + 1))]
+    while True:
+        bad = [[0] * len(cols) for _ in rows]
+        for i, rp in enumerate(rows):
+            for j, cp in enumerate(cols):
+                ones = sum(entries[r - 1][c - 1] for r in rp for c in cp)
+                size = len(rp) * len(cp)
+                if Fraction(min(ones, size - ones), size) > delta:
+                    bad[i][j] = size
+        if Fraction(sum(map(sum, bad)), n * n) <= delta:
+            return AfnPartition(
+                audit=audit_bipartition(a, rows, cols, delta), size_budget=budget
+            )
+        if len(rows) >= budget and len(cols) >= budget:
+            break
+        candidates = []
+        for i, part in enumerate(rows):
+            weight = sum(bad[i])
+            if len(part) >= 2 and weight > 0 and len(rows) < budget:
+                candidates.append((weight, -len(part), True, -i))
+        for j, part in enumerate(cols):
+            weight = sum(row[j] for row in bad)
+            if len(part) >= 2 and weight > 0 and len(cols) < budget:
+                candidates.append((weight, -len(part), False, -j))
+        if not candidates:
+            break
+        _, _, by_rows, neg_idx = max(candidates)
+        idx = -neg_idx
+        target = rows if by_rows else cols
+        first, second = _split_class(a, target[idx], by_rows)
+        target[idx : idx + 1] = [first, second]
+    count = count_matrix_copies(a, b)
+    if count:
+        return AfnCopies(
+            count=count,
+            witness=find_matrix_copy(a, b),
+            pattern=tuple(tuple(int(x) for x in row) for row in b),
+        )
+    return AfnInconclusive(
+        last_audit=audit_bipartition(a, rows, cols, delta), copy_count=0
+    )
+
+
+def oracle_sample_representatives(t, stage1, stage2, delta, seed, retry_budget):
+    """Representative sampling with every pair density an exact
+    ``Fraction`` from ``has_edge``, one pair at a time; returns (samples,
+    representatives, item-1 failures, attempts)."""
+
+    def density(x, y):
+        return Fraction(
+            sum(t.has_edge(u, v) for u in x for v in y), len(x) * len(y)
+        )
+
+    def homogeneous(d, level):
+        return d <= level or d >= 1 - level
+
+    half = Fraction(1, 2)
+    q = len(stage1.parts)
+    digest = hashlib.sha256(f"{seed}:representatives".encode()).digest()
+    rng = random.Random(int.from_bytes(digest[:8], "big"))
+    for attempt in range(1, retry_budget + 1):
+        samples = [part[rng.randrange(len(part))] for part in stage1.parts]
+        reps = [next(p for p in stage2.parts if w in p) for w in samples]
+        flips = failures = 0
+        for i, j in itertools.combinations(range(q), 2):
+            dw = density(reps[i], reps[j])
+            if not homogeneous(dw, delta):
+                break
+            dq = density(stage1.parts[i], stage1.parts[j])
+            same = (dq >= half) == (dw >= half)
+            if homogeneous(dq, delta / 5) and not same:
+                flips += 1
+            if not (homogeneous(dq, delta) and same):
+                failures += 1
+        else:
+            if flips <= 4 * delta * q * q / 5 and failures <= delta * q * q:
+                return samples, reps, failures, attempt
+    raise BudgetExceeded("retries exhausted", retries=retry_budget)

@@ -8,7 +8,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import oracle_afn_partition, oracle_sample_representatives
+from tourkit import regularity
 from tourkit.digraphs import random_tournament, transitive_tournament
+from tourkit.errors import BudgetExceeded
 from tourkit.regularity import (
     AfnCopies,
     AfnInconclusive,
@@ -260,6 +263,55 @@ class TestAfnPartition:
         assert count_matrix_copies(a, [[1, 1], [1, 1]]) == 0
 
 
+class TestIncrementalPartitioner:
+    """The partitioner's kept-across-splits block counts and integer
+    homogeneity test against a recount of every block after each split."""
+
+    DELTAS = (Fraction(1, 4), Fraction(1, 10), Fraction(1, 2**62))
+    PATTERNS = ([[1, 1], [1, 1]], [[1, 0], [0, 1]])
+
+    def test_matches_full_recount(self):
+        rng = random.Random(12)
+        branches = set()
+        matrices = 0
+        for n in range(1, 25):
+            for p in (0.1, 0.5, 0.9):
+                for rep in range(3):
+                    a = BinaryMatrix(
+                        [[int(rng.random() < p) for _ in range(n)] for _ in range(n)]
+                    )
+                    matrices += 1
+                    # the last delta's denominator times a block size
+                    # exceeds the int64 range: the object-dtype path
+                    delta = self.DELTAS[(n + rep) % 3]
+                    b = self.PATTERNS[rep % 2]
+                    for budget in (1, n // 2, None):
+                        got = afn_partition(a, b, delta, size_budget=budget)
+                        assert got == oracle_afn_partition(a, b, delta, budget), (
+                            n, p, rep, delta, budget
+                        )
+                        branches.add(type(got))
+        assert matrices >= 200
+        assert branches == {AfnPartition, AfnCopies, AfnInconclusive}
+
+    def test_equipartition_bad_weight_matches_fraction_recount(self, rng):
+        for n, q in ((12, 4), (20, 5), (24, 8), (24, 24)):
+            t = random_tournament(n, rng)
+            order = rng.sample(range(1, n + 1), n)
+            s = n // q
+            p = Equipartition(parts=tuple(
+                tuple(sorted(order[i : i + s])) for i in range(0, n, s)
+            ))
+            for delta in self.DELTAS:
+                recount = Fraction(0)
+                for x, y in itertools.permutations(p.parts, 2):
+                    ones = sum(t.has_edge(u, v) for u in x for v in y)
+                    d = Fraction(ones, len(x) * len(y))
+                    if not (d <= delta or d >= 1 - delta):
+                        recount += Fraction(len(x) * len(y), n * n)
+                assert audit_equipartition(t, p, delta).bad_weight == recount
+
+
 class TestRefinement:
     def test_singleton_case(self, rng):
         t = random_tournament(6, rng)
@@ -392,6 +444,142 @@ class TestStrongDecomposition:
             assert audit.homogeneous
 
 
+def stages_of_four(n):
+    """Stage one in consecutive parts of four, stage two halving each."""
+    stage1 = Equipartition(parts=tuple(
+        tuple(range(v, v + 4)) for v in range(1, n + 1, 4)
+    ))
+    stage2 = Equipartition(parts=tuple(
+        tuple(range(v, v + 2)) for v in range(1, n + 1, 2)
+    ))
+    return stage1, stage2
+
+
+class TestRepresentativeSampling:
+    """The sampling loop on hand-built stages with non-singleton parts,
+    which the pipeline itself reaches only at n >= 120 (delta = 1/4)."""
+
+    def run_both(self, t, stage1, stage2, delta, seed, retry_budget=200):
+        got = regularity._sample_representatives(
+            BinaryMatrix.from_tournament(t).entries,
+            stage1, stage2, delta, seed, retry_budget,
+        )
+        want = oracle_sample_representatives(
+            t, stage1, stage2, delta, seed, retry_budget
+        )
+        assert got == want
+        return got
+
+    def test_matches_per_pair_fractions(self):
+        rng = random.Random(4)
+        stage1, stage2 = stages_of_four(24)
+        attempts = []
+        failures = []
+        for case in range(40):
+            # a transitive tournament with one to four of the arcs between
+            # a few pairs of halves (in distinct parts) flipped
+            pairs = set()
+            for _ in range(rng.randint(1, 6)):
+                x, y = sorted(rng.sample(range(6), 2))
+                hx = stage2.parts[2 * x + rng.randrange(2)]
+                hy = stage2.parts[2 * y + rng.randrange(2)]
+                arcs = list(itertools.product(hx, hy))
+                pairs.update(rng.sample(arcs, rng.randint(1, 4)))
+            t = transitive_tournament(24).flip_pairs(sorted(pairs))
+            for delta in (Fraction(1, 4), Fraction(1, 3)):
+                _, _, fail, attempt = self.run_both(t, stage1, stage2, delta, seed=case)
+                attempts.append(attempt)
+                failures.append(fail)
+        assert max(attempts) >= 2
+        assert max(failures) >= 1
+
+    def test_retries_a_bad_representative_pair(self):
+        # two of the four arcs between the first halves of parts 1 and 2
+        # flipped: that representative pair has density 1/2, so drawing
+        # both first halves forces a resample
+        stage1, stage2 = stages_of_four(24)
+        t = transitive_tournament(24).flip_pairs([(1, 5), (2, 6)])
+        attempts = [
+            self.run_both(t, stage1, stage2, Fraction(1, 4), seed)[3]
+            for seed in range(12)
+        ]
+        assert max(attempts) >= 2
+
+    def test_flips_count_only_pairs_homogeneous_at_delta_over_five(self):
+        # the first halves of any two parts face the wrong way: each
+        # stage-one pair has density 3/4, homogeneous at 1/3 but not at
+        # 1/15, so a sample of five first halves makes 10 item-1 failures
+        # (bound 12) and no flips (bound 9.6)
+        stage1, stage2 = stages_of_four(24)
+        firsts = stage2.parts[::2]
+        t = transitive_tournament(24).flip_pairs([
+            (u, v)
+            for x, y in itertools.combinations(firsts, 2)
+            for u in x
+            for v in y
+        ])
+        failures = {
+            self.run_both(t, stage1, stage2, Fraction(1, 3), seed)[2]
+            for seed in range(20)
+        }
+        assert 10 in failures
+
+    def test_exhausted_retries(self):
+        # every pair of halves of parts 1 and 2 at density 1/2: no sample
+        # avoids a bad representative pair
+        stage1, stage2 = stages_of_four(24)
+        flips = [(u, v) for u in range(1, 5) for v in range(5, 9) if (u - v) % 2 == 0]
+        t = transitive_tournament(24).flip_pairs(flips)
+        a = BinaryMatrix.from_tournament(t).entries
+        with pytest.raises(BudgetExceeded) as info:
+            regularity._sample_representatives(
+                a, stage1, stage2, Fraction(1, 4), 0, 7
+            )
+        assert info.value.info == {"retries": 7}
+        with pytest.raises(BudgetExceeded):
+            oracle_sample_representatives(t, stage1, stage2, Fraction(1, 4), 0, 7)
+
+
+class TestStageTwoShortcut:
+    """Stage two reuses a singleton stage one only when the size budget
+    leaves room for n classes."""
+
+    @staticmethod
+    def count_partitioner_calls(monkeypatch):
+        calls = []
+        real = regularity.afn_partition
+
+        def spy(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(regularity, "afn_partition", spy)
+        return calls
+
+    @pytest.mark.parametrize("n, tseed", [(32, 1), (36, 2)])
+    def test_budget_n_matches_no_budget(self, n, tseed):
+        t = random_tournament(n, random.Random(tseed))
+        f = default_bipartite_pattern(2)
+        free = strong_decomposition(t, f, Fraction(1, 4), seed=0)
+        assert free.q == n
+        assert strong_decomposition(
+            t, f, Fraction(1, 4), seed=0, size_budget=n
+        ) == free
+
+    def test_smaller_budget_runs_stage_two(self, monkeypatch):
+        t = transitive_tournament(30)
+        f = default_bipartite_pattern(2)
+        calls = self.count_partitioner_calls(monkeypatch)
+        free = strong_decomposition(t, f, Fraction(1, 4), seed=0)
+        assert free.q == 30 and len(calls) == 1
+        calls.clear()
+        tight = strong_decomposition(t, f, Fraction(1, 4), seed=0, size_budget=29)
+        assert isinstance(tight, StrongDecomposition) and tight.q == 30
+        assert len(calls) == 2
+        # stage two runs at gamma^2 / 3 with gamma = 1 / (2 q^4)
+        assert calls[1] == Fraction(1, 3 * (2 * 30**4) ** 2)
+
+
 class TestEquipartitionType:
     def test_size_spread_enforced(self):
         with pytest.raises(ValueError):
@@ -448,6 +636,28 @@ class TestPinnedOutputs:
         assert isinstance(out, StrongDecomposition)
         assert out.q == n
         assert out.sample_vertices == self.STRONG[(n, tseed)]
+        assert out.attempts == 1
+        assert out.item1_failures == 0
+
+    STRONG_120 = (
+        88, 24, 69, 64, 77, 4, 9, 16, 17, 26, 76, 75, 102, 72, 120, 5, 1,
+        117, 29, 38, 25, 71, 81, 109, 79, 110, 66, 80, 83, 104, 18, 12, 53,
+        92, 111, 63, 113, 105, 115, 30, 112, 10, 73, 87, 91, 108, 41, 67, 54,
+        94, 3, 98, 57, 100, 21, 48, 13, 20, 61, 116, 46, 84, 118, 27, 62, 32,
+        43, 49, 78, 39, 96, 6, 114, 23, 28, 59, 19, 42, 2, 90, 33, 70, 22, 82,
+        97, 103, 51, 86, 7, 45, 15, 31, 101, 14, 89, 93, 106, 40, 60, 58, 68,
+        34, 107, 36, 119, 99, 47, 50, 8, 11, 44, 74, 85, 95, 37, 56, 52, 55,
+        35, 65,
+    )
+
+    def test_strong_decomposition_n120(self):
+        t = random_tournament(120, random.Random(1))
+        out = strong_decomposition(
+            t, default_bipartite_pattern(2), Fraction(1, 4), seed=3
+        )
+        assert isinstance(out, StrongDecomposition)
+        assert out.q == 120
+        assert out.sample_vertices == self.STRONG_120
         assert out.attempts == 1
         assert out.item1_failures == 0
 
