@@ -145,6 +145,10 @@ def _cmd_distance(args) -> tuple[int, Report]:
                 "flips", " ".join(f"{a}-{b}" for a, b in result.flips)
             )
         return EXIT_OK, rep
+    if result.lower_bound > host.n * (host.n - 1) // 2:
+        # more reversals than vertex pairs: the search proved that none works
+        rep.note("no reversal set makes the host pattern-free")
+        return EXIT_NEGATIVE, rep
     # a cap-stopped search proves lower_bound = budget + 1; otherwise the
     # search's own node budget ran out
     capped = args.budget is not None and result.lower_bound > args.budget

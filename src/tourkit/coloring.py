@@ -19,7 +19,7 @@ from typing import Optional
 
 from . import nae
 from .digraphs import OrientedGraph, Tournament, tournament_from_bits
-from .digraphs import _bits, _mask, _peel
+from .digraphs import _bits, _gather, _mask, _peel
 from .errors import AuditError, BudgetExceeded
 
 __all__ = [
@@ -66,13 +66,11 @@ def _class_stays_acyclic(d: OrientedGraph, members: int, v: int) -> bool:
     vertices reachable from v inside the class include an in-neighbour
     of v.
     """
+    out = d.out
     back = d.inn[v] & members
-    reach = frontier = d.out[v] & members
+    reach = frontier = out[v] & members
     while frontier and not (reach & back):
-        step = 0
-        for u in _bits(frontier):
-            step |= d.out[u]
-        frontier = step & members & ~reach
+        frontier = _gather(frontier, out) & members & ~reach
         reach |= frontier
     return not (reach & back)
 
@@ -85,37 +83,60 @@ def acyclic_k_coloring(
     Backtracking in vertex order 1..n with incremental per-class cycle
     detection. Symmetry is broken by pinning vertex 1 to color 1 and only
     opening one fresh class at a time, so the output is deterministic.
+    The search counts one node per placement plus the root, and raises
+    BudgetExceeded when the count passes ``budget``.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if d.n == 0:
+    n = d.n
+    if n == 0:
         return Coloring((), k)
+    out, inn = d.out, d.inn
     masks = [0] * k
-    assign = [0] * (d.n + 1)
-    nodes = 0
-
-    def place(v: int, used: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise BudgetExceeded("coloring search budget exhausted", nodes=nodes)
-        if v > d.n:
-            return True
-        # vertex 1 is pinned to class 1; a fresh class may be opened only
-        # as the next unused index, which factors the k! class symmetry out
-        limit = 1 if v == 1 else min(used + 1, k)
-        for c in range(limit):
-            if _class_stays_acyclic(d, masks[c], v):
-                masks[c] |= 1 << v
-                assign[v] = c + 1
-                if place(v + 1, max(used, c + 1)):
-                    return True
-                masks[c] &= ~(1 << v)
-        return False
-
-    if place(1, 0):
-        return Coloring(tuple(assign[1:]), k)
-    return None
+    assign = [0] * (n + 1)  # assign[v]: class index + 1 of a placed vertex
+    # v may join classes 0..limits[v]-1: vertex 1 is pinned to class 1, and
+    # a fresh class may be opened only as the next unused index, which
+    # factors the k! class symmetry out
+    limits = [1] * (n + 1)
+    # verdicts[v][m]: does v keep the class with mask m acyclic? A class
+    # test depends only on (m, v), and the search repeats most of them.
+    verdicts: list[dict[int, bool]] = [{} for _ in range(n + 1)]
+    nodes = 1
+    if budget is not None and nodes > budget:
+        raise BudgetExceeded("coloring search budget exhausted", nodes=nodes)
+    v, c = 1, 0  # the vertex to place and the first class to try for it
+    while True:
+        limit = limits[v]
+        while c < limit:
+            m = masks[c]
+            if not (inn[v] & m and out[v] & m):
+                break  # v has no in- or no out-neighbour there: no cycle
+            seen = verdicts[v]
+            fits = seen.get(m)
+            if fits is None:
+                fits = seen[m] = _class_stays_acyclic(d, m, v)
+            if fits:
+                break
+            c += 1
+        if c < limit:
+            masks[c] |= 1 << v
+            assign[v] = c + 1
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise BudgetExceeded("coloring search budget exhausted", nodes=nodes)
+            if v == n:
+                return Coloring(tuple(assign[1:]), k)
+            # placing v in the fresh class opens the next one
+            limits[v + 1] = limit + 1 if c + 1 == limit < k else limit
+            v, c = v + 1, 0
+            continue
+        # no class takes v: undo the previous placement, try its next class
+        v -= 1
+        if not v:
+            return None
+        c = assign[v] - 1
+        masks[c] &= ~(1 << v)
+        c += 1
 
 
 def cyclic_triangles(t: Tournament) -> list[tuple[int, int, int]]:

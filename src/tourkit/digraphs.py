@@ -19,7 +19,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Generator, Iterable, Iterator, Optional, Sequence
 
 from .errors import AuditError, BudgetExceeded
 
@@ -45,10 +45,6 @@ __all__ = [
     "enumerate_tournaments",
     "random_tournament",
 ]
-
-
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -169,10 +165,10 @@ class OrientedGraph:
         return bool((self.out[u] >> v) & 1)
 
     def out_degree(self, v: int) -> int:
-        return _popcount(self.out[v])
+        return self.out[v].bit_count()
 
     def in_degree(self, v: int) -> int:
-        return _popcount(self.inn[v])
+        return self.inn[v].bit_count()
 
     def __eq__(self, other) -> bool:
         return (
@@ -239,7 +235,7 @@ class Tournament(OrientedGraph):
 
     @classmethod
     def from_oriented(cls, g: OrientedGraph) -> "Tournament":
-        count = sum(map(_popcount, g.out))
+        count = sum(map(int.bit_count, g.out))
         if count != g.n * (g.n - 1) // 2:
             raise ValueError(f"not a tournament: {count} edges on {g.n} vertices")
         return cls._from_masks(g.n, g.out, g.inn)
@@ -342,7 +338,7 @@ def density(t: Tournament, xs: Iterable[int], ys: Iterable[int]) -> PairStats:
         if not (1 <= v <= t.n):
             raise ValueError(f"vertex {v} outside 1..{t.n}")
     y_mask = _mask(y_set)
-    e_xy = sum(_popcount(t.out[u] & y_mask) for u in x_set)
+    e_xy = sum((t.out[u] & y_mask).bit_count() for u in x_set)
     size = len(x_set) * len(y_set)
     d = Fraction(e_xy, size)
     return PairStats(
@@ -439,7 +435,7 @@ def _search(
     n: int,
     plan: _Plan,
     ban: Optional[Sequence[int]] = None,
-) -> Iterator[tuple[list[int], int, int]]:
+) -> Generator[tuple[list[int], int, int], Optional[int], None]:
     """The embedding search: backtracking over bit masks, pattern vertices
     in the plan's order, host candidates in increasing label order.
 
@@ -450,6 +446,15 @@ def _search(
     one embedding. ``mapping`` is reused between yields. ``ban[x]`` masks
     the host vertices y whose pair {x, y} no pattern edge may use. The
     pattern must have at least one vertex.
+
+    Resuming: a consumer that has added pairs to ``ban`` (it may only
+    grow) sends the bits of the last ``cand`` it has not yet consumed. An
+    embedding rejected before stays rejected, so the search need not
+    restart: it backs up to the first level whose placed host vertex now
+    uses a banned pair, drops the levels after it, and refilters the
+    untried candidates of the levels it keeps (the sent bits included).
+    What it yields next is then exactly what a fresh search under the
+    grown ban would yield after the embeddings already passed.
     """
     slots = plan.slots
     k = len(slots)
@@ -470,7 +475,9 @@ def _search(
     mapping = [0] * k
     last = k - 1
     if not last:
-        yield mapping, slots[0], full
+        rest = yield mapping, slots[0], full
+        while rest:
+            rest = yield mapping, slots[0], rest
         return
     cands = [full] + [0] * last  # untried host vertices per level
     used = [0] * k  # used[i]: hosts of the first i vertices placed
@@ -492,26 +499,38 @@ def _search(
                 break
         if not cand:
             depth -= 1
-        elif depth == last:
-            yield mapping, slots[last], cand
-            depth -= 1
-        else:
+        elif depth < last:
             used[depth] = taken
             cands[depth] = cand
+        else:
+            rest = yield mapping, slots[last], cand
+            while rest is not None:  # resumed after ``ban`` grew
+                allow[:] = [~b for b in ban]
+                cands[last] = rest
+                depth = 1
+                while depth < last and all(
+                    allow[mapping[p]] >> mapping[slots[depth]] & 1
+                    for p, _ in plan.links[depth]
+                ):
+                    depth += 1
+                for i in range(1, depth + 1):
+                    for p, _ in plan.links[i]:
+                        cands[i] &= allow[mapping[p]]
+                if depth < last or not cands[last]:
+                    break
+                rest = yield mapping, slots[last], cands[last]
+            else:
+                depth -= 1
 
 
 def _embeddings(
-    out: Sequence[int],
-    inn: Sequence[int],
-    n: int,
-    plan: _Plan,
-    ban: Optional[Sequence[int]] = None,
+    out: Sequence[int], inn: Sequence[int], n: int, plan: _Plan
 ) -> Iterator[tuple[int, ...]]:
     """Every embedding's host-vertex tuple, in search order."""
     if not plan.slots:
         yield ()
         return
-    for mapping, slot, cand in _search(out, inn, n, plan, ban):
+    for mapping, slot, cand in _search(out, inn, n, plan):
         for w in _bits(cand):
             mapping[slot] = w
             yield tuple(mapping)
@@ -525,7 +544,7 @@ def count_embeddings(host: OrientedGraph, pattern: OrientedGraph) -> int:
     if not pattern.n:
         return 1
     return sum(
-        _popcount(cand)
+        cand.bit_count()
         for _, _, cand in _search(host.out, host.inn, host.n, _plan(pattern))
     )
 
@@ -610,20 +629,36 @@ class DistanceResult:
 
 def _greedy_disjoint_copies(
     out: list[int], inn: list[int], n: int, pattern: OrientedGraph, plan: _Plan
-) -> int:
+) -> tuple[int, Optional[tuple[int, ...]]]:
     """Number of pairwise pair-disjoint copies found greedily (a lower bound
-    on the reversal distance, since each copy needs its own reversal)."""
+    on the reversal distance, since each copy needs its own reversal), and
+    the first copy in search order (None when there is none).
+
+    Each copy is the first embedding in search order that uses no pair of
+    an earlier copy; one search, resumed after each copy's pairs are
+    banned, finds them all. An edgeless pattern bans no pair, so there
+    every embedding counts.
+    """
     ban = [0] * (n + 1)
+    edges = [(u - 1, v - 1) for u, v in pattern.edges]
+    search = _search(out, inn, n, plan, ban)
     found = 0
-    while True:
-        witness = next(_embeddings(out, inn, n, plan, ban), None)
-        if witness is None:
-            return found
-        found += 1
-        for u, v in pattern.edges:
-            a, b = witness[u - 1], witness[v - 1]
-            ban[a] |= 1 << b
-            ban[b] |= 1 << a
+    first = None
+    try:
+        mapping, slot, cand = next(search)
+        while True:
+            low = cand & -cand
+            mapping[slot] = low.bit_length() - 1
+            if first is None:
+                first = tuple(mapping)
+            found += 1
+            for u, v in edges:
+                a, b = mapping[u], mapping[v]
+                ban[a] |= 1 << b
+                ban[b] |= 1 << a
+            mapping, slot, cand = search.send(cand ^ low)
+    except StopIteration:
+        return found, first
 
 
 def distance_to_h_free(
@@ -637,12 +672,15 @@ def distance_to_h_free(
     Branch-and-bound over surviving embeddings: any pattern-free tournament
     must differ from the current one on at least one directed pair of each
     surviving copy, so the search branches on the copy's pairs. A greedy
-    pair-disjoint-copy packing gives the lower bound.
+    pair-disjoint-copy packing gives the lower bound, and its first copy,
+    the first embedding in search order, is the copy branched on.
 
     ``budget`` caps the admissible distance; if the true distance exceeds
     it the result is inexact with ``lower_bound = budget + 1``. A result
     whose lower bound exceeds C(n,2) means no reversal set of any size
-    works (the pattern embeds into every tournament on n vertices).
+    works (the pattern embeds into every tournament on n vertices); an
+    edgeless pattern with at most n vertices gets that answer, lower bound
+    cap + 1, without a search.
     ``node_budget`` caps the number of search nodes; on exhaustion the
     result is inexact and carries the best proven lower bound.
     """
@@ -653,6 +691,9 @@ def distance_to_h_free(
     best_flips: Optional[tuple[tuple[int, int], ...]] = None
     all_pairs = n * (n - 1) // 2
     cap = min(budget, all_pairs) if budget is not None else all_pairs
+    if not pattern.edges and pattern.n <= n:
+        # a reversal changes no copy of an edgeless pattern, and one embeds
+        return DistanceResult(None, cap + 1, False)
     root_lb = 0
     nodes = 0
     exhausted = False
@@ -678,12 +719,12 @@ def distance_to_h_free(
         limit = cap if best is None else min(cap, best - 1)
         if depth > limit:
             return
-        lb = depth + _greedy_disjoint_copies(out, inn, n, pattern, plan)
+        copies, witness = _greedy_disjoint_copies(out, inn, n, pattern, plan)
+        lb = depth + copies
         if not flipped:
             root_lb = max(root_lb, lb)
         if lb > limit:
             return
-        witness = next(_embeddings(out, inn, n, plan), None)
         if witness is None:
             if best is None or depth < best:
                 best = depth
@@ -745,7 +786,7 @@ def _greedy_transitive(t: Tournament, pool: int, k: int) -> Optional[list[int]]:
     while len(seq) < k:
         if not pool:
             return None
-        v = max(_bits(pool), key=lambda u: (_popcount(t.out[u] & pool), -u))
+        v = max(_bits(pool), key=lambda u: ((t.out[u] & pool).bit_count(), -u))
         seq.append(v)
         pool &= t.out[v]
     return seq

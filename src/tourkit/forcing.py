@@ -38,7 +38,6 @@ from .digraphs import (
     _greedy_transitive,
     _mask,
     _peel,
-    _popcount,
     find_embedding,
 )
 from .errors import AuditError, BudgetExceeded
@@ -178,7 +177,7 @@ class KPartiteTournament:
                 raise ValueError(f"pair {(min(u, v), max(u, v))} oriented twice")
             out[u] |= 1 << v
             inn[v] |= 1 << u
-        count = sum(map(_popcount, out))
+        count = sum(map(int.bit_count, out))
         expected = k * (k - 1) // 2 * m * m
         if count != expected:
             raise ValueError(f"{count} cross pairs oriented, expected {expected}")
@@ -220,7 +219,7 @@ class KPartiteTournament:
     def cross_density(self, i: int, j: int) -> Fraction:
         """Fraction of part-i x part-j pairs oriented i -> j."""
         mask_j = _mask(self.part_vertices(j))
-        count = sum(_popcount(self.out[u] & mask_j) for u in self.part_vertices(i))
+        count = sum((self.out[u] & mask_j).bit_count() for u in self.part_vertices(i))
         return Fraction(count, self.m * self.m)
 
     def inner_pairs(self) -> list[tuple[int, int]]:
@@ -247,7 +246,7 @@ class KPartiteTournament:
                 raise ValueError(f"({a},{b}) is not an unoriented inner pair")
             out[a] |= 1 << b
             inn[b] |= 1 << a
-        if sum(map(_popcount, out)) != n * (n - 1) // 2:
+        if sum(map(int.bit_count, out)) != n * (n - 1) // 2:
             raise ValueError("the inner edges leave a pair unoriented")
         return Tournament._from_masks(n, out, inn)
 
@@ -408,7 +407,7 @@ def certify_completion(
         pool = _mask(f.part_vertices(i))
         part_blocks: list[tuple[int, ...]] = []
         if size:
-            while _popcount(pool) >= size:
+            while pool.bit_count() >= size:
                 seq = _greedy_transitive(t, pool, size)
                 if seq is None:
                     break

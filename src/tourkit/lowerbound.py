@@ -46,7 +46,6 @@ from .digraphs import (
     Tournament,
     _bits,
     _mask,
-    _popcount,
     _span,
     enumerate_embeddings,
 )
@@ -314,7 +313,7 @@ def rs_graph(k: int, cycle_idx: Sequence[int], n_max: int) -> RSGraph:
 
     parts = [_span(vertex(i, 1), vertex(i, n_max)) for i in cycle_idx]
     cycles = sum(
-        _popcount(cand) for _, cand in _cycles(parts, [adj] * (len(parts) - 1), adj)
+        cand.bit_count() for _, cand in _cycles(parts, [adj] * (len(parts) - 1), adj)
     )
     if cycles > r * r:
         raise AuditError(f"{cycles} patterned cycles exceed the r^2 = {r * r} bound")
@@ -583,7 +582,7 @@ def audit_copy_localization(b: BlowupTournament) -> LocalizationReport:
             raise AuditError("tuple found whose base projection is not a cycle")
     special = 0
     for _, cand in _cycles(slots, step, close):
-        special += _popcount(cand)
+        special += cand.bit_count()
         if special > _EMBEDDING_BUDGET:
             raise BudgetExceeded("special tuple enumeration budget", count=special)
     n = t.n
@@ -645,8 +644,8 @@ def farness_certificate(b: BlowupTournament, mutated: Tournament) -> FarnessCert
     inn = [0] * (t.n + 1)
     for v in t.vertices:
         lost = t.out[v] & ~mutated.out[v]
-        cut_diffs += _popcount(lost & ~cluster[v])
-        cluster_diffs += _popcount(lost & cluster[v])
+        cut_diffs += (lost & ~cluster[v]).bit_count()
+        cluster_diffs += (lost & cluster[v]).bit_count()
         out[v] = t.out[v] & ~cluster[v] | mutated.out[v] & cluster[v]
         inn[v] = t.inn[v] & ~cluster[v] | mutated.inn[v] & cluster[v]
     hybrid = Tournament._from_masks(t.n, out, inn)

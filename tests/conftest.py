@@ -168,6 +168,66 @@ def oracle_chromatic(d: OrientedGraph) -> int:
     return d.n
 
 
+def oracle_acyclic_k_coloring(d: OrientedGraph, k: int, budget=None):
+    """The recursive colouring backtracker: vertices 1..n in order, classes
+    in index order, vertex 1 pinned to class 1, one fresh class opened at
+    a time, one node per placement plus the root. Each class test is a
+    sink-removal check of the whole class with the new vertex."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if d.n == 0:
+        return Coloring((), k)
+    classes = [[] for _ in range(k)]
+    assign = [0] * (d.n + 1)
+    nodes = 0
+
+    def place(v: int, used: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if budget is not None and nodes > budget:
+            raise BudgetExceeded("coloring search budget exhausted", nodes=nodes)
+        if v > d.n:
+            return True
+        for c in range(1 if v == 1 else min(used + 1, k)):
+            if oracle_acyclic(classes[c] + [v], d.edges):
+                classes[c].append(v)
+                assign[v] = c + 1
+                if place(v + 1, max(used, c + 1)):
+                    return True
+                classes[c].pop()
+        return False
+
+    return Coloring(tuple(assign[1:]), k) if place(1, 0) else None
+
+
+def oracle_greedy_disjoint_copies(host: OrientedGraph, pattern: OrientedGraph):
+    """Greedy pair-disjoint packing by restarts: each copy is the first
+    embedding in search order that is no earlier copy and uses no vertex
+    pair of one on a pattern edge. Returns the count and the first copy."""
+    order = [e.mapping for e in enumerate_embeddings(host, pattern)]
+    banned = set()
+    taken = set()
+    first = None
+    while True:
+        pick = next(
+            (
+                m
+                for m in order
+                if m not in taken
+                and not any(
+                    frozenset((m[u - 1], m[v - 1])) in banned
+                    for u, v in pattern.edges
+                )
+            ),
+            None,
+        )
+        if pick is None:
+            return len(taken), first
+        first = first or pick
+        taken.add(pick)
+        banned.update(frozenset((pick[u - 1], pick[v - 1])) for u, v in pattern.edges)
+
+
 def oracle_monotone_homs(g: LabeledGraph, target: LabeledGraph):
     """All monotone edge-preserving maps, by full enumeration."""
     gvs = g.vertices

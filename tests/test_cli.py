@@ -117,6 +117,24 @@ class TestExitCodes:
         assert "search node budget exhausted; proven lower bound 0" in out
         assert "exceeds" not in out
 
+    def test_distance_impossible_is_negative(self, files):
+        # every 4-vertex tournament has an edge, and no reversal set works
+        # for an edgeless pattern: both are decisions, not exhausted budgets
+        edge = files["dir"] / "edge.txt"
+        edge.write_text("2\nedges\n1 2\n")
+        empty = files["dir"] / "empty.txt"
+        empty.write_text("2\nedges\n")
+        for pattern, bound in ((edge, 7), (empty, 7)):
+            code, out = run_cli(["distance", files["tt4"], str(pattern)])
+            assert code == cli.EXIT_NEGATIVE == 1
+            assert "no reversal set makes the host pattern-free" in out
+            assert f"lower-bound: {bound}" in out
+            assert "budget" not in out
+        # under a cap below C(4,2) the edgeless pattern only exceeds the cap
+        code, out = run_cli(["distance", files["tt4"], str(empty), "--budget", "2"])
+        assert code == 2
+        assert "distance exceeds budget; proven lower bound 3" in out
+
     def test_malformed_input(self, files, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("nonsense\n")

@@ -1,5 +1,7 @@
 """Acyclic coloring solvers and the easy/hard classifier."""
 
+import random
+
 import pytest
 
 from tourkit.coloring import (
@@ -22,6 +24,7 @@ from tourkit.errors import BudgetExceeded
 
 from conftest import (
     brute_force_k_colorable,
+    oracle_acyclic_k_coloring,
     oracle_chromatic,
     oracle_two_colorable,
     random_oriented_graph,
@@ -77,6 +80,31 @@ class TestAcyclicColoring:
                     assert _class_stays_acyclic(d, mask, v) == expected
                     checked += 1
         assert checked > 1000
+
+
+def coloring_outcome(solver, d, k, budget):
+    """The colouring, None, or the BudgetExceeded message and payload."""
+    try:
+        return solver(d, k, budget=budget)
+    except BudgetExceeded as exc:
+        return str(exc), exc.info
+
+
+class TestIterativeSearch:
+    def test_matches_recursive_oracle(self):
+        rng = random.Random(80)
+        stopped = found = refuted = 0
+        for i in range(240):
+            n = rng.randint(1, 12)
+            d = random_tournament(n, rng) if i % 2 else random_oriented_graph(n, rng)
+            k = i % 4 + 1
+            for budget in (None, 1, 5, 37):
+                got = coloring_outcome(acyclic_k_coloring, d, k, budget)
+                assert got == coloring_outcome(oracle_acyclic_k_coloring, d, k, budget)
+                stopped += isinstance(got, tuple)
+                found += got is not None and not isinstance(got, tuple)
+                refuted += got is None
+        assert min(stopped, found, refuted) >= 30
 
 
 class TestNaeSolver:

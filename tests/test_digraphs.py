@@ -27,9 +27,11 @@ from tourkit.digraphs import (
     transitive_subtournament,
     transitive_tournament,
 )
+from tourkit.digraphs import _greedy_disjoint_copies, _plan, _search
 
 from conftest import (
     oracle_count_injections,
+    oracle_greedy_disjoint_copies,
     oracle_injections,
     random_oriented_graph,
 )
@@ -246,6 +248,20 @@ class TestDistance:
                 else:
                     assert has_copy
 
+    def test_edgeless_pattern_is_never_removed(self):
+        # no reversal touches a copy of an edgeless pattern, so the search
+        # is skipped; before, its greedy packing found one copy forever
+        host = random_tournament(4, random.Random(0))
+        for pattern in (OrientedGraph(2, []), OrientedGraph(1, [])):
+            assert distance_to_h_free(host, pattern) == DistanceResult(None, 7, False)
+            assert distance_to_h_free(host, pattern, budget=2) == DistanceResult(
+                None, 3, False
+            )
+        # one larger than the host is absent already
+        assert distance_to_h_free(host, OrientedGraph(5, [])) == DistanceResult(
+            0, 0, True, ()
+        )
+
     def test_zero_distance_iff_no_copy_sampled(self, rng):
         for _ in range(25):
             t = random_tournament(5, rng)
@@ -256,6 +272,104 @@ class TestDistance:
                 assert (result.distance == 0) == (not has_copy)
             else:
                 assert has_copy
+
+
+def some_edges(vertices, rng: random.Random) -> list:
+    """A random orientation of a nonempty random set of vertex pairs."""
+    pairs = list(itertools.combinations(vertices, 2))
+    chosen = rng.sample(pairs, rng.randint(1, len(pairs)))
+    return [(u, v) if rng.random() < 0.5 else (v, u) for u, v in chosen]
+
+
+def shuffled(g: OrientedGraph, rng: random.Random) -> OrientedGraph:
+    perm = list(g.vertices)
+    rng.shuffle(perm)
+    return g.relabel(perm)
+
+
+def packing_cases(count: int):
+    """Seeded (kind, host, pattern) triples: tournament patterns on
+    hosts of 3-14 vertices; disconnected patterns, patterns whose last
+    searched vertex is isolated and edgeless patterns on smaller hosts."""
+    rng = random.Random(14)
+    for i in range(count):
+        kind = ("tournament", "disconnected", "isolated-last", "edgeless")[i % 4]
+        if kind == "tournament":
+            host = random_tournament(rng.randint(3, 14), rng)
+            pattern = random_tournament(rng.randint(3, 5), rng)
+        elif kind == "disconnected":
+            k = rng.randint(4, 5)
+            split = rng.randint(2, k - 2)
+            edges = some_edges(range(1, split + 1), rng)
+            edges += some_edges(range(split + 1, k + 1), rng)
+            host = random_tournament(rng.randint(3, 10), rng)
+            pattern = shuffled(OrientedGraph(k, edges), rng)
+        elif kind == "isolated-last":
+            k = rng.randint(3, 5)
+            host = random_tournament(rng.randint(3, 10), rng)
+            pattern = shuffled(OrientedGraph(k, random_tournament(k - 1, rng).edges), rng)
+        else:
+            host = random_tournament(rng.randint(3, 6), rng)
+            pattern = OrientedGraph(rng.randint(1, 4), [])
+        yield kind, host, pattern
+
+
+class TestGreedyPacking:
+    def test_one_pass_matches_restarts(self):
+        seen = {}
+        for kind, host, pattern in packing_cases(320):
+            plan = _plan(pattern)
+            if kind == "isolated-last":
+                last = plan.slots[-1] + 1
+                assert not pattern.out[last] | pattern.inn[last]
+            got = _greedy_disjoint_copies(host.out, host.inn, host.n, pattern, plan)
+            assert got == oracle_greedy_disjoint_copies(host, pattern), (
+                kind, host, pattern
+            )
+            assert got[1] == getattr(find_embedding(host, pattern), "mapping", None)
+            seen.setdefault(kind, []).append(got[0])
+        # every kind packs several copies somewhere and none somewhere
+        for kind, counts in seen.items():
+            assert max(counts) >= 3 and min(counts) == 0, kind
+
+
+    def test_resume_under_any_grown_ban(self):
+        # the consumer takes one embedding at a time and bans random pairs,
+        # not only the ones its copies use; each embedding taken must be the
+        # first one after the last, in search order, that the ban allows
+        rng = random.Random(15)
+        resumed = 0
+        for _ in range(120):
+            host = random_tournament(rng.randint(4, 9), rng)
+            pattern = shuffled(OrientedGraph(4, some_edges(range(1, 5), rng)), rng)
+            order = [e.mapping for e in enumerate_embeddings(host, pattern)]
+            ban = [0] * (host.n + 1)
+
+            def allowed(m):
+                return not any(
+                    ban[m[u - 1]] >> m[v - 1] & 1 for u, v in pattern.edges
+                )
+
+            search = _search(host.out, host.inn, host.n, _plan(pattern), ban)
+            step, at = next(search, None), 0
+            while step is not None:
+                mapping, slot, cand = step
+                low = cand & -cand
+                mapping[slot] = low.bit_length() - 1
+                expected = next(i for i in range(at, len(order)) if allowed(order[i]))
+                assert tuple(mapping) == order[expected]
+                at = expected + 1
+                for _ in range(rng.randrange(3)):
+                    a, b = rng.sample(host.vertices, 2)
+                    ban[a] |= 1 << b
+                    ban[b] |= 1 << a
+                try:
+                    step = search.send(cand ^ low)
+                except StopIteration:
+                    step = None
+                resumed += 1
+            assert not any(allowed(m) for m in order[at:])
+        assert resumed > 1000
 
 
 class TestTransitiveExtraction:
