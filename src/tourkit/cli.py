@@ -24,6 +24,7 @@ from . import forcing as fc
 from . import formats as fmt
 from . import hardness as hd
 from . import lowerbound as lb
+from . import orderedhom as oh
 from . import regularity as rg
 from .errors import AuditError, BudgetExceeded
 
@@ -161,8 +162,6 @@ def _cmd_distance(args) -> tuple[int, Report]:
 
 def _cmd_core(args) -> tuple[int, Report]:
     g = fmt.parse_labeled_graph(_read(args.graph))
-    from . import orderedhom as oh
-
     core = oh.ordered_core(g)
     rep = Report()
     rep.note(f"ordered core on {core.n} of {g.n} vertices")
@@ -172,8 +171,6 @@ def _cmd_core(args) -> tuple[int, Report]:
 
 
 def _cmd_kofh(args) -> tuple[int, Report]:
-    from . import orderedhom as oh
-
     h = fmt.parse_oriented_graph(_read(args.graph))
     family = oh.core_family(h)
     kernel = oh.select_k(family)

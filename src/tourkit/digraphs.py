@@ -19,7 +19,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Generator, Iterable, Iterator, Optional, Sequence
+from typing import Generator, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import AuditError, BudgetExceeded
 
@@ -430,57 +430,44 @@ def _plan(pattern: OrientedGraph) -> _Plan:
 
 
 def _search(
-    out: Sequence[int],
-    inn: Sequence[int],
-    n: int,
-    plan: _Plan,
-    ban: Optional[Sequence[int]] = None,
+    slots: Sequence[int],
+    domains: Sequence[int],
+    checks: Sequence[Sequence[tuple[int, Sequence[int] | Mapping[int, int]]]],
 ) -> Generator[tuple[list[int], int, int], Optional[int], None]:
-    """The embedding search: backtracking over bit masks, pattern vertices
-    in the plan's order, host candidates in increasing label order.
+    """The bit-mask search engine: backtracking over levels in order,
+    values in increasing bit order. Embeddings, order-preserving maps and
+    closed walks are each described to it as data.
 
-    Yields ``(mapping, slot, cand)`` once per placement of every pattern
-    vertex but the last one searched: ``mapping[v-1]`` is the host vertex
-    of each placed pattern vertex v, ``slot`` indexes the unplaced one and
-    ``cand`` is the mask of its host vertices, so every set bit completes
-    one embedding. ``mapping`` is reused between yields. ``ban[x]`` masks
-    the host vertices y whose pair {x, y} no pattern edge may use. The
-    pattern must have at least one vertex.
+    Level i sets ``mapping[slots[i]]`` to a bit of ``domains[i]`` that is
+    also set in ``table[mapping[p]]`` for every ``(p, table)`` in
+    ``checks[i]``; each p is the slot of an earlier level, so level 0 has
+    no checks. A table is a list or a dict indexed by values, and
+    ``slots`` a permutation of 0..k-1, k >= 1. Yields ``(mapping, slot,
+    cand)`` once per assignment of every level but the last: ``slot`` is
+    the last level's and ``cand`` the nonempty mask of its values, so
+    every set bit completes one assignment. ``mapping`` is reused between
+    yields, and its entry at ``slot`` is stale.
 
-    Resuming: a consumer that has added pairs to ``ban`` (it may only
-    grow) sends the bits of the last ``cand`` it has not yet consumed. An
-    embedding rejected before stays rejected, so the search need not
-    restart: it backs up to the first level whose placed host vertex now
-    uses a banned pair, drops the levels after it, and refilters the
-    untried candidates of the levels it keeps (the sent bits included).
-    What it yields next is then exactly what a fresh search under the
-    grown ban would yield after the embeddings already passed.
+    Resuming: a consumer may clear bits of any check table and then send
+    the bits of the last ``cand`` it has not yet consumed. An assignment
+    rejected before stays rejected, so the search need not restart: it
+    backs up to the first level whose placed value the shrunk tables now
+    reject, drops the levels after it, and refilters the untried values
+    of the levels it keeps (the sent bits included). What it yields next
+    is then exactly what a fresh search under the shrunk tables would
+    yield after the assignments already passed. Plain iteration sends
+    nothing and never resumes.
     """
-    slots = plan.slots
+    slots = tuple(slots)  # indexes faster than a range
     k = len(slots)
-    if k > n:
-        return
-    full = _span(1, n)
-    allow = None if ban is None else [~b for b in ban]
-    # checks[i]: (mapping index, mask table) pairs, one per pattern edge
-    # between the i-th vertex and an earlier one, plus its ban
-    checks: list[list[tuple[int, Sequence[int]]]] = []
-    for level in plan.links:
-        check = []
-        for p, forward in level:
-            check.append((p, out if forward else inn))
-            if allow is not None:
-                check.append((p, allow))
-        checks.append(check)
     mapping = [0] * k
     last = k - 1
     if not last:
-        rest = yield mapping, slots[0], full
+        rest = domains[0]
         while rest:
             rest = yield mapping, slots[0], rest
         return
-    cands = [full] + [0] * last  # untried host vertices per level
-    used = [0] * k  # used[i]: hosts of the first i vertices placed
+    cands = [domains[0]] + [0] * last  # untried values per level
     depth = 0
     while depth >= 0:
         cand = cands[depth]
@@ -490,37 +477,53 @@ def _search(
         low = cand & -cand
         cands[depth] = cand ^ low
         mapping[slots[depth]] = low.bit_length() - 1
-        taken = used[depth] | low
         depth += 1
-        cand = full & ~taken
+        cand = domains[depth]
         for p, table in checks[depth]:
             cand &= table[mapping[p]]
-            if not cand:
-                break
         if not cand:
             depth -= 1
         elif depth < last:
-            used[depth] = taken
             cands[depth] = cand
         else:
             rest = yield mapping, slots[last], cand
-            while rest is not None:  # resumed after ``ban`` grew
-                allow[:] = [~b for b in ban]
+            while rest is not None:  # resumed after tables shrank
                 cands[last] = rest
                 depth = 1
                 while depth < last and all(
-                    allow[mapping[p]] >> mapping[slots[depth]] & 1
-                    for p, _ in plan.links[depth]
+                    table[mapping[p]] >> mapping[slots[depth]] & 1
+                    for p, table in checks[depth]
                 ):
                     depth += 1
                 for i in range(1, depth + 1):
-                    for p, _ in plan.links[i]:
-                        cands[i] &= allow[mapping[p]]
+                    for p, table in checks[i]:
+                        cands[i] &= table[mapping[p]]
                 if depth < last or not cands[last]:
                     break
                 rest = yield mapping, slots[last], cands[last]
             else:
                 depth -= 1
+
+
+def _tables(
+    out: Sequence[int], inn: Sequence[int], n: int, plan: _Plan
+) -> tuple[list[int], list[list[tuple[int, Sequence[int]]]]]:
+    """``_search`` domains and checks for embedding the plan's pattern into
+    the host with masks ``out`` and ``inn`` on 1..n.
+
+    Each pattern edge to an earlier vertex is checked through ``out`` or
+    ``inn``, and each earlier vertex not adjacent through a table
+    ``~(1 << v)``, which keeps the images distinct; adjacent images are
+    distinct already, since the host has no loops. A pattern with more
+    vertices than the host gets empty domains.
+    """
+    full = _span(1, n) if len(plan.slots) <= n else 0
+    distinct = [~(1 << v) for v in range(n + 1)]
+    checks = []
+    for i, links in enumerate(plan.links):
+        linked = {p: out if forward else inn for p, forward in links}
+        checks.append([(p, linked.get(p, distinct)) for p in plan.slots[:i]])
+    return [full] * len(plan.slots), checks
 
 
 def _embeddings(
@@ -530,7 +533,7 @@ def _embeddings(
     if not plan.slots:
         yield ()
         return
-    for mapping, slot, cand in _search(out, inn, n, plan):
+    for mapping, slot, cand in _search(plan.slots, *_tables(out, inn, n, plan)):
         for w in _bits(cand):
             mapping[slot] = w
             yield tuple(mapping)
@@ -543,9 +546,12 @@ def count_embeddings(host: OrientedGraph, pattern: OrientedGraph) -> int:
     """
     if not pattern.n:
         return 1
+    plan = _plan(pattern)
     return sum(
         cand.bit_count()
-        for _, _, cand in _search(host.out, host.inn, host.n, _plan(pattern))
+        for _, _, cand in _search(
+            plan.slots, *_tables(host.out, host.inn, host.n, plan)
+        )
     )
 
 
@@ -575,14 +581,15 @@ def find_embedding(
 
 
 def count_automorphisms(pattern: OrientedGraph) -> int:
-    """Permutations of the pattern preserving the edge set exactly."""
-    count = 0
-    for perm in itertools.permutations(pattern.vertices):
-        if all(
-            pattern.has_edge(perm[u - 1], perm[v - 1]) for u, v in pattern.edges
-        ):
-            count += 1
-    return count
+    """Permutations of the pattern preserving the edge set exactly.
+
+    These are exactly its embeddings into itself. An injective self-map of
+    the finite vertex set is a bijection, and it is injective on ordered
+    pairs; if it sends edges to edges, it maps the finite edge set into
+    itself injectively, hence onto it, so no non-edge pair is sent to an
+    edge either.
+    """
+    return count_embeddings(pattern, pattern)
 
 
 @dataclass(frozen=True)
@@ -636,12 +643,15 @@ def _greedy_disjoint_copies(
 
     Each copy is the first embedding in search order that uses no pair of
     an earlier copy; one search, resumed after each copy's pairs are
-    banned, finds them all. An edgeless pattern bans no pair, so there
-    every embedding counts.
+    cleared from its ``allow`` table, finds them all. An edgeless pattern
+    uses no pair, so there every embedding counts.
     """
-    ban = [0] * (n + 1)
+    allow = [-1] * (n + 1)  # allow[x]: the y whose pair {x, y} no copy used
     edges = [(u - 1, v - 1) for u, v in pattern.edges]
-    search = _search(out, inn, n, plan, ban)
+    domains, checks = _tables(out, inn, n, plan)
+    for check, links in zip(checks, plan.links):
+        check += [(p, allow) for p, _ in links]
+    search = _search(plan.slots, domains, checks)
     found = 0
     first = None
     try:
@@ -654,8 +664,8 @@ def _greedy_disjoint_copies(
             found += 1
             for u, v in edges:
                 a, b = mapping[u], mapping[v]
-                ban[a] |= 1 << b
-                ban[b] |= 1 << a
+                allow[a] &= ~(1 << b)
+                allow[b] &= ~(1 << a)
             mapping, slot, cand = search.send(cand ^ low)
     except StopIteration:
         return found, first

@@ -216,12 +216,6 @@ class KPartiteTournament:
             for v in _bits(self.out[u]):
                 yield (u, v)
 
-    def cross_density(self, i: int, j: int) -> Fraction:
-        """Fraction of part-i x part-j pairs oriented i -> j."""
-        mask_j = _mask(self.part_vertices(j))
-        count = sum((self.out[u] & mask_j).bit_count() for u in self.part_vertices(i))
-        return Fraction(count, self.m * self.m)
-
     def inner_pairs(self) -> list[tuple[int, int]]:
         pairs = []
         for part in range(1, self.k + 1):

@@ -15,10 +15,11 @@ The pipeline for a non-2-colorable pattern H:
    of the forcing construction on every clique.
 
 R is stored as neighbour masks (``RSGraph.adj``), and its edge set is
-derived from them. One bit-mask walker, ``_cycles``, finds the closed
-walks v_1 .. v_l with v_j in a given slot and consecutive slots joined
-by a given mask table; it counts the patterned cycles of R, counts the
-special tuples of the blow-up, and finds the tuple each copy threads.
+derived from them. The closed walks v_1 .. v_l with v_j in a given slot
+and consecutive slots joined by a given mask table are a search of the
+bit-mask engine ``digraphs._search``, described by ``_walk_checks``; it
+counts the patterned cycles of R, counts the special tuples of the
+blow-up, and finds the tuple each copy threads.
 
 Two audits make the construction checkable at desk scale: the copy
 localization audit verifies that every embedding of H threads a
@@ -46,6 +47,7 @@ from .digraphs import (
     Tournament,
     _bits,
     _mask,
+    _search,
     _span,
     enumerate_embeddings,
 )
@@ -179,40 +181,19 @@ def behrend(n_max: int) -> BehrendSet:
 # -- the closed-walk search ---------------------------------------------
 
 
-def _cycles(
-    slots: Sequence[int], step: Sequence[Sequence[int]], close: Sequence[int]
-) -> Iterator[tuple[list[int], int]]:
-    """The closed-walk search: backtracking over bit masks, slots in
-    order, vertices in increasing label order.
-
-    ``slots[j]`` is the mask of slot j's vertices, ``step[j][v]`` the mask
-    allowed in slot j+1 after v in slot j, and ``close[v]`` the mask
-    allowed in the last slot when v is in slot 0. Yields ``(walk, cand)``
-    once per placement of every slot but the last: ``walk[j]`` is slot
-    j's vertex and ``cand`` the nonempty mask of last-slot vertices that
-    close the walk. ``walk`` is reused between yields. Needs two or more
-    slots.
+def _walk_checks(
+    step: Sequence[Sequence[int]], close: Sequence[int]
+) -> list[list[tuple[int, Sequence[int]]]]:
+    """``_search`` checks for the closed walks through l = len(step) + 1
+    slots, whose domains are the slots' vertex masks: ``step[j][v]`` is the
+    mask allowed in slot j+1 after v in slot j, and ``close[v]`` the mask
+    allowed in the last slot when v is in slot 0. Level j is slot j, so
+    the engine yields each walk's first l - 1 vertices and the mask of
+    last-slot vertices that close it. Needs two or more slots.
     """
-    last = len(slots) - 1
-    walk = [0] * last
-    cands = [slots[0]] + [0] * (last - 1)  # untried vertices per slot
-    j = 0
-    while j >= 0:
-        cand = cands[j]
-        if not cand:
-            j -= 1
-            continue
-        low = cand & -cand
-        cands[j] = cand ^ low
-        walk[j] = low.bit_length() - 1
-        cand = slots[j + 1] & step[j][walk[j]]
-        if j + 1 < last:
-            j += 1
-            cands[j] = cand
-        else:
-            cand &= close[walk[0]]
-            if cand:
-                yield walk, cand
+    checks = [[]] + [[(j - 1, step[j - 1])] for j in range(1, len(step) + 1)]
+    checks[-1].append((0, close))
+    return checks
 
 
 # -- the base graph ------------------------------------------------------
@@ -312,8 +293,9 @@ def rs_graph(k: int, cycle_idx: Sequence[int], n_max: int) -> RSGraph:
             adj[v] |= 1 << u
 
     parts = [_span(vertex(i, 1), vertex(i, n_max)) for i in cycle_idx]
+    checks = _walk_checks([adj] * (len(parts) - 1), adj)
     cycles = sum(
-        cand.bit_count() for _, cand in _cycles(parts, [adj] * (len(parts) - 1), adj)
+        cand.bit_count() for _, _, cand in _search(range(len(parts)), parts, checks)
     )
     if cycles > r * r:
         raise AuditError(f"{cycles} patterned cycles exceed the r^2 = {r * r} bound")
@@ -535,8 +517,10 @@ class LocalizationReport:
         return not self.violations
 
 
-def _tuple_tables(b: BlowupTournament) -> tuple[list[int], list[list[int]], list[int]]:
-    """``_cycles`` arguments for the cycle-patterned tuples.
+def _tuple_tables(
+    b: BlowupTournament,
+) -> tuple[list[int], list[list[tuple[int, Sequence[int]]]]]:
+    """``_search`` slot masks and checks for the cycle-patterned tuples.
 
     Slot j is the blow-up of part ``cycle_pattern[j]``. The tuple edge
     between slots j and j+1 (cyclically) points back, from slot j+1 to
@@ -553,7 +537,7 @@ def _tuple_tables(b: BlowupTournament) -> tuple[list[int], list[list[int]], list
     step = [t.inn if back[j] else t.out for j in range(length - 1)]
     # indexed by slot 0's vertex, so the closing edge reads the other way
     close = t.out if back[-1] else t.inn
-    return slots, step, close
+    return slots, _walk_checks(step, close)
 
 
 def audit_copy_localization(b: BlowupTournament) -> LocalizationReport:
@@ -566,22 +550,24 @@ def audit_copy_localization(b: BlowupTournament) -> LocalizationReport:
     expected to be impossible).
     """
     t = b.tournament
-    slots, step, close = _tuple_tables(b)
+    slots, checks = _tuple_tables(b)
+    levels = range(len(slots))
     total = 0
     violations: list[Embedding] = []
     for emb in enumerate_embeddings(t, b.pattern, limit=_EMBEDDING_BUDGET):
         total += 1
         image = _mask(emb.mapping)
-        found = next(_cycles([s & image for s in slots], step, close), None)
+        found = next(_search(levels, [s & image for s in slots], checks), None)
         if found is None:
             violations.append(emb)
             continue
-        walk, cand = found
-        bases = [b.block_of(v) for v in (*walk, (cand & -cand).bit_length() - 1)]
+        walk, last, cand = found
+        walk[last] = (cand & -cand).bit_length() - 1
+        bases = [b.block_of(v) for v in walk]
         if not all(b.base.has_edge(x, bases[j - 1]) for j, x in enumerate(bases)):
             raise AuditError("tuple found whose base projection is not a cycle")
     special = 0
-    for _, cand in _cycles(slots, step, close):
+    for _, _, cand in _search(levels, slots, checks):
         special += cand.bit_count()
         if special > _EMBEDDING_BUDGET:
             raise BudgetExceeded("special tuple enumeration budget", count=special)

@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .digraphs import OrientedGraph, _bits
+from .digraphs import OrientedGraph, _bits, _search
 from .errors import AuditError, BudgetExceeded
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
     "order_isomorphic",
     "graph_two_colorable",
     "graph_chromatic_number",
-    "verify_core_projection",
 ]
 
 
@@ -86,9 +85,6 @@ class LabeledGraph:
     @property
     def n(self) -> int:
         return len(self.vertices)
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(_bits(self._adj[v]))
 
     def has_edge(self, a: int, b: int) -> bool:
         return bool(self._adj.get(a, 0) >> b & 1)
@@ -129,23 +125,8 @@ class OphMap:
 
     mapping: tuple[tuple[int, int], ...]  # sorted (source, image) pairs
 
-    @classmethod
-    def from_dict(cls, d: dict[int, int]) -> "OphMap":
-        return cls(tuple(sorted(d.items())))
-
     def as_dict(self) -> dict[int, int]:
         return dict(self.mapping)
-
-    def apply(self, v: int) -> int:
-        for s, t in self.mapping:
-            if s == v:
-                return t
-        raise KeyError(v)
-
-    def compose(self, inner: "OphMap") -> "OphMap":
-        """self after inner."""
-        me = self.as_dict()
-        return OphMap.from_dict({s: me[t] for s, t in inner.mapping})
 
     def is_valid(self, source: LabeledGraph, target: LabeledGraph) -> bool:
         d = self.as_dict()
@@ -182,58 +163,33 @@ def backedge_graph(h: OrientedGraph, labeling: Sequence[int]) -> LabeledGraph:
     return LabeledGraph(range(1, h.n + 1), edges)
 
 
-def _earlier(g: LabeledGraph) -> list[list[int]]:
-    """``earlier[i]``: the slots of the neighbours of the i-th vertex of g
-    (slots in label order) that precede it."""
+def _oph_checks(
+    g: LabeledGraph, tadj: Mapping[int, int], top: int
+) -> list[list[tuple]]:
+    """``_search`` checks for the OPHs from g into a target with neighbour
+    masks ``tadj`` and labels up to ``top``. Level i places the i-th vertex
+    of g in label order, at slot i. Its image is at or above the previous
+    one and adjacent to the images of its earlier neighbours."""
     gvs = g.vertices
-    return [
-        [j for j in range(i) if g._adj[v] >> gvs[j] & 1]
-        for i, v in enumerate(gvs)
-    ]
+    at_least = [-(1 << w) for w in range(top + 1)]  # the labels from w up
+    checks: list[list[tuple]] = [[]]
+    for i in range(1, len(gvs)):
+        row = g._adj[gvs[i]]
+        checks.append(
+            [(i - 1, at_least)] + [(j, tadj) for j in range(i) if row >> gvs[j] & 1]
+        )
+    return checks
 
 
-def _oph_search(
-    earlier: Sequence[Sequence[int]], tadj: dict[int, int], domains: Sequence[int]
-) -> Iterator[list[int]]:
-    """Backtracking over bit masks, the vertices of a source graph and
-    their images in increasing label order.
-
-    ``earlier`` is the source's ``_earlier`` list and ``tadj`` the target's
-    neighbour masks. Yields ``img``, reused between yields, once per map:
-    ``img[i]`` is the image of the i-th source vertex, drawn from the mask
-    ``domains[i]`` at or above the previous image and adjacent to the
-    images of its earlier neighbours.
-    """
-    k = len(domains)
-    img = [0] * k
-    if not k:
-        yield img
-        return
-    last = k - 1
-    cands = [domains[0]] + [0] * last  # untried images per slot
-    i = 0
-    while i >= 0:
-        cand = cands[i]
-        if not cand:
-            i -= 1
-            continue
-        low = cand & -cand
-        cands[i] = cand ^ low
-        img[i] = low.bit_length() - 1
-        if i == last:
-            yield img
-            continue
-        i += 1
-        cand = domains[i] & -low  # monotone: no image below the previous one
-        for p in earlier[i]:
-            cand &= tadj[img[p]]
-        cands[i] = cand
-
-
-def _maps(g: LabeledGraph, target: LabeledGraph) -> Iterator[list[int]]:
-    """``_oph_search`` from g to target with every target label allowed."""
+def _maps(
+    g: LabeledGraph, target: LabeledGraph
+) -> Iterator[tuple[list[int], int, int]]:
+    """The ``_search`` engine over the OPHs from g, which must have a
+    vertex, to target, every target label allowed: ``img[i]`` is the image
+    of the i-th vertex of g in label order."""
     full = sum(1 << w for w in target.vertices)
-    return _oph_search(_earlier(g), target._adj, [full] * g.n)
+    top = max(target.vertices, default=0)
+    return _search(range(g.n), [full] * g.n, _oph_checks(g, target._adj, top))
 
 
 def find_oph(g: LabeledGraph, target: LabeledGraph) -> Optional[OphMap]:
@@ -243,8 +199,13 @@ def find_oph(g: LabeledGraph, target: LabeledGraph) -> Optional[OphMap]:
 
 def enumerate_ophs(g: LabeledGraph, target: LabeledGraph) -> Iterator[OphMap]:
     """All order-preserving homomorphisms, in search order."""
-    for img in _maps(g, target):
-        yield OphMap(tuple(zip(g.vertices, img)))
+    if not g.n:
+        yield OphMap(())
+        return
+    for img, slot, cand in _maps(g, target):
+        for w in _bits(cand):
+            img[slot] = w
+            yield OphMap(tuple(zip(g.vertices, img)))
 
 
 def order_isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> bool:
@@ -336,7 +297,7 @@ def ordered_core(g: LabeledGraph, budget: Optional[int] = None) -> LabeledGraph:
     adj = [g._adj[v] for v in gvs]
     bits = [1 << v for v in gvs] + [0]
     bad = [[a & ~b for b in adj] + [-1] for a in adj]
-    earlier = _earlier(g)
+    checks = _oph_checks(g, g._adj, gvs[-1])
     tested = 0
     for size in range(_interval_chromatic(g), n + 1):
         for subset in itertools.combinations(range(n), size):
@@ -347,7 +308,7 @@ def ordered_core(g: LabeledGraph, budget: Optional[int] = None) -> LabeledGraph:
                 )
             domains = _retraction_domains(bits, bad, subset)
             if domains is not None and next(
-                _oph_search(earlier, g._adj, domains), None
+                _search(range(n), domains, checks), None
             ) is not None:
                 return g.induced(gvs[i] for i in subset)
     raise AuditError("no retraction onto the whole graph")
@@ -577,19 +538,3 @@ def _graph_k_colorable(g: LabeledGraph, k: int) -> bool:
 
     return rec(0, 0)
 
-
-def verify_core_projection(
-    g: LabeledGraph, k: LabeledGraph, f: OphMap
-) -> bool:
-    """Check that some restriction of f is a graph isomorphism onto k.
-
-    The restriction to the vertex set of g's own ordered core must be a
-    bijection onto k mapping the induced edges onto k's edges exactly.
-    """
-    core = ordered_core(g)
-    d = f.as_dict()
-    images = [d[v] for v in core.vertices]
-    if sorted(images) != sorted(k.vertices):
-        return False
-    mapped_edges = {(min(d[a], d[b]), max(d[a], d[b])) for a, b in core.edges}
-    return mapped_edges == set(k.edges)

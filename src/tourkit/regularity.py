@@ -163,10 +163,6 @@ class BipartitionAudit:
     block_ones: tuple[tuple[int, ...], ...]
     block_sizes: tuple[tuple[int, ...], ...]
 
-    def dominant_value(self, i: int, j: int) -> int:
-        ones = self.block_ones[i][j]
-        return 1 if 2 * ones >= self.block_sizes[i][j] else 0
-
 
 def _block_counts(
     m: np.ndarray,
@@ -188,7 +184,7 @@ def audit_bipartition(
     cols: Sequence[Sequence[int]],
     delta: Fraction,
 ) -> BipartitionAudit:
-    """Exact audit: per-block dominant values and the total bad weight."""
+    """Exact audit: per-block one counts and sizes, and the total bad weight."""
     delta = _check_delta(delta)
     _validate_partition(rows, a.n, "row partition")
     _validate_partition(cols, a.n, "column partition")

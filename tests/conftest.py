@@ -228,6 +228,26 @@ def oracle_greedy_disjoint_copies(host: OrientedGraph, pattern: OrientedGraph):
         banned.update(frozenset((pick[u - 1], pick[v - 1])) for u, v in pattern.edges)
 
 
+def oracle_search(slots, domains, checks) -> list:
+    """What the bit-mask search engine accepts, by filtering every tuple of
+    level values: each mapping, indexed by slot, whose level-i value is a
+    bit of ``domains[i]`` also set in ``table[mapping[p]]`` for every
+    check (p, table) of level i, in lexicographic order of the levels."""
+    values = [[v for v in range(d.bit_length()) if d >> v & 1] for d in domains]
+    found = []
+    for picks in itertools.product(*values):
+        mapping = [0] * len(slots)
+        for slot, v in zip(slots, picks):
+            mapping[slot] = v
+        if all(
+            table[mapping[p]] >> v & 1
+            for level, v in zip(checks, picks)
+            for p, table in level
+        ):
+            found.append(tuple(mapping))
+    return found
+
+
 def oracle_monotone_homs(g: LabeledGraph, target: LabeledGraph):
     """All monotone edge-preserving maps, by full enumeration."""
     gvs = g.vertices

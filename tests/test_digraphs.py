@@ -27,12 +27,13 @@ from tourkit.digraphs import (
     transitive_subtournament,
     transitive_tournament,
 )
-from tourkit.digraphs import _greedy_disjoint_copies, _plan, _search
+from tourkit.digraphs import _greedy_disjoint_copies, _plan, _search, _tables
 
 from conftest import (
     oracle_count_injections,
     oracle_greedy_disjoint_copies,
     oracle_injections,
+    oracle_search,
     random_oriented_graph,
 )
 
@@ -335,22 +336,28 @@ class TestGreedyPacking:
 
     def test_resume_under_any_grown_ban(self):
         # the consumer takes one embedding at a time and bans random pairs,
-        # not only the ones its copies use; each embedding taken must be the
-        # first one after the last, in search order, that the ban allows
+        # not only the ones its copies use, by clearing them from an allow
+        # table that every pattern edge is checked through, as the greedy
+        # packing does; each embedding taken must be the first one after
+        # the last, in search order, that the ban allows
         rng = random.Random(15)
         resumed = 0
         for _ in range(120):
             host = random_tournament(rng.randint(4, 9), rng)
             pattern = shuffled(OrientedGraph(4, some_edges(range(1, 5), rng)), rng)
             order = [e.mapping for e in enumerate_embeddings(host, pattern)]
-            ban = [0] * (host.n + 1)
+            allow = [-1] * (host.n + 1)
 
             def allowed(m):
-                return not any(
-                    ban[m[u - 1]] >> m[v - 1] & 1 for u, v in pattern.edges
+                return all(
+                    allow[m[u - 1]] >> m[v - 1] & 1 for u, v in pattern.edges
                 )
 
-            search = _search(host.out, host.inn, host.n, _plan(pattern), ban)
+            plan = _plan(pattern)
+            domains, checks = _tables(host.out, host.inn, host.n, plan)
+            for check, links in zip(checks, plan.links):
+                check += [(p, allow) for p, _ in links]
+            search = _search(plan.slots, domains, checks)
             step, at = next(search, None), 0
             while step is not None:
                 mapping, slot, cand = step
@@ -361,8 +368,84 @@ class TestGreedyPacking:
                 at = expected + 1
                 for _ in range(rng.randrange(3)):
                     a, b = rng.sample(host.vertices, 2)
-                    ban[a] |= 1 << b
-                    ban[b] |= 1 << a
+                    allow[a] &= ~(1 << b)
+                    allow[b] &= ~(1 << a)
+                try:
+                    step = search.send(cand ^ low)
+                except StopIteration:
+                    step = None
+                resumed += 1
+            assert not any(allowed(m) for m in order[at:])
+        assert resumed > 1000
+
+
+def random_engine(rng: random.Random):
+    """Seeded ``_search`` tables: 1-5 levels over at most 10 bits, slots in
+    random order, and one to three checks at each level after the first,
+    through tables that levels share."""
+    k = rng.randint(1, 5)
+    width = rng.randint(1, 10)
+    slots = list(range(k))
+    rng.shuffle(slots)
+    domains = [rng.getrandbits(width) | rng.getrandbits(width) for _ in range(k)]
+    tables = [
+        [rng.getrandbits(width) | rng.getrandbits(width) for _ in range(width)]
+        for _ in range(rng.randint(1, 3))
+    ]
+    checks = [[]]
+    for i in range(1, k):
+        picks = range(rng.randint(1, 3))
+        checks.append([(slots[rng.randrange(i)], rng.choice(tables)) for _ in picks])
+    return slots, domains, checks, tables, width
+
+
+class TestSearchEngine:
+    def test_matches_filtered_product(self):
+        rng = random.Random(16)
+        nonempty = 0
+        for _ in range(400):
+            slots, domains, checks, _, _ = random_engine(rng)
+            got = []
+            for mapping, slot, cand in _search(slots, domains, checks):
+                assert cand
+                for w in range(cand.bit_length()):
+                    if cand >> w & 1:
+                        mapping[slot] = w
+                        got.append(tuple(mapping))
+            assert got == oracle_search(slots, domains, checks)
+            nonempty += len(got) > 1
+        assert nonempty > 100
+
+    def test_resume_after_any_table_shrinks(self):
+        # the consumer takes one assignment at a time and clears random
+        # bits of random tables; each assignment taken must be the first
+        # one after the last, in the original order, that the shrunk
+        # tables allow
+        rng = random.Random(17)
+        resumed = 0
+        for _ in range(300):
+            slots, domains, checks, tables, width = random_engine(rng)
+            order = oracle_search(slots, domains, checks)
+
+            def allowed(m):
+                return all(
+                    table[m[p]] >> m[slots[i]] & 1
+                    for i, level in enumerate(checks)
+                    for p, table in level
+                )
+
+            search = _search(slots, domains, checks)
+            step, at = next(search, None), 0
+            while step is not None:
+                mapping, slot, cand = step
+                low = cand & -cand
+                mapping[slot] = low.bit_length() - 1
+                expected = next(i for i in range(at, len(order)) if allowed(order[i]))
+                assert tuple(mapping) == order[expected]
+                at = expected + 1
+                for _ in range(rng.randrange(4)):
+                    table = rng.choice(tables)
+                    table[rng.randrange(width)] &= ~(1 << rng.randrange(width))
                 try:
                     step = search.send(cand ^ low)
                 except StopIteration:
@@ -428,3 +511,17 @@ class TestTournamentType:
     def test_automorphism_count_c3(self):
         assert count_automorphisms(c3_pattern()) == 3
         assert count_automorphisms(transitive_tournament(4)) == 1
+
+    def test_automorphisms_are_self_injections(self):
+        rng = random.Random(18)
+        graphs = [OrientedGraph(0, []), OrientedGraph(1, [])]
+        for i in range(330):
+            n = rng.randint(0, 6)
+            if i % 3 == 0:
+                graphs.append(random_oriented_graph(n, rng))
+            elif i % 3 == 1:
+                graphs.append(random_tournament(n, rng))
+            else:
+                graphs.append(OrientedGraph(n, []))
+        for g in graphs:
+            assert count_automorphisms(g) == oracle_count_injections(g, g), g

@@ -99,11 +99,6 @@ class TestAuditBipartition:
             audit = audit_bipartition(a, rows, cols, delta)
             assert audit.bad_weight == recount_bad_weight(a, rows, cols, delta)
 
-    def test_dominant_ties_resolve_to_one(self):
-        a = BinaryMatrix([[1, 0], [0, 1]])
-        audit = audit_bipartition(a, [[1, 2]], [[1, 2]], Fraction(1, 4))
-        assert audit.dominant_value(0, 0) == 1
-
     def test_delta_range_enforced(self, rng):
         a = BinaryMatrix.random(4, rng)
         with pytest.raises(ValueError):
