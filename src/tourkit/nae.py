@@ -7,11 +7,16 @@ undirected graphs.
 
 The search keeps two bit masks, ``side[0]`` and ``side[1]``: the variables
 assigned 0 and 1. For variables v and u, ``link(v, u)`` is the mask of the
-w with {v, u, w} a clause. Assigning v := x forces every w in the OR of
-``link(v, u)`` over the partners u already in ``side[x]`` to 1 - x, and it
-conflicts exactly when that forced set meets ``side[x]``. Propagation runs
-this rule to a fixed point, which does not depend on the order the forced
-variables are visited in; undoing an assignment restores the two masks.
+w with {v, u, w} a clause. Assigning v := x forces to 1 - x every w outside
+``side[1 - x]`` in the OR of ``link(v, u)`` over the partners u already in
+``side[x]``, and it conflicts exactly when that forced set meets
+``side[x]``. A front computes it as ``forced(v, same, opp)`` with
+``same = side[x]`` and ``opp = side[1 - x]``; it may keep or drop the bits
+in ``opp``, which are 1 - x already and disjoint from ``side[x]``.
+Propagation runs this rule to a fixed point, which does not depend on the
+order the forced variables are visited in; undoing an assignment restores
+the two masks. The search is a loop over an explicit stack, so the number
+of variables is not bounded by Python's recursion limit.
 
 Branching picks the unassigned variable occurring in the most clauses
 (ties to the smallest index). The first branching decision is pinned to a
@@ -21,12 +26,17 @@ preserves all NAE clauses.
 Two fronts run the one search, each with its own forced-set rule:
 
 - ``solve_nae`` takes a clause list and builds the ``link`` masks from it
-  once.
+  once; its rule ignores ``opp``.
 - ``solve_tournament`` takes a tournament T, whose clauses are its cyclic
   triangles, and lists neither them nor ``link``: if v -> u,
-  ``link(v, u)`` is ``out[u] & inn[v]``, otherwise ``out[v] & inn[u]``,
-  so the forced set is ``inn[v] & OR out[u]`` over the partners u in
-  ``out[v]``, joined with ``out[v] & OR inn[u]`` over those in ``inn[v]``.
+  ``link(v, u)`` is ``out[u] & inn[v]``, otherwise ``out[v] & inn[u]``.
+  So the out-half of the forced set is the w in ``inn[v]`` outside
+  ``opp`` with an edge u -> w from a partner u in ``same & out[v]``, and
+  the in-half swaps ``out`` and ``inn``. Each half is reached from
+  either end of those edges, by ORing ``out[u]`` over the u or by
+  testing ``inn[w]`` for each w, and walks the smaller of the two masks.
+  The clause degrees and partner masks likewise come from one walk of the
+  smaller of ``out[v]`` and ``inn[v]`` per vertex.
 """
 
 from __future__ import annotations
@@ -67,7 +77,7 @@ def solve_nae(
             link[v][w] = link[v].get(w, 0) | (1 << u)
             partners[v] |= (1 << u) | (1 << w)
 
-    def forced(v: int, same: int) -> int:
+    def forced(v: int, same: int, opp: int) -> int:
         return _gather(same & partners[v], link[v])
 
     return _search(num_vars, degree, forced, budget)
@@ -85,61 +95,104 @@ def solve_tournament(
     """
     if not isinstance(t, Tournament):
         raise ValueError("NAE 2-coloring requires a tournament")
+    degree, forced = _tournament_rule(t)
+    return _search(t.n, degree, forced, budget)
+
+
+def _tournament_rule(
+    t: Tournament,
+) -> tuple[list[int], Callable[[int, int, int], int]]:
+    """The cyclic-triangle degrees of ``t`` and its forced-set rule.
+
+    The out-half of ``forced(v, same, opp)`` is the set of w in
+    C = ``partners[v] & inn[v] & ~opp`` reached by an edge u -> w from
+    some u in A = ``same & partners[v] & out[v]``: either ``C & OR out[u]``
+    over the u in A, or the w in C whose ``inn[w]`` meets A. Each half
+    walks the smaller of A and C; the in-half swaps ``out`` and ``inn``.
+    """
     out, inn = t.out, t.inn
     degree, partners = _triangle_partners(t)
 
-    def forced(v: int, same: int) -> int:
-        same &= partners[v]
-        return inn[v] & _gather(same & out[v], out) | out[v] & _gather(
-            same & inn[v], inn
+    def half(a: int, c: int, fwd: list[int], back: list[int]) -> int:
+        # the w in c with back[w] & a, i.e. c & OR fwd[u] over the u in a
+        if a.bit_count() <= c.bit_count():
+            return c & _gather(a, fwd)
+        hit = 0
+        while c:
+            low = c & -c
+            if back[low.bit_length() - 1] & a:
+                hit |= low
+            c ^= low
+        return hit
+
+    def forced(v: int, same: int, opp: int) -> int:
+        p = partners[v]
+        same &= p
+        p &= ~opp
+        return half(same & out[v], p & inn[v], out, inn) | half(
+            same & inn[v], p & out[v], inn, out
         )
 
-    return _search(t.n, degree, forced, budget)
+    return degree, forced
 
 
 def _triangle_partners(t: Tournament) -> tuple[list[int], list[int]]:
     """The number of cyclic triangles through each vertex, and the mask of
     the vertices sharing one with it. Those through v are the
-    v -> u -> w -> v with u in out[v] and w in out[u] & inn[v]."""
+    v -> u -> w -> v with u in out[v] and w in inn[v], one per edge u -> w
+    from out[v] into inn[v]. Walking the u in out[v], the w form the mask
+    ``out[u] & inn[v]``; walking the w in inn[v], the u form
+    ``inn[w] & out[v]``. Either walk finds the partners on the walked
+    side, those on the other side as the OR of the masks and the degree
+    as the sum of their sizes, so each vertex walks its smaller side."""
     out, inn = t.out, t.inn
     degree = [0] * (t.n + 1)
     partners = [0] * (t.n + 1)
     for v in t.vertices:
-        m = out[v]
-        while m:
-            low = m & -m
-            u = low.bit_length() - 1
-            w = out[u] & inn[v]
-            if w:
-                degree[v] += w.bit_count()
-                partners[v] |= low
-                partners[u] |= 1 << v
-            m ^= low
+        walk, other = out[v], inn[v]
+        table = out
+        if walk.bit_count() > other.bit_count():
+            walk, other, table = other, walk, inn
+        count = shared = 0
+        while walk:
+            low = walk & -walk
+            x = table[low.bit_length() - 1] & other
+            if x:
+                count += x.bit_count()
+                shared |= low | x
+            walk ^= low
+        degree[v] = count
+        partners[v] = shared
     return degree, partners
 
 
 def _search(
     num_vars: int,
     degree: list[int],
-    forced: Callable[[int, int], int],
+    forced: Callable[[int, int, int], int],
     budget: Optional[int],
 ) -> Optional[list[int]]:
-    """The one NAE search over clause degrees and a front's forced-set rule:
-    ``forced(v, same)`` is the OR of ``link(v, u)`` over the u in the mask
-    ``same``."""
+    """The one NAE search over clause degrees and a front's forced-set rule.
+
+    ``forced(v, same, opp)`` is called with v in ``side[x]``, ``same`` =
+    ``side[x]`` and ``opp`` = ``side[1 - x]``. It returns the OR of
+    ``link(v, u)`` over the u in ``same``, restricted to the variables
+    outside ``opp``; bits in ``opp`` may be kept or dropped. The search
+    is a loop over an explicit stack of pending branches, so its depth
+    is not bounded by Python's recursion limit.
+    """
     side = [0, 0]
     by_degree = sorted(range(1, num_vars + 1), key=lambda v: (-degree[v], v))
-    nodes = 0
 
     def assign(v: int, x: int) -> bool:
         side[x] |= 1 << v
         queue = [(v, x)]
         while queue:
             v, x = queue.pop()
-            new = forced(v, side[x])
+            y = 1 - x
+            new = forced(v, side[x], side[y])
             if new & side[x]:
                 return False
-            y = 1 - x
             new &= ~side[y]
             if new:
                 side[y] |= new
@@ -149,8 +202,12 @@ def _search(
                     new ^= low
         return True
 
-    def search(first: bool, start: int) -> bool:
-        nonlocal nodes
+    # each entry is a branch still to try: the position in by_degree, the
+    # two masks to restore and the value; a node pushes its branches in
+    # reverse, so value 0 runs first and value 1 after its whole subtree
+    pending: list[tuple[int, int, int, int]] = []
+    start = nodes = 0
+    while True:
         nodes += 1
         if budget is not None and nodes > budget:
             raise BudgetExceeded("NAE search budget exhausted", nodes=nodes)
@@ -159,15 +216,15 @@ def _search(
         while start < num_vars and (assigned >> by_degree[start]) & 1:
             start += 1
         if start == num_vars:
-            return True
-        v = by_degree[start]
-        saved = side[:]
-        for value in (0,) if first else (0, 1):
-            if assign(v, value) and search(False, start + 1):
-                return True
-            side[:] = saved
-        return False
-
-    if search(True, 0):
-        return [(side[1] >> v) & 1 for v in range(1, num_vars + 1)]
-    return None
+            return [(side[1] >> v) & 1 for v in range(1, num_vars + 1)]
+        zero, one = side
+        if nodes > 1:  # the root pins its variable to 0
+            pending.append((start, zero, one, 1))
+        pending.append((start, zero, one, 0))
+        while pending:
+            start, side[0], side[1], value = pending.pop()
+            if assign(by_degree[start], value):
+                break
+        else:
+            return None
+        start += 1

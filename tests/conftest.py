@@ -153,6 +153,22 @@ def oracle_nae(num_vars: int, clauses) -> bool:
     return False
 
 
+def oracle_tournament_forced(t, v: int, same: int, opp: int) -> int:
+    """The NAE tournament front's forced set as the gather rule states it:
+    ``inn[v] & OR out[u]`` over the u in ``same & out[v]``, joined with
+    ``out[v] & OR inn[u]`` over the u in ``same & inn[v]``, less ``opp``;
+    one bit test per vertex."""
+    out, inn = t.out, t.inn
+    acc = 0
+    for u in t.vertices:
+        if (same >> u) & 1:
+            if (out[v] >> u) & 1:
+                acc |= inn[v] & out[u]
+            elif (inn[v] >> u) & 1:
+                acc |= out[v] & inn[u]
+    return acc & ~opp
+
+
 def oracle_chromatic(d: OrientedGraph) -> int:
     """Least k over exhaustive k^n assignments."""
     for k in range(1, d.n + 1):

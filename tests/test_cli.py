@@ -184,6 +184,15 @@ class TestExitCodes:
         assert code == cli.EXIT_AUDIT
         assert "audit failure:" in capsys.readouterr().err
 
+    def test_check_reduction_has_no_recursion_limit(self, tmp_path):
+        # an edgeless graph on 1100 vertices: each NAE search branches once
+        # per variable, deeper than Python's default recursion limit
+        edgeless = tmp_path / "edgeless.txt"
+        edgeless.write_text("1100\n")
+        code, out = run_cli(["check-reduction", str(edgeless)])
+        assert code == 0
+        assert "tournament-2-colorable: yes" in out.splitlines()
+
     def test_color_negative(self, files, minimal_hard):
         from tourkit.formats import serialize_oriented_graph
 

@@ -8,12 +8,12 @@ import pytest
 
 from tourkit import nae
 from tourkit.coloring import cyclic_triangles, smallest_non_two_colorable_tournament
-from tourkit.digraphs import c3_pattern, random_tournament
+from tourkit.digraphs import Tournament, c3_pattern, random_tournament
 from tourkit.errors import BudgetExceeded
 from tourkit.hardness import reduce_graph
 from tourkit.orderedhom import LabeledGraph
 
-from conftest import oracle_nae, random_labeled_graph
+from conftest import oracle_nae, oracle_tournament_forced, random_labeled_graph
 
 
 def random_clauses(seed, num_vars, count):
@@ -23,6 +23,37 @@ def random_clauses(seed, num_vars, count):
 
 def complete_graph(n):
     return LabeledGraph(range(1, n + 1), itertools.combinations(range(1, n + 1), 2))
+
+
+def transitive_from_masks(n):
+    """The transitive tournament with i -> j for i < j, built from its
+    masks without listing its n(n-1)/2 edges."""
+    out = [0] + [((1 << (n + 1)) - 1) ^ ((1 << (v + 1)) - 1) for v in range(1, n + 1)]
+    inn = [0] + [(1 << v) - 2 for v in range(1, n + 1)]
+    return Tournament._from_masks(n, out, inn)
+
+
+def random_reductions(rng, count):
+    """T(G) for ``count`` random graphs on 4 to 7 vertices at p = 0.6."""
+    return [
+        reduce_graph(random_labeled_graph(range(1, rng.randrange(4, 8)), 0.6, rng))
+        .tournament
+        for _ in range(count)
+    ]
+
+
+def triangle_degrees_and_partners(t):
+    """Cyclic triangles through each vertex, and the mask of the vertices
+    sharing one with it, from the listed triangles."""
+    degree = [0] * (t.n + 1)
+    partners = [0] * (t.n + 1)
+    for triangle in cyclic_triangles(t):
+        for v in triangle:
+            degree[v] += 1
+            for u in triangle:
+                if u != v:
+                    partners[v] |= 1 << u
+    return degree, partners
 
 
 def check_against_oracle(num_vars, clauses):
@@ -72,6 +103,10 @@ class TestClauseFront:
         assert nae.solve_nae(0, []) == []
         assert nae.solve_nae(4, []) == [0, 0, 0, 0]
 
+    def test_deep_search_has_no_recursion_limit(self):
+        # one branching node per variable, each deeper than the last
+        assert nae.solve_nae(1100, []) == [0] * 1100
+
     @pytest.mark.parametrize(
         "clauses",
         [[(1, 2)], [(1, 2, 3, 4)], [(1, 1, 2)], [(0, 1, 2)], [(1, 2, 5)]],
@@ -100,17 +135,54 @@ class TestTournamentFront:
 
     def test_degrees_count_the_triangle_clauses(self):
         rng = random.Random(0x7044)
-        for n in range(17):
-            t = random_tournament(n, rng)
-            expected = [0] * (n + 1)
-            for triangle in cyclic_triangles(t):
-                for v in triangle:
-                    expected[v] += 1
-            degree, partners = nae._triangle_partners(t)
-            assert degree == expected
-            for v in range(n + 1):
-                shared = {u for c in cyclic_triangles(t) if v in c for u in c} - {v}
-                assert partners[v] == sum(1 << u for u in shared)
+        instances = [random_tournament(n, rng) for n in range(17)]
+        reductions = random_reductions(rng, 6)
+        reductions.append(reduce_graph(complete_graph(5)).tournament)
+        for t in reductions:
+            # T(G) has vertices whose out- and in-degrees are far apart
+            assert max(
+                abs(t.out[v].bit_count() - t.inn[v].bit_count()) for v in t.vertices
+            ) > t.n // 2
+        for t in instances + reductions:
+            assert nae._triangle_partners(t) == triangle_degrees_and_partners(t)
+
+    def test_forced_matches_the_gather_rule(self):
+        rng = random.Random(0x7048)
+        instances = [random_tournament(n, rng) for n in range(3, 17) for _ in range(3)]
+        instances += random_reductions(rng, 6)
+        walks = {True: 0, False: 0}
+        for t in instances:
+            _, forced = nae._tournament_rule(t)
+            _, partners = nae._triangle_partners(t)
+            for _ in range(40):
+                # disjoint random sides, as the search passes side[x] and
+                # side[1 - x], with v on the first
+                weights = [rng.random() for _ in range(3)]
+                same = opp = 0
+                for w in t.vertices:
+                    place = rng.choices((0, 1, 2), weights)[0]
+                    same |= (place == 1) << w
+                    opp |= (place == 2) << w
+                v = rng.choice(t.vertices)
+                same |= 1 << v
+                opp &= ~(1 << v)
+                assert forced(v, same, opp) == oracle_tournament_forced(t, v, same, opp)
+                for near, far in ((t.out[v], t.inn[v]), (t.inn[v], t.out[v])):
+                    a = same & partners[v] & near
+                    c = partners[v] & far & ~opp
+                    if a and c:
+                        walks[a.bit_count() <= c.bit_count()] += 1
+        # both walks, over the sources and over the targets, ran
+        assert min(walks.values()) >= 100
+
+    def test_deep_search_has_no_recursion_limit(self):
+        t = transitive_from_masks(1100)
+        assert nae.solve_tournament(t) == [0] * 1100
+        # no clauses: one node per variable plus the leaf
+        assert nae.solve_tournament(t, budget=1101) == [0] * 1100
+        with pytest.raises(BudgetExceeded) as info:
+            nae.solve_tournament(t, budget=1100)
+        assert info.value.info == {"nodes": 1101}
 
     def test_rejects_non_tournament(self):
         with pytest.raises(ValueError):
@@ -140,6 +212,13 @@ PINNED_CLAUSES = [
         27,
     ),
 ]
+# a no-cut graph of the reduction benchmark's size range: n = 7, m = 10,
+# so T(G) has 7 + 18 * 10 = 187 vertices; pinned from the search before
+# its tournament front walked the smaller of two masks
+_NOCUT7_EDGES = [
+    (1, 4), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7),
+    (3, 5), (3, 6), (3, 7), (5, 6), (5, 7), (6, 7),
+]
 PINNED_TOURNAMENTS = {
     "T(K4)": (lambda: reduce_graph(complete_graph(4)).tournament, _K4, 36),
     # K5 has ten triangles and no triangle-free cut
@@ -150,6 +229,11 @@ PINNED_TOURNAMENTS = {
         96,
     ),
     "minimal hard": (smallest_non_two_colorable_tournament, None, 4),
+    "T(no-cut n7 m10)": (
+        lambda: reduce_graph(LabeledGraph(range(1, 8), _NOCUT7_EDGES)).tournament,
+        None,
+        201,
+    ),
 }
 
 
