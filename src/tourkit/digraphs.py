@@ -373,6 +373,8 @@ class Embedding:
             return False
         if len(set(self.mapping)) != pattern.n:
             return False
+        if not all(1 <= v <= host.n for v in self.mapping):
+            return False
         return all(
             host.has_edge(self.mapping[u - 1], self.mapping[v - 1])
             for u, v in pattern.edges
@@ -380,24 +382,18 @@ class Embedding:
 
 
 def _pattern_order(pattern: OrientedGraph) -> list[int]:
-    # Most-constrained-first: place high-degree pattern vertices early,
-    # then prefer vertices adjacent to already-placed ones.
-    degree = {
-        v: pattern.out_degree(v) + pattern.in_degree(v) for v in pattern.vertices
-    }
+    # Most-constrained-first: prefer vertices adjacent to more placed ones,
+    # then high-degree pattern vertices.
+    nbrs = [o | i for o, i in zip(pattern.out, pattern.inn)]
     order: list[int] = []
-    placed: set[int] = set()
-    while len(order) < pattern.n:
-        def key(v):
-            links = sum(
-                1
-                for u in placed
-                if pattern.has_edge(u, v) or pattern.has_edge(v, u)
-            )
-            return (-links, -degree[v], v)
-        v = min((v for v in pattern.vertices if v not in placed), key=key)
+    placed = 0
+    for _ in pattern.vertices:
+        v = min(
+            _bits(_span(1, pattern.n) & ~placed),
+            key=lambda v: (-(nbrs[v] & placed).bit_count(), -nbrs[v].bit_count(), v),
+        )
         order.append(v)
-        placed.add(v)
+        placed |= 1 << v
     return order
 
 
@@ -503,6 +499,25 @@ def _search(
                 rest = yield mapping, slots[last], cands[last]
             else:
                 depth -= 1
+
+
+def _first_fits(
+    search: Generator[tuple[list[int], int, int], Optional[int], None]
+) -> Iterator[list[int]]:
+    """The greedy driver of a ``_search``: yields the first assignment in
+    search order, then resumes after it. A consumer may shrink the check
+    tables between yields, so each assignment yielded is the first that
+    the tables then admit. ``mapping`` is the engine's, reused."""
+    step = next(search, None)
+    while step is not None:
+        mapping, slot, cand = step
+        low = cand & -cand
+        mapping[slot] = low.bit_length() - 1
+        yield mapping
+        try:
+            step = search.send(cand ^ low)
+        except StopIteration:
+            return
 
 
 def _tables(
@@ -651,24 +666,17 @@ def _greedy_disjoint_copies(
     domains, checks = _tables(out, inn, n, plan)
     for check, links in zip(checks, plan.links):
         check += [(p, allow) for p, _ in links]
-    search = _search(plan.slots, domains, checks)
     found = 0
     first = None
-    try:
-        mapping, slot, cand = next(search)
-        while True:
-            low = cand & -cand
-            mapping[slot] = low.bit_length() - 1
-            if first is None:
-                first = tuple(mapping)
-            found += 1
-            for u, v in edges:
-                a, b = mapping[u], mapping[v]
-                allow[a] &= ~(1 << b)
-                allow[b] &= ~(1 << a)
-            mapping, slot, cand = search.send(cand ^ low)
-    except StopIteration:
-        return found, first
+    for mapping in _first_fits(_search(plan.slots, domains, checks)):
+        if first is None:
+            first = tuple(mapping)
+        found += 1
+        for u, v in edges:
+            a, b = mapping[u], mapping[v]
+            allow[a] &= ~(1 << b)
+            allow[b] &= ~(1 << a)
+    return found, first
 
 
 def distance_to_h_free(

@@ -35,9 +35,12 @@ from .digraphs import (
     OrientedGraph,
     Tournament,
     _bits,
+    _first_fits,
     _greedy_transitive,
     _mask,
     _peel,
+    _search,
+    _span,
     find_embedding,
 )
 from .errors import AuditError, BudgetExceeded
@@ -59,19 +62,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ForcingParameters:
-    """Pattern size, the exact copy-density target, and the configured
-    minimum part size."""
+    """Pattern size and the exact copy-density target."""
 
     h: int
     gamma: Fraction
-    m0: int
 
 
-def forcing_parameters(h: int, m0: Optional[int] = None) -> ForcingParameters:
+def forcing_parameters(h: int) -> ForcingParameters:
     if h < 2:
         raise ValueError("pattern size must be at least 2")
-    gamma = Fraction(1, (2 ** (h * h)) * 8 * h**4)
-    return ForcingParameters(h=h, gamma=gamma, m0=m0 if m0 is not None else 2 * h)
+    return ForcingParameters(h=h, gamma=Fraction(1, (2 ** (h * h)) * 8 * h**4))
 
 
 # -- tuple collections (pairwise at most one identical entry) -----------
@@ -93,34 +93,27 @@ class TupleCollection:
 
 
 def _greedy_box_collection(ranges: Sequence[int]) -> list[tuple[int, ...]]:
-    """Greedy collection over the box [1..r1] x ... x [1..rk].
+    """Greedy collection over the box [1..r1] x ... x [1..rk], k >= 1.
 
     Add the lexicographically first remaining tuple, discard every tuple
-    that coincides with it in more than one slot, repeat.
+    that coincides with it in more than one slot, repeat. One resumable
+    ``_search`` over the slots in order does this: ``allow[i][j][x]`` masks
+    the values slot j may still take beside value x in slot i, and each
+    kept tuple clears its own pairs from it. The engine yields tuples in
+    lexicographic order, so each one kept is the first remaining.
     """
-    import numpy as np
-
     if any(r < 0 for r in ranges):
         raise ValueError("ranges must be nonnegative")
-    if any(r == 0 for r in ranges):
-        return []
-    # one cell per tuple (0-based), True while the tuple remains; the
-    # flat view walks the tuples in lexicographic order
-    flat = np.ones(int(np.prod(ranges)), dtype=bool)
-    remaining = flat.reshape(tuple(ranges))
+    k = len(ranges)
+    allow = [[[-1] * (r + 1) for _ in range(k)] for r in ranges]
+    checks = [[(i, allow[i][j]) for i in range(j)] for j in range(k)]
+    search = _search(range(k), [_span(1, r) for r in ranges], checks)
     kept: list[tuple[int, ...]] = []
-    pos = 0
-    while True:
-        s = np.unravel_index(pos, remaining.shape)
-        kept.append(tuple(int(x) + 1 for x in s))
-        for i, j in itertools.combinations(range(len(ranges)), 2):
-            agree = [slice(None)] * len(ranges)
-            agree[i], agree[j] = s[i], s[j]
-            remaining[tuple(agree)] = False
-        tail = flat[pos + 1 :]
-        if not tail.any():
-            return kept
-        pos += 1 + int(np.argmax(tail))
+    for s in _first_fits(search):
+        kept.append(tuple(s))
+        for i, j in itertools.combinations(range(k), 2):
+            allow[i][j][s[i]] &= ~(1 << s[j])
+    return kept
 
 
 def disjoint_tuples(t: int, k: int) -> TupleCollection:
@@ -411,8 +404,7 @@ def certify_completion(
         blocks.append(part_blocks)
 
     hpartition = HPartition(tuple(tuple(b) for b in blocks))
-    counts = hpartition.block_counts()
-    scanned = _greedy_box_collection(list(counts)) if all(counts) else []
+    scanned = _greedy_box_collection(hpartition.block_counts())
 
     embeddings: list[Embedding] = []
     winners: list[tuple[int, ...]] = []

@@ -34,7 +34,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .digraphs import OrientedGraph, _bits, _search
+from .digraphs import OrientedGraph, _bits, _search, _span
 from .errors import AuditError, BudgetExceeded
 
 __all__ = [
@@ -521,20 +521,17 @@ def graph_chromatic_number(g: LabeledGraph) -> int:
 
 
 def _graph_k_colorable(g: LabeledGraph, k: int) -> bool:
+    """Has g (with a vertex) a proper colouring with k >= 1 colours? A
+    ``_search`` over the vertices in label order, colours 0..k-1 as
+    values: each earlier neighbour j is checked through ``(j, other)``,
+    ``other[c]`` every colour but c. Numbering colours by first use
+    loses no colouring, so the i-th vertex takes one of the first i + 1
+    colours."""
     vs = g.vertices
-    classes = [0] * k  # classes[c]: mask of the vertices coloured c
-
-    def rec(i: int, used: int) -> bool:
-        if i == len(vs):
-            return True
-        v = vs[i]
-        for c in range(min(used + 1, k)):
-            if not classes[c] & g._adj[v]:
-                classes[c] |= 1 << v
-                if rec(i + 1, max(used, c + 1)):
-                    return True
-                classes[c] ^= 1 << v
-        return False
-
-    return rec(0, 0)
-
+    other = [~(1 << c) for c in range(k)]
+    checks = [
+        [(j, other) for j in range(i) if g._adj[v] >> vs[j] & 1]
+        for i, v in enumerate(vs)
+    ]
+    domains = [_span(0, min(i, k - 1)) for i in range(len(vs))]
+    return next(_search(range(len(vs)), domains, checks), None) is not None

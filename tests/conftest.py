@@ -342,6 +342,16 @@ def oracle_greedy_box_collection(ranges) -> list:
     return kept
 
 
+def oracle_graph_chromatic(g: LabeledGraph) -> int:
+    """Fewest colours k such that one of the k^n colourings of the labels
+    leaves no edge with equal ends."""
+    for k in itertools.count():
+        for colours in itertools.product(range(k), repeat=g.n):
+            colour = dict(zip(g.vertices, colours))
+            if all(colour[a] != colour[b] for a, b in g.edges):
+                return k
+
+
 def oracle_max_ap_free(n: int) -> int:
     """Exact maximum size of a progression-free subset of 1..n, by
     branch and bound over elements in increasing order."""

@@ -348,15 +348,31 @@ class TestParserReuse:
         assert cli._build_parser.cache_info().misses == 1
 
 
-def test_numpy_loads_only_for_regularity(files):
+def test_numpy_loads_only_for_regularity(files, minimal_hard):
+    hard = files["dir"] / "hard.txt"
+    hard.write_text(serialize_oriented_graph(minimal_hard))
+    blowup = [str(hard), "--n", "30", "--nmax", "3"]
+    out = str(files["dir"] / "blowup.txt")
     script = f"""
 import contextlib, io, sys
 import tourkit, tourkit.cli
 from tourkit.cli import main
+from tourkit.coloring import smallest_non_two_colorable_tournament
+from tourkit.digraphs import c3_pattern
+from tourkit.forcing import KPartiteTournament, certify_completion, disjoint_tuples
+from tourkit.lowerbound import blowup_tournament, farness_certificate
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(["check-reduction", {files["k3"]!r}]) == 0
     assert main(["kofh", {files["c3"]!r}]) == 0
     assert main(["count", {files["c3"]!r}, {files["c3"]!r}]) == 0
+    assert main(["blowup", *{blowup!r}, "--out", {out!r}]) == 0
+    assert main(["audit-copies", *{blowup!r}]) == 0
+    assert len(disjoint_tuples(6, 3).tuples) == 28
+    f = KPartiteTournament(2, 2, [(1, 3), (3, 2), (2, 4), (4, 1)])
+    t = next(f.completions())
+    assert certify_completion(f, t, c3_pattern(), [[1, 2], [3]]).count == 1
+    b = blowup_tournament(smallest_non_two_colorable_tournament(), 30, 0, n_max=3)
+    farness_certificate(b, b.tournament)
     assert "numpy" not in sys.modules
     assert main(["regularity", {files["t12"]!r}]) == 0
 assert "numpy" in sys.modules

@@ -9,6 +9,7 @@ import pytest
 
 from tourkit.digraphs import (
     DistanceResult,
+    Embedding,
     OrientedGraph,
     Tournament,
     c3_pattern,
@@ -134,6 +135,14 @@ class TestEmbeddings:
         if emb is not None:
             assert emb.is_valid(host, c3_pattern())
             assert count_embeddings(host, c3_pattern()) > 0
+
+    def test_is_valid_rejects_images_outside_the_host(self):
+        host, edge = cyclic_triangle(), single_edge_pattern()
+        assert Embedding((3, 1)).is_valid(host, edge)
+        # out[-1] would read vertex 3's mask, and out[4] is past the end
+        assert not Embedding((-1, 1)).is_valid(host, edge)
+        assert not Embedding((4, 1)).is_valid(host, edge)
+        assert not Embedding((0, 1)).is_valid(host, edge)
 
     def test_enumeration_is_the_oracle_set(self, rng):
         for k in range(5):

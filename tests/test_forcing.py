@@ -79,6 +79,14 @@ class TestDisjointTuples:
             ranges = [rng.randint(0, 6) for _ in range(rng.randint(2, 4))]
             assert _greedy_box_collection(ranges) == oracle_greedy_box_collection(ranges)
 
+    def test_greedy_matches_oracle_on_one_slot_boxes_and_the_full_grid(self):
+        for r in range(8):
+            assert _greedy_box_collection([r]) == oracle_greedy_box_collection([r])
+        for k in range(2, 6):
+            for t in range(2, 13):
+                expect = oracle_greedy_box_collection([t] * k)
+                assert list(disjoint_tuples(t, k).tuples) == expect, (t, k)
+
     def test_pairwise_property_is_verified_property(self):
         coll = disjoint_tuples(6, 3)
         for a, b in itertools.combinations(coll.tuples, 2):

@@ -31,6 +31,7 @@ from tourkit.orderedhom import (
 
 from conftest import (
     oracle_core_family,
+    oracle_graph_chromatic,
     oracle_interval_chromatic,
     oracle_maximal_indices,
     oracle_monotone_homs,
@@ -458,3 +459,19 @@ class TestGraphChromatic:
         assert graph_chromatic_number(k4) == 4
         c5 = LabeledGraph(range(1, 6), [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
         assert graph_chromatic_number(c5) == 3
+
+    def test_matches_brute_force_oracle(self, rng):
+        graphs = []
+        for n in range(9):
+            labels = sorted(rng.sample(range(1, 21), n))
+            graphs.append(LabeledGraph(labels, []))
+            if n <= 6:
+                graphs.append(LabeledGraph(labels, itertools.combinations(labels, 2)))
+            if n >= 3 and n % 2:
+                cycle = zip(labels, labels[1:] + labels[:1])
+                graphs.append(LabeledGraph(labels, cycle))
+            for _ in range(12):
+                graphs.append(random_labeled_graph(labels, rng.uniform(0.2, 0.6), rng))
+        expect = [oracle_graph_chromatic(g) for g in graphs]
+        assert set(expect) >= set(range(7))
+        assert [graph_chromatic_number(g) for g in graphs] == expect
