@@ -21,8 +21,9 @@ Subpackages by concern:
 * :mod:`tourkit.cli` -- the batch command-line front door.
 
 The top-level names are the demos' entry points. Regularity names come
-from :mod:`tourkit.regularity`, whose matrices are numpy arrays; numpy
-loads when the first one is built, not on import.
+from :mod:`tourkit.regularity`. The package needs nothing beyond the
+standard library: every module, regularity's matrices included, works
+on Python ints used as bit masks.
 """
 
 from .digraphs import (

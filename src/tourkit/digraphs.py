@@ -240,10 +240,6 @@ class Tournament(OrientedGraph):
             raise ValueError(f"not a tournament: {count} edges on {g.n} vertices")
         return cls._from_masks(g.n, g.out, g.inn)
 
-    def adjacency_matrix(self) -> list[list[int]]:
-        """0/1 matrix with zero diagonal; entry (i,j)=1 iff i -> j."""
-        return [[o >> j & 1 for j in self.vertices] for o in self.out[1:]]
-
     def subtournament(self, vertices: Sequence[int]) -> "Tournament":
         return Tournament.from_oriented(self.induced(vertices))
 

@@ -247,5 +247,6 @@ def parse_matrix(text: str) -> BinaryMatrix:
 
 
 def serialize_matrix(a: BinaryMatrix) -> str:
-    rows = ["".join(str(int(x)) for x in row) for row in a.entries]
+    span = range(1, a.n + 1)
+    rows = ["".join(str(mask >> c & 1) for c in span) for mask in a.rows[1:]]
     return "\n".join([str(a.n), *rows]) + "\n"

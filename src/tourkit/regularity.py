@@ -5,9 +5,9 @@ fills at most a delta fraction of its entries; a bipartition pair
 (row classes, column classes) is delta-homogeneous when the total weight
 of bad blocks is at most delta. The partitioner below is a heuristic
 refinement loop: it splits whichever class contributes most bad weight,
-at the median of the distances between member row/column patterns.
-Correctness is carried entirely by the output audit, never by the
-search; every partition this module emits can be re-audited from raw
+at the median distance from the member row/column patterns to their
+centroid. Correctness is carried entirely by the output audit, never by
+the search; every partition this module emits can be re-audited from raw
 entries.
 
 All thresholds are exact rationals. Ties at density exactly 1/2 resolve
@@ -19,19 +19,18 @@ representative block per part (seeded) and retries until the two
 homogeneity events hold. Every stage's equipartition is audited at its
 target delta. Audits and the sampling work on integer block counts:
 a block of ``ones`` ones in ``size`` entries is delta-homogeneous iff
-min(ones, size - ones) * q <= p * size for delta = p/q, with Python
-integers wherever int64 could overflow. When stage one ends in
-singletons and the size budget leaves room for n classes, stage two
-reuses it: the only equipartition refining singletons is itself. Size
-bounds of the underlying existential constants are reported, not
+min(ones, size - ones) * q <= p * size for delta = p/q. When stage one
+ends in singletons and the size budget leaves room for n classes, stage
+two reuses it: the only equipartition refining singletons is itself.
+Size bounds of the underlying existential constants are reported, not
 enforced.
+
+Matrices are row and column bit masks, so a block count is a sum of
+popcounts, and no decision here, the split order included, uses floats.
 
 Audits are pure functions of immutable inputs and may run concurrently;
 the refinement loop and the seeded sampling are deliberately sequential
 so identical seeds give identical outputs.
-
-Matrices are numpy arrays, but numpy is imported by the functions that
-build them, so importing this module (or the CLI) does not load it.
 """
 
 from __future__ import annotations
@@ -41,14 +40,11 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .digraphs import Tournament
+from .digraphs import Tournament, _gather, _mask
 from .errors import AuditError, BudgetExceeded
 from .forcing import KPartiteTournament
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "BinaryMatrix",
@@ -78,42 +74,53 @@ def _check_delta(delta) -> Fraction:
     return delta
 
 
-def _homogeneous(ones: np.ndarray, sizes: np.ndarray, delta: Fraction) -> np.ndarray:
-    """Elementwise: the block's density ones/size is >= 1 - delta or
-    <= delta, in integers: minority * q <= p * size for delta = p/q."""
-    import numpy as np
-
-    minority = np.minimum(ones, sizes - ones)
-    if delta.denominator * int(sizes.max(initial=1)) >= 2**63:
-        # the products below could wrap in int64: use Python integers
-        minority, sizes = minority.astype(object), sizes.astype(object)
-    return minority * delta.denominator <= sizes * delta.numerator
+def _bad_weights(
+    ones: Sequence[int], sizes: Sequence[int], delta: Fraction
+) -> list[int]:
+    """The bad weight of each block of ``ones[i]`` ones in ``sizes[i]``
+    entries: 0 when its density is >= 1 - delta or <= delta, in integers
+    minority * q <= p * size for delta = p/q, and its size otherwise."""
+    p, q = delta.numerator, delta.denominator
+    return [s if c * q > p * s < (s - c) * q else 0 for c, s in zip(ones, sizes)]
 
 
 class BinaryMatrix:
-    """Square 0/1 matrix with 1-based row/column indices."""
+    """Square 0/1 matrix with 1-based row/column indices.
 
-    __slots__ = ("n", "entries")
+    The stored state is ``n`` and the masks ``rows`` and ``cols``: bit c
+    of ``rows[r]`` and bit r of ``cols[c]`` are entry (r, c), and index 0
+    is unused, as in ``OrientedGraph.out`` and ``inn``.
+    """
+
+    __slots__ = ("n", "rows", "cols")
 
     def __init__(self, entries):
-        import numpy as np
-
-        # a copy, so no view of the caller's array can change the matrix
-        arr = np.array(entries, dtype=np.int64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        try:
+            grid = [list(row) for row in entries]
+        except TypeError:
+            raise ValueError("matrix must be square") from None
+        n = len(grid)
+        if any(len(row) != n for row in grid):
             raise ValueError("matrix must be square")
-        if not np.isin(arr, (0, 1)).all():
+        if any(x not in (0, 1) for row in grid for x in row):
             raise ValueError("entries must be 0 or 1")
-        object.__setattr__(self, "n", int(arr.shape[0]))
-        object.__setattr__(self, "entries", arr)
-        arr.setflags(write=False)
+        rows = [_mask(c for c, x in enumerate(row, 1) if x) for row in grid]
+        cols = [_mask(r for r, row in enumerate(grid, 1) if row[c]) for c in range(n)]
+        self._init(n, (0, *rows), (0, *cols))
+
+    def _init(self, *state) -> None:  # n, rows, cols
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("BinaryMatrix is immutable")
 
     @classmethod
     def from_tournament(cls, t: Tournament) -> "BinaryMatrix":
-        return cls(t.adjacency_matrix())
+        """The adjacency matrix (u, v) = 1 iff u -> v, on the same masks."""
+        m = cls.__new__(cls)
+        m._init(t.n, t.out, t.inn)
+        return m
 
     @classmethod
     def random(cls, n: int, rng: random.Random) -> "BinaryMatrix":
@@ -121,16 +128,9 @@ class BinaryMatrix:
 
     def __getitem__(self, rc: tuple[int, int]) -> int:
         r, c = rc
-        return int(self.entries[r - 1, c - 1])
-
-
-def _pattern_array(b) -> np.ndarray:
-    import numpy as np
-
-    bm = b.entries if isinstance(b, BinaryMatrix) else np.asarray(b, dtype=np.int64)
-    if bm.ndim != 2 or bm.shape[0] != bm.shape[1]:
-        raise ValueError("pattern must be a square matrix")
-    return bm
+        if not (1 <= r <= self.n and 1 <= c <= self.n):
+            raise IndexError(f"entry ({r}, {c}) lies outside 1..{self.n}")
+        return self.rows[r] >> c & 1
 
 
 def _validate_partition(parts: Sequence[Sequence[int]], n: int, what: str) -> None:
@@ -139,16 +139,6 @@ def _validate_partition(parts: Sequence[Sequence[int]], n: int, what: str) -> No
         raise ValueError(f"{what} must partition 1..{n}")
     if any(not p for p in parts):
         raise ValueError(f"{what} contains an empty class")
-
-
-def _indicator(parts: Sequence[Sequence[int]], n: int) -> np.ndarray:
-    """Row i is the 0/1 indicator of part i over the vertices 1..n."""
-    import numpy as np
-
-    ind = np.zeros((len(parts), n), dtype=np.int64)
-    ind[[i for i, part in enumerate(parts) for _ in part],
-        [v - 1 for part in parts for v in part]] = 1
-    return ind
 
 
 @dataclass(frozen=True)
@@ -164,18 +154,35 @@ class BipartitionAudit:
     block_sizes: tuple[tuple[int, ...], ...]
 
 
+def _class_counts(
+    lines: Sequence[int], members: Iterable[int], masks: Sequence[int]
+) -> list[int]:
+    """For each mask m, the sum over the members v of |lines[v] & m|, from
+    bit-planes of the members' masks added bit by bit (bit j of planes[b]
+    is bit b of how many have bit j): one popcount per plane and mask."""
+    planes: list[int] = []
+    for v in members:
+        carry = lines[v]
+        for b, plane in enumerate(planes):
+            planes[b], carry = plane ^ carry, plane & carry
+            if not carry:
+                break
+        if carry:
+            planes.append(carry)
+    counts = [0] * len(masks)
+    for b, plane in enumerate(planes):
+        counts = [c + ((plane & m).bit_count() << b) for c, m in zip(counts, masks)]
+    return counts
+
+
 def _block_counts(
-    m: np.ndarray,
+    a: BinaryMatrix,
     rows: Sequence[Sequence[int]],
     cols: Sequence[Sequence[int]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Ones and sizes of every block of the int64 0/1 matrix ``m``."""
-    import numpy as np
-
-    row_ind = _indicator(rows, m.shape[0])
-    col_ind = _indicator(cols, m.shape[1])
-    ones = row_ind @ m @ col_ind.T
-    return ones, np.outer(row_ind.sum(axis=1), col_ind.sum(axis=1))
+) -> list[list[int]]:
+    """Ones of every block, row class by row class."""
+    col_masks = [_mask(part) for part in cols]
+    return [_class_counts(a.rows, part, col_masks) for part in rows]
 
 
 def audit_bipartition(
@@ -188,17 +195,18 @@ def audit_bipartition(
     delta = _check_delta(delta)
     _validate_partition(rows, a.n, "row partition")
     _validate_partition(cols, a.n, "column partition")
-    ones, sizes = _block_counts(a.entries, rows, cols)
-    bad = sizes[~_homogeneous(ones, sizes, delta)]
-    bad_weight = Fraction(int(bad.sum()), a.n * a.n)
+    ones = _block_counts(a, rows, cols)
+    sizes = [[len(rp) * len(cp) for cp in cols] for rp in rows]
+    bad = sum(sum(_bad_weights(*block_row, delta)) for block_row in zip(ones, sizes))
+    bad_weight = Fraction(bad, a.n * a.n)
     return BipartitionAudit(
         row_parts=tuple(tuple(sorted(r)) for r in rows),
         col_parts=tuple(tuple(sorted(c)) for c in cols),
         delta=delta,
         bad_weight=bad_weight,
         homogeneous=bad_weight <= delta,
-        block_ones=tuple(tuple(int(x) for x in row) for row in ones),
-        block_sizes=tuple(tuple(int(x) for x in row) for row in sizes),
+        block_ones=tuple(map(tuple, ones)),
+        block_sizes=tuple(map(tuple, sizes)),
     )
 
 
@@ -206,62 +214,59 @@ def audit_bipartition(
 
 
 def _matrix_copies(
-    a: BinaryMatrix, bm: np.ndarray, avoid_diagonal: bool
-) -> Iterator[tuple[tuple[int, ...], np.ndarray, int]]:
+    a: BinaryMatrix, b, avoid_diagonal: bool
+) -> Iterator[tuple[tuple[int, ...], list[tuple[int, list[int]]], int]]:
     """For each column tuple c1<...<ck in lexicographic order, yield
-    (cols, matches, copies): matches[r, i] says row r of A restricted to
-    cols equals row i of the pattern (never for a row in cols under
-    ``avoid_diagonal``), and copies counts the row tuples r1<...<rk with
-    r_i matching row i."""
-    k = bm.shape[0]
+    (cols, hits, copies): hits pairs each row r of A (by increasing r; no r
+    in cols under ``avoid_diagonal``) with the 0-based pattern rows, in
+    decreasing order, that its entries in cols equal; copies counts the
+    row tuples r1<...<rk with r_i matching pattern row i."""
+    b = b if isinstance(b, BinaryMatrix) else BinaryMatrix(b)
+    k = b.n
     if k > a.n:
         return
-    for cols in itertools.combinations(range(a.n), k):
-        matches = (a.entries[:, cols][:, None, :] == bm[None, :, :]).all(axis=2)
-        if avoid_diagonal:
-            matches[list(cols), :] = False
+    for cols in itertools.combinations(range(1, a.n + 1), k):
+        within = _mask(cols)
+        place = (0, *(1 << c for c in cols))
+        wanted: dict[int, list[int]] = {}
+        for i in range(k - 1, -1, -1):
+            wanted.setdefault(_gather(b.rows[i + 1], place), []).append(i)
+        skip = within if avoid_diagonal else 0
+        hits = [
+            (r, wanted[seen])
+            for r in range(1, a.n + 1)
+            if not skip >> r & 1 and (seen := a.rows[r] & within) in wanted
+        ]
         dp = [1] + [0] * k
-        for row in matches[matches.any(axis=1)].tolist():
-            for j in range(k, 0, -1):
-                if row[j - 1]:
-                    dp[j] += dp[j - 1]
-        yield cols, matches, dp[k]
+        for _, matched in hits:
+            for i in matched:
+                dp[i + 1] += dp[i]
+        yield cols, hits, dp[k]
 
 
-def _witness(
-    cols: tuple[int, ...], matches: np.ndarray
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The earliest matching row for each pattern row in turn, 1-based;
-    the column tuple must have a copy."""
-    rows: list[int] = []
-    start = 0
-    for j in range(matches.shape[1]):
-        r = start + int(matches[start:, j].argmax())
-        rows.append(r + 1)
-        start = r + 1
-    return tuple(rows), tuple(c + 1 for c in cols)
-
-
-def count_matrix_copies(
-    a: BinaryMatrix, b, avoid_diagonal: bool = False
-) -> int:
+def count_matrix_copies(a: BinaryMatrix, b, avoid_diagonal: bool = False) -> int:
     """Exact number of copies: row indices r1<...<rk and column indices
     c1<...<ck with A[r_i, c_j] = B[i, j].
 
     With ``avoid_diagonal`` only copies whose row and column index sets
     are disjoint count.
     """
-    return sum(c for _, _, c in _matrix_copies(a, _pattern_array(b), avoid_diagonal))
+    return sum(c for _, _, c in _matrix_copies(a, b, avoid_diagonal))
 
 
 def find_matrix_copy(
     a: BinaryMatrix, b, avoid_diagonal: bool = False
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The lexicographically first copy (columns first, then rows) as
-    1-based (rows, cols), or None."""
-    for cols, matches, copies in _matrix_copies(a, _pattern_array(b), avoid_diagonal):
+    1-based (rows, cols), or None: the first column tuple with a copy, and
+    the earliest matching row for each pattern row in turn."""
+    for cols, hits, copies in _matrix_copies(a, b, avoid_diagonal):
         if copies:
-            return _witness(cols, matches)
+            rows: list[int] = []
+            for r, matched in hits:
+                if len(rows) < len(cols) and len(rows) in matched:
+                    rows.append(r)
+            return tuple(rows), cols
     return None
 
 
@@ -297,35 +302,25 @@ AfnOutcome = Union[AfnPartition, AfnCopies, AfnInconclusive]
 
 
 def _split_class(
-    a: BinaryMatrix, members: Sequence[int], by_rows: bool
+    lines: Sequence[int], members: Sequence[int]
 ) -> tuple[list[int], list[int]]:
-    """Split at the median of the L1 distances to the class centroid."""
-    idx = [v - 1 for v in members]
-    patterns = a.entries[idx, :] if by_rows else a.entries[:, idx].T
-    centroid = patterns.mean(axis=0)
-    dists = abs(patterns - centroid).sum(axis=1)
-    order = sorted(range(len(members)), key=lambda i: (dists[i], members[i]))
+    """Split at the median of the L1 distances from the members' patterns
+    (``lines[v]`` for member v) to their centroid, ties going to the
+    smaller label.
+
+    With L members and column sums s, L times the distance of pattern x
+    is sum_j |L x_j - s_j| = sum(s) + L |x| - 2 s.x, an integer. sum(s)
+    is the same for every member, so the rank is by L |x| - 2 s.x, and
+    s.x is the class count of the mask x.
+    """
+    patterns = [lines[v] for v in members]
+    dots = _class_counts(lines, members, patterns)
+    ranked = sorted(
+        (len(members) * x.bit_count() - 2 * dot, v)
+        for v, x, dot in zip(members, patterns, dots)
+    )
     half = len(members) // 2
-    first = sorted(members[i] for i in order[:half])
-    second = sorted(members[i] for i in order[half:])
-    return first, second
-
-
-def _split_choice(
-    bad: np.ndarray, sizes: np.ndarray
-) -> Optional[tuple[int, int, int]]:
-    """The class to split on one axis as (bad weight, -size, index): the
-    largest bad weight, then the smallest class, then the earliest index;
-    None when no class of two or more members has bad weight."""
-    import numpy as np
-
-    weight = np.where(sizes >= 2, bad, 0)
-    top = int(weight.max())
-    if top == 0:
-        return None
-    tied = weight == top
-    size = int(sizes[tied].min())
-    return top, -size, int(np.flatnonzero(tied & (sizes == size))[0])
+    return sorted(v for _, v in ranked[:half]), sorted(v for _, v in ranked[half:])
 
 
 def afn_partition(
@@ -344,70 +339,67 @@ def afn_partition(
     the budget is exceeded and the pattern has no copies at all, the
     result is explicitly inconclusive.
 
-    The block counts are kept across splits: a split replaces one row
-    (column) of them by its two halves' counts, so an iteration costs
-    O(n^2) rather than a full recount.
+    The block counts and each class's bad weight are kept across splits:
+    a split counts only its first half's blocks, as popcounts of the
+    half's masks cut by the other axis's class masks; the second half's
+    are what is left, and only the split class's blocks change weight.
     """
-    import numpy as np
-
     delta = _check_delta(delta)
-    bm = _pattern_array(b)
+    bm = b if isinstance(b, BinaryMatrix) else BinaryMatrix(b)
     n = a.n
     budget = size_budget if size_budget is not None else n
-    rows: list[list[int]] = [list(range(1, n + 1))]
-    cols: list[list[int]] = [list(range(1, n + 1))]
-    row_ind = np.ones((1, n), dtype=np.int64)
-    col_ind = np.ones((1, n), dtype=np.int64)
-    ones = a.entries.sum(keepdims=True)
+
+    # per axis (0 rows, 1 columns): the classes, their masks, their bad
+    # weights and the lines' masks; ones[i][j]: row class i, column class j
+    parts = ([list(range(1, n + 1))], [list(range(1, n + 1))])
+    masks = ([_mask(parts[0][0])], [_mask(parts[1][0])])
+    ones = [[sum(map(int.bit_count, a.rows))]]
+    bad = (_bad_weights(ones[0], [n * n], delta), _bad_weights(ones[0], [n * n], delta))
+    lines = (a.rows, a.cols)
     while True:
-        row_sizes = np.array([len(part) for part in rows], dtype=np.int64)
-        col_sizes = np.array([len(part) for part in cols], dtype=np.int64)
-        sizes = np.outer(row_sizes, col_sizes)
-        bad = np.where(_homogeneous(ones, sizes, delta), 0, sizes)
         # bad weight <= delta, exactly: bad * q <= p * n^2
-        if int(bad.sum()) * delta.denominator <= delta.numerator * n * n:
-            audit = audit_bipartition(a, rows, cols, delta)
+        if sum(bad[0]) * delta.denominator <= delta.numerator * n * n:
+            audit = audit_bipartition(a, parts[0], parts[1], delta)
             return AfnPartition(audit=audit, size_budget=budget)
-        if len(rows) >= budget and len(cols) >= budget:
+        picks = [
+            (weight, -len(part), -axis, -i)
+            for axis in (0, 1) if len(parts[axis]) < budget
+            for i, (weight, part) in enumerate(zip(bad[axis], parts[axis]))
+            if weight and len(part) >= 2
+        ]
+        if not picks:
             break
-        row_pick = _split_choice(bad.sum(axis=1), row_sizes) if len(rows) < budget else None
-        col_pick = _split_choice(bad.sum(axis=0), col_sizes) if len(cols) < budget else None
-        if row_pick is None and col_pick is None:
-            break
-        by_rows = col_pick is None or (row_pick is not None and row_pick[:2] >= col_pick[:2])
-        idx = (row_pick if by_rows else col_pick)[2]
-        target = rows if by_rows else cols
-        first, second = _split_class(a, target[idx], by_rows)
-        target[idx : idx + 1] = [first, second]
-        # the class's indicator and counts become the first half's, then
-        # what is left of them, the second half's
-        half_ind = _indicator([first], n)
-        if by_rows:
-            half = half_ind @ a.entries @ col_ind.T
-            row_ind = np.concatenate((row_ind[:idx], half_ind, row_ind[idx:]))
-            row_ind[idx + 1] -= half_ind[0]
-            ones = np.concatenate((ones[:idx], half, ones[idx:]))
-            ones[idx + 1] -= half[0]
+        axis, idx = (-x for x in max(picks)[2:])
+        other = 1 - axis
+        members = parts[axis][idx]
+        first, second = _split_class(lines[axis], members)
+        whole = ones[idx] if axis == 0 else [row[idx] for row in ones]
+        head = _class_counts(lines[axis], first, masks[other])
+        tail = [w - h for w, h in zip(whole, head)]
+        if axis == 0:
+            ones[idx : idx + 1] = [head, tail]
         else:
-            half = row_ind @ (a.entries @ half_ind.T)
-            col_ind = np.concatenate((col_ind[:idx], half_ind, col_ind[idx:]))
-            col_ind[idx + 1] -= half_ind[0]
-            ones = np.concatenate((ones[:, :idx], half, ones[:, idx:]), axis=1)
-            ones[:, idx + 1] -= half[:, 0]
-    count = 0
-    witness = None
-    for copy_cols, matches, copies in _matrix_copies(a, bm, False):
-        if copies and witness is None:
-            witness = _witness(copy_cols, matches)
-        count += copies
+            for row, h, t in zip(ones, head, tail):
+                row[idx : idx + 1] = [h, t]
+        sizes = [len(part) for part in parts[other]]
+        before = _bad_weights(whole, [len(members) * s for s in sizes], delta)
+        after = _bad_weights(head, [len(first) * s for s in sizes], delta)
+        rest = _bad_weights(tail, [len(second) * s for s in sizes], delta)
+        bad[axis][idx : idx + 1] = [sum(after), sum(rest)]
+        for j, (x, y, z) in enumerate(zip(before, after, rest)):
+            bad[other][j] += y + z - x
+        parts[axis][idx : idx + 1] = [first, second]
+        masks[axis][idx : idx + 1] = [_mask(first), _mask(second)]
+    count = count_matrix_copies(a, bm)
     if count > 0:
+        span = range(1, bm.n + 1)
         return AfnCopies(
             count=count,
-            witness=witness,
-            pattern=tuple(tuple(int(x) for x in row) for row in bm),
+            witness=find_matrix_copy(a, bm),
+            pattern=tuple(tuple(bm[i, j] for j in span) for i in span),
         )
     return AfnInconclusive(
-        last_audit=audit_bipartition(a, rows, cols, delta), copy_count=0
+        last_audit=audit_bipartition(a, parts[0], parts[1], delta), copy_count=0
     )
 
 
@@ -448,37 +440,37 @@ def audit_equipartition(
     """Exact audit, with the density of the edges from part i to part j
     (0 when i = j)."""
     delta = _check_delta(delta)
-    adj = BinaryMatrix.from_tournament(t).entries
-    bad_weight = _equipartition_bad_weight(adj, partition.parts, delta)
-    ones, sizes = _block_counts(adj, partition.parts, partition.parts)
+    a = BinaryMatrix.from_tournament(t)
+    bad_weight = _equipartition_bad_weight(a, partition.parts, delta)
+    ones = _block_counts(a, partition.parts, partition.parts)
     return EquipartitionAudit(
         delta=delta,
         bad_weight=bad_weight,
         homogeneous=bad_weight <= delta,
         densities=tuple(
             tuple(
-                Fraction(int(ones[i, j]), int(sizes[i, j])) if i != j else Fraction(0)
-                for j in range(partition.q)
+                Fraction(ones[i][j], len(x) * len(y)) if i != j else Fraction(0)
+                for j, y in enumerate(partition.parts)
             )
-            for i in range(partition.q)
+            for i, x in enumerate(partition.parts)
         ),
     )
 
 
 def _equipartition_bad_weight(
-    adj: np.ndarray, parts: Sequence[Sequence[int]], delta: Fraction
+    a: BinaryMatrix, parts: Sequence[Sequence[int]], delta: Fraction
 ) -> Fraction:
     """Share of the n^2 entries lying in ordered pairs of distinct parts
-    whose edge density is not delta-homogeneous; ``adj`` is the
-    tournament's int64 adjacency matrix."""
-    import numpy as np
-
-    n = adj.shape[0]
-    _validate_partition(parts, n, "partition")
-    ones, sizes = _block_counts(adj, parts, parts)
-    bad = ~_homogeneous(ones, sizes, delta)
-    np.fill_diagonal(bad, False)
-    return Fraction(int(sizes[bad].sum()), n * n)
+    whose edge density is not delta-homogeneous; ``a`` is the
+    tournament's adjacency matrix."""
+    _validate_partition(parts, a.n, "partition")
+    ones = _block_counts(a, parts, parts)
+    sizes = [len(part) for part in parts]
+    bad = 0
+    for i, (row, sx) in enumerate(zip(ones, sizes)):
+        weights = _bad_weights(row, [sx * sy for sy in sizes], delta)
+        bad += sum(weights) - weights[i]
+    return Fraction(bad, a.n * a.n)
 
 
 def _feasible_q(n: int, parts: Sequence[Sequence[int]]) -> list[int]:
@@ -516,14 +508,8 @@ def refine_to_equipartition(
     s = n // q
     _validate_partition(rows, n, "row partition")
     _validate_partition(cols, n, "column partition")
-    row_of = {}
-    for i, part in enumerate(rows):
-        for v in part:
-            row_of[v] = i
-    col_of = {}
-    for j, part in enumerate(cols):
-        for v in part:
-            col_of[v] = j
+    row_of = {v: i for i, part in enumerate(rows) for v in part}
+    col_of = {v: j for j, part in enumerate(cols) for v in part}
 
     out_parts: list[tuple[int, ...]] = []
     leftovers: list[int] = []
@@ -619,6 +605,10 @@ def strong_decomposition(
     test homogeneity on integer block counts. If either partitioning
     stage finds pattern copies instead, that branch is returned as the
     outcome.
+
+    Stage one's part count is at least 30/delta, so for n <= 30/delta it
+    has n singleton parts: each representative is forced, the seed has no
+    effect and ``attempts`` is 1.
     """
     delta = _check_delta(delta)
     a = BinaryMatrix.from_tournament(t)
@@ -626,7 +616,7 @@ def strong_decomposition(
     n = t.n
 
     def audited(p: Equipartition, target_delta: Fraction) -> Equipartition:
-        if _equipartition_bad_weight(a.entries, p.parts, target_delta) > target_delta:
+        if _equipartition_bad_weight(a, p.parts, target_delta) > target_delta:
             raise AuditError(
                 f"refinement missed its homogeneity target {target_delta}"
             )
@@ -642,11 +632,9 @@ def strong_decomposition(
         if isinstance(outcome, AfnInconclusive):
             # no copies at all and no partition within budget: fall back to
             # the singleton partition, which is homogeneous at any level
-            rows = [[v] for v in range(1, n + 1)]
-            cols = [[v] for v in range(1, n + 1)]
+            rows = cols = [[v] for v in range(1, n + 1)]
         else:
-            rows = [list(x) for x in outcome.audit.row_parts]
-            cols = [list(x) for x in outcome.audit.col_parts]
+            rows, cols = outcome.audit.row_parts, outcome.audit.col_parts
         target_q = Fraction(6 * len(p.parts) * len(rows) * len(cols)) / target_delta
         feasible = _feasible_q(n, p.parts)  # n is always feasible
         q = next((cand for cand in feasible if cand >= target_q), feasible[-1])
@@ -670,7 +658,7 @@ def strong_decomposition(
             return stage2
 
     samples, reps, failures, attempts = _sample_representatives(
-        a.entries, stage1, stage2, delta, seed, retry_budget
+        a, stage1, stage2, delta, seed, retry_budget
     )
     return StrongDecomposition(
         partition=stage1,
@@ -688,8 +676,25 @@ def strong_decomposition(
     )
 
 
+def _dominant_values(
+    a: BinaryMatrix, parts: Sequence[Sequence[int]], *deltas: Fraction
+) -> list[list[list[Optional[bool]]]]:
+    """For each delta, per block of the parts on both axes: None when it is
+    not delta-homogeneous, else whether its dominant value is 1."""
+    sizes = [len(part) for part in parts]
+    tables: list[list[list[Optional[bool]]]] = [[] for _ in deltas]
+    for row, sx in zip(_block_counts(a, parts, parts), sizes):
+        blocks = [sx * sy for sy in sizes]
+        for table, delta in zip(tables, deltas):
+            weights = _bad_weights(row, blocks, delta)
+            table.append(
+                [None if w else 2 * c >= s for c, s, w in zip(row, blocks, weights)]
+            )
+    return tables
+
+
 def _sample_representatives(
-    adj: np.ndarray,
+    a: BinaryMatrix,
     stage1: Equipartition,
     stage2: Equipartition,
     delta: Fraction,
@@ -702,30 +707,27 @@ def _sample_representatives(
     at delta/5 flip their dominant direction, and at most delta q^2 pairs
     fail item 1. Returns the samples, the representatives, the item-1
     failures and the number of attempts."""
-    import numpy as np
-
     q = stage1.q
     member_of = {v: idx for idx, part in enumerate(stage2.parts) for v in part}
-    pairs = np.triu_indices(q, 1)
-    ones, sizes = _block_counts(adj, stage1.parts, stage1.parts)
-    near = _homogeneous(ones, sizes, delta / 5)[pairs]
-    good = _homogeneous(ones, sizes, delta)[pairs]
-    dominant = (2 * ones >= sizes)[pairs]
-    ones, sizes = _block_counts(adj, stage2.parts, stage2.parts)
-    rep_good = _homogeneous(ones, sizes, delta)
-    rep_dominant = 2 * ones >= sizes
+    pairs = list(itertools.combinations(range(q), 2))
+    near, good = _dominant_values(a, stage1.parts, delta / 5, delta)
+    (rep_good,) = _dominant_values(a, stage2.parts, delta)
 
     digest = hashlib.sha256(f"{seed}:representatives".encode()).digest()
     rng = random.Random(int.from_bytes(digest[:8], "big"))
     for attempt in range(1, retry_budget + 1):
         samples = [part[rng.randrange(len(part))] for part in stage1.parts]
-        idx = np.array([member_of[w] for w in samples], dtype=np.intp)
-        rep_pairs = (idx[pairs[0]], idx[pairs[1]])
-        if not rep_good[rep_pairs].all():
+        idx = [member_of[w] for w in samples]
+        reps = [rep_good[idx[i]][idx[j]] for i, j in pairs]
+        if None in reps:
             continue
-        same = dominant == rep_dominant[rep_pairs]
-        flips = int((near & ~same).sum())
-        failures = int((~(good & same)).sum())
+        # a pair fails item 1 unless it is delta-homogeneous with its
+        # representatives' dominant value; a failure flips if near, at delta/5
+        flips = failures = 0
+        for (i, j), rep in zip(pairs, reps):
+            if good[i][j] != rep:
+                failures += 1
+                flips += near[i][j] is not None
         if flips <= 4 * delta * q * q / 5 and failures <= delta * q * q:
             return samples, [stage2.parts[i] for i in idx], failures, attempt
     raise BudgetExceeded(

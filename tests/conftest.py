@@ -334,11 +334,17 @@ def oracle_interval_chromatic(g: LabeledGraph) -> int:
 
 def oracle_greedy_box_collection(ranges) -> list:
     """Scan the box [1..r1] x ... x [1..rk] in lexicographic order and keep
-    each tuple that agrees with every kept one in at most one slot."""
+    each tuple that agrees with every kept one in at most one slot. Two
+    tuples agree in two slots exactly when they share a (slot pair, value
+    pair) key, so the scan keeps the set of the kept tuples' keys."""
     kept = []
+    used = set()
+    slot_pairs = list(itertools.combinations(range(len(ranges)), 2))
     for s in itertools.product(*(range(1, r + 1) for r in ranges)):
-        if all(sum(x == y for x, y in zip(s, u)) <= 1 for u in kept):
+        keys = [(i, j, s[i], s[j]) for i, j in slot_pairs]
+        if used.isdisjoint(keys):
             kept.append(s)
+            used.update(keys)
     return kept
 
 
@@ -482,22 +488,39 @@ def random_labeled_graph(labels, p: float, rng: random.Random) -> LabeledGraph:
     return LabeledGraph(labels, edges)
 
 
+def oracle_split_class(a, members, by_rows: bool):
+    """A class split in two at the median distance to its centroid: the
+    members' rows (columns) ranked by the L1 distance to their mean, an
+    exact ``Fraction``, ties going to the smaller label; the first half
+    has floor(L/2) members. Both halves are sorted."""
+    span = range(1, a.n + 1)
+    patterns = [[a[v, c] if by_rows else a[c, v] for c in span] for v in members]
+    centroid = [Fraction(sum(column), len(members)) for column in zip(*patterns)]
+    dist = {
+        v: sum(abs(x - m) for x, m in zip(pattern, centroid))
+        for v, pattern in zip(members, patterns)
+    }
+    order = sorted(members, key=lambda v: (dist[v], v))
+    half = len(members) // 2
+    return sorted(order[:half]), sorted(order[half:])
+
+
 def oracle_afn_partition(a, b, delta: Fraction, size_budget=None):
     """The conditional partitioner with every block recounted from raw
-    entries and tested as a ``Fraction`` after each split; the split rule
-    itself, the copy scan and the final audit are the library's."""
+    entries and tested as a ``Fraction`` after each split, and each split
+    made by ``oracle_split_class``; the copy scan and the final audit are
+    the library's."""
     from tourkit.regularity import (
         AfnCopies,
         AfnInconclusive,
         AfnPartition,
-        _split_class,
         audit_bipartition,
         count_matrix_copies,
         find_matrix_copy,
     )
 
     n = a.n
-    entries = a.entries.tolist()
+    entries = [[a[r, c] for c in range(1, n + 1)] for r in range(1, n + 1)]
     budget = size_budget if size_budget is not None else n
     rows = [list(range(1, n + 1))]
     cols = [list(range(1, n + 1))]
@@ -529,7 +552,7 @@ def oracle_afn_partition(a, b, delta: Fraction, size_budget=None):
         _, _, by_rows, neg_idx = max(candidates)
         idx = -neg_idx
         target = rows if by_rows else cols
-        first, second = _split_class(a, target[idx], by_rows)
+        first, second = oracle_split_class(a, target[idx], by_rows)
         target[idx : idx + 1] = [first, second]
     count = count_matrix_copies(a, b)
     if count:

@@ -489,14 +489,9 @@ class TestAcceptance:
             for bits in itertools.product((0, 1), repeat=4):
                 b = [[bits[0], bits[1]], [bits[2], bits[3]]]
                 brute = 0
-                for r1, r2 in itertools.combinations(range(6), 2):
-                    for c1, c2 in itertools.combinations(range(6), 2):
-                        got = (
-                            a6.entries[r1, c1],
-                            a6.entries[r1, c2],
-                            a6.entries[r2, c1],
-                            a6.entries[r2, c2],
-                        )
+                for r1, r2 in itertools.combinations(range(1, 7), 2):
+                    for c1, c2 in itertools.combinations(range(1, 7), 2):
+                        got = (a6[r1, c1], a6[r1, c2], a6[r2, c1], a6[r2, c2])
                         if got == bits:
                             brute += 1
                 assert count_matrix_copies(a6, b) == brute

@@ -1,5 +1,6 @@
 """Front-door subcommands: exit codes and report determinism."""
 
+import ast
 import io
 import os
 import random
@@ -348,7 +349,22 @@ class TestParserReuse:
         assert cli._build_parser.cache_info().misses == 1
 
 
-def test_numpy_loads_only_for_regularity(files, minimal_hard):
+def test_no_module_imports_numpy(files, minimal_hard):
+    """No module of the package imports numpy, and a fresh process that
+    runs the main subcommands and library entry points, ``regularity``
+    included, never loads it."""
+    package = Path(tourkit.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert all(name.split(".")[0] != "numpy" for name in names), path
+    t32 = files["dir"] / "t32.txt"
+    t32.write_text(serialize_oriented_graph(random_tournament(32, random.Random(0))))
     hard = files["dir"] / "hard.txt"
     hard.write_text(serialize_oriented_graph(minimal_hard))
     blowup = [str(hard), "--n", "30", "--nmax", "3"]
@@ -373,9 +389,9 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert certify_completion(f, t, c3_pattern(), [[1, 2], [3]]).count == 1
     b = blowup_tournament(smallest_non_two_colorable_tournament(), 30, 0, n_max=3)
     farness_certificate(b, b.tournament)
-    assert "numpy" not in sys.modules
     assert main(["regularity", {files["t12"]!r}]) == 0
-assert "numpy" in sys.modules
+    assert main(["regularity", {str(t32)!r}]) == 0
+assert "numpy" not in sys.modules
 """
     src = str(Path(tourkit.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))

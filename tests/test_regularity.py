@@ -8,7 +8,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import oracle_afn_partition, oracle_sample_representatives
+from conftest import (
+    oracle_afn_partition,
+    oracle_sample_representatives,
+    oracle_split_class,
+)
 from tourkit import regularity
 from tourkit.digraphs import random_tournament, transitive_tournament
 from tourkit.errors import BudgetExceeded
@@ -75,6 +79,65 @@ class TestBinaryMatrix:
         x[2, 2] = 1
         assert m[(1, 2)] == 0 and m[(3, 3)] == 0
 
+    def test_from_tournament_is_the_adjacency_matrix(self, rng):
+        t = random_tournament(9, rng)
+        m = BinaryMatrix.from_tournament(t)
+        assert m.n == 9
+        for u in range(1, 10):
+            for v in range(1, 10):
+                assert m[u, v] == (1 if t.has_edge(u, v) else 0)
+
+    def test_row_and_column_masks(self, rng):
+        grid = [[rng.getrandbits(1) for _ in range(7)] for _ in range(7)]
+        m = BinaryMatrix(grid)
+        for r in range(1, 8):
+            for c in range(1, 8):
+                assert m[r, c] == grid[r - 1][c - 1]
+                assert m.rows[r] >> c & 1 == m.cols[c] >> r & 1 == grid[r - 1][c - 1]
+        assert m.rows[0] == m.cols[0] == 0
+
+    def test_rejects_bad_input(self):
+        for entries in ([1, 0], [[1, 0]], [[1, 0], [0]], [[0, 2], [1, 1]]):
+            with pytest.raises(ValueError):
+                BinaryMatrix(entries)
+        m = BinaryMatrix([[0, 1], [1, 0]])
+        for rc in ((0, 1), (1, 3), (3, 1)):
+            with pytest.raises(IndexError):
+                m[rc]
+        with pytest.raises(AttributeError):
+            m.n = 3
+
+
+class TestSplitClass:
+    """The partitioner's split against ``oracle_split_class``, which ranks
+    by exact ``Fraction`` distances to the centroid."""
+
+    def test_matches_fraction_oracle_with_built_ties(self):
+        rng = random.Random(21)
+        for case in range(1200):
+            n = rng.randint(2, 16)
+            size = rng.randint(2, n)
+            members = sorted(rng.sample(range(1, n + 1), size))
+            grid = [[rng.getrandbits(1) for _ in range(n)] for _ in range(n)]
+            if case % 3 == 1:
+                # repeated patterns: equal distances
+                for v in members[1::2]:
+                    grid[v - 1] = list(grid[members[0] - 1])
+            elif case % 3 == 2:
+                # every column sum floor(L/2): for even L every member ties
+                for c in range(n):
+                    ones = set(rng.sample(members, size // 2))
+                    for v in members:
+                        grid[v - 1][c] = int(v in ones)
+            by_rows = case % 2 == 0
+            if not by_rows:
+                grid = [list(col) for col in zip(*grid)]
+            a = BinaryMatrix(grid)
+            lines = a.rows if by_rows else a.cols
+            assert regularity._split_class(lines, members) == oracle_split_class(
+                a, members, by_rows
+            ), (case, members)
+
 
 class TestAuditBipartition:
     def test_singletons_are_homogeneous(self, rng):
@@ -94,7 +157,7 @@ class TestAuditBipartition:
         a = BinaryMatrix.random(20, rng)
         rows = random_partition(20, 4, rng)
         cols = random_partition(20, 4, rng)
-        # the second delta's denominator times n^2 exceeds the int64 range
+        # the second delta's denominator times n^2 exceeds 2^63
         for delta in (Fraction(1, 3), Fraction(1, 2**62)):
             audit = audit_bipartition(a, rows, cols, delta)
             assert audit.bad_weight == recount_bad_weight(a, rows, cols, delta)
@@ -118,7 +181,8 @@ class TestAuditBipartition:
 class TestCountMatrixCopies:
     def test_single_one_counts_ones(self, rng):
         a = BinaryMatrix.random(6, rng)
-        assert count_matrix_copies(a, [[1]]) == int(a.entries.sum())
+        ones = sum(a[r, c] for r in range(1, 7) for c in range(1, 7))
+        assert count_matrix_copies(a, [[1]]) == ones
 
     def test_self_copy(self, rng):
         a = BinaryMatrix.random(5, rng)
@@ -129,14 +193,9 @@ class TestCountMatrixCopies:
         for bits in itertools.product((0, 1), repeat=4):
             b = [[bits[0], bits[1]], [bits[2], bits[3]]]
             brute = 0
-            for r1, r2 in itertools.combinations(range(6), 2):
-                for c1, c2 in itertools.combinations(range(6), 2):
-                    pattern = (
-                        a.entries[r1, c1],
-                        a.entries[r1, c2],
-                        a.entries[r2, c1],
-                        a.entries[r2, c2],
-                    )
+            for r1, r2 in itertools.combinations(range(1, 7), 2):
+                for c1, c2 in itertools.combinations(range(1, 7), 2):
+                    pattern = (a[r1, c1], a[r1, c2], a[r2, c1], a[r2, c2])
                     if pattern == bits:
                         brute += 1
             assert count_matrix_copies(a, b) == brute
@@ -277,7 +336,7 @@ class TestIncrementalPartitioner:
                     )
                     matrices += 1
                     # the last delta's denominator times a block size
-                    # exceeds the int64 range: the object-dtype path
+                    # exceeds 2^63
                     delta = self.DELTAS[(n + rep) % 3]
                     b = self.PATTERNS[rep % 2]
                     for budget in (1, n // 2, None):
@@ -456,7 +515,7 @@ class TestRepresentativeSampling:
 
     def run_both(self, t, stage1, stage2, delta, seed, retry_budget=200):
         got = regularity._sample_representatives(
-            BinaryMatrix.from_tournament(t).entries,
+            BinaryMatrix.from_tournament(t),
             stage1, stage2, delta, seed, retry_budget,
         )
         want = oracle_sample_representatives(
@@ -525,7 +584,7 @@ class TestRepresentativeSampling:
         stage1, stage2 = stages_of_four(24)
         flips = [(u, v) for u in range(1, 5) for v in range(5, 9) if (u - v) % 2 == 0]
         t = transitive_tournament(24).flip_pairs(flips)
-        a = BinaryMatrix.from_tournament(t).entries
+        a = BinaryMatrix.from_tournament(t)
         with pytest.raises(BudgetExceeded) as info:
             regularity._sample_representatives(
                 a, stage1, stage2, Fraction(1, 4), 0, 7
@@ -614,12 +673,12 @@ class TestPinnedOutputs:
     STRONG = {
         (32, 1): (2, 4, 8, 24, 3, 6, 1, 9, 11, 32, 16, 28, 17, 21, 5, 23,
                   12, 31, 14, 30, 7, 27, 19, 25, 18, 29, 20, 26, 10, 22, 13, 15),
-        (36, 2): (7, 21, 10, 23, 9, 33, 15, 25, 28, 2, 32, 24, 31, 13, 17, 8,
-                  12, 30, 1, 34, 5, 35, 11, 18, 4, 6, 27, 3, 22, 19, 26, 14,
-                  16, 20, 29, 36),
-        (40, 3): (25, 27, 16, 3, 9, 14, 20, 13, 2, 12, 29, 31, 19, 7, 40, 4,
-                  30, 36, 6, 17, 32, 35, 23, 8, 11, 10, 24, 1, 18, 28, 22, 37,
-                  33, 38, 39, 5, 21, 15, 26, 34),
+        (36, 2): (7, 21, 10, 15, 9, 13, 25, 23, 33, 8, 29, 2, 12, 17, 24, 31,
+                  28, 32, 1, 30, 5, 35, 6, 22, 11, 34, 36, 26, 27, 14, 18, 16,
+                  19, 20, 3, 4),
+        (40, 3): (3, 27, 25, 9, 16, 14, 20, 13, 2, 12, 29, 31, 19, 7, 40, 4,
+                  30, 36, 6, 17, 11, 32, 8, 23, 35, 10, 24, 1, 18, 28, 22, 37,
+                  33, 38, 39, 5, 15, 34, 21, 26),
     }
 
     @pytest.mark.parametrize("n, tseed", sorted(STRONG))
@@ -637,7 +696,7 @@ class TestPinnedOutputs:
     STRONG_120 = (
         88, 24, 69, 64, 77, 4, 9, 16, 17, 26, 76, 75, 102, 72, 120, 5, 1,
         117, 29, 38, 25, 71, 81, 109, 79, 110, 66, 80, 83, 104, 18, 12, 53,
-        92, 111, 63, 113, 105, 115, 30, 112, 10, 73, 87, 91, 108, 41, 67, 54,
+        92, 111, 63, 113, 105, 115, 30, 112, 10, 73, 87, 91, 67, 41, 108, 54,
         94, 3, 98, 57, 100, 21, 48, 13, 20, 61, 116, 46, 84, 118, 27, 62, 32,
         43, 49, 78, 39, 96, 6, 114, 23, 28, 59, 19, 42, 2, 90, 33, 70, 22, 82,
         97, 103, 51, 86, 7, 45, 15, 31, 101, 14, 89, 93, 106, 40, 60, 58, 68,
