@@ -38,7 +38,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .coloring import acyclic_k_coloring
 from .digraphs import (
@@ -83,7 +83,8 @@ __all__ = [
 ]
 
 
-# digit vectors one (digits, dimension) grid of ``behrend`` may hold
+# size of the largest (digits, dimension) grid ``behrend`` considers;
+# a grid is admitted when d^dim is within it, however few vectors fit
 _VECTOR_BUDGET = 300_000
 # embeddings of the pattern, and special tuples, one localization audit
 # may enumerate
@@ -118,8 +119,20 @@ def is_ap_free(members: Sequence[int]) -> bool:
     return True
 
 
-def _digit_vectors(d: int, dim: int) -> Iterator[tuple[int, ...]]:
-    yield from itertools.product(range(d), repeat=dim)
+def _count_fitting(bound: int, d: int, base: int, dim: int) -> int:
+    """Number of digit vectors in {0..d-1}^dim whose base-``base`` value
+    is at most ``bound``, read off the digits of ``bound`` from the top.
+    Needs base >= d, so the digits below a position are worth less than
+    one unit of it."""
+    count = 0
+    for i in reversed(range(dim)):
+        w = base**i
+        top = bound // w
+        if top >= d:
+            return count + d ** (i + 1)
+        count += top * d**i
+        bound -= top * w
+    return count + 1
 
 
 def behrend(n_max: int) -> BehrendSet:
@@ -130,49 +143,51 @@ def behrend(n_max: int) -> BehrendSet:
     the whole digit cube as a degenerate all-shells candidate; only the
     d = 2 cube survives verification in general, and it is what keeps the
     output competitive at small ranges where single shells are tiny.
-    Every candidate is verified AP-free before being considered.
+    Every candidate is verified AP-free before being accepted.
+
+    Only the vectors whose value 1 + sum x_i (2d)^i is at most n_max are
+    enumerated: digits are chosen highest first, and a digit's range
+    stops where the partial value would pass the bound. Candidates are
+    ranked by the key (size, -d, -dim, -radius), with the pooled cube
+    above every shell; distinct candidates have distinct keys, so the
+    winner is the strict maximum whatever the order of evaluation. That
+    makes two skips safe. A candidate whose key is not above the best so
+    far is never scanned for progressions. A grid whose fitting vectors
+    number no more than the best size is not enumerated: it cannot be
+    larger, and on a tie it loses the key, since grids come in
+    increasing (d, dim) order.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    best: Optional[BehrendSet] = None
-
-    def consider(members: list[int], d: int, dim: int, radius: Optional[int]):
-        nonlocal best
-        members = sorted(v for v in set(members) if 1 <= v <= n_max)
-        if not members or not is_ap_free(members):
-            return
-        candidate = BehrendSet(n_max, tuple(members), d, dim, radius)
-        key = (len(members), -d, -dim, -(radius if radius is not None else -1))
-        if best is None:
-            best = candidate
-            return
-        best_key = (
-            len(best.members),
-            -best.digits,
-            -best.dimension,
-            -(best.radius if best.radius is not None else -1),
-        )
-        if key > best_key:
-            best = candidate
-
-    consider([1], 1, 1, 0)
+    best = BehrendSet(n_max, (1,), 1, 1, 0)
+    best_key = (1, -1, -1, 0)
     d = 2
     while 2 * d <= 2 * (n_max + 1):
         base = 2 * d
         dim = 1
         while base ** (dim - 1) <= n_max and d**dim <= _VECTOR_BUDGET:
-            shells: dict[int, list[int]] = {}
-            weights = [base**i for i in range(dim)]
-            for vec in _digit_vectors(d, dim):
-                value = 1 + sum(x * w for x, w in zip(vec, weights))
-                if value <= n_max:
-                    shells.setdefault(sum(x * x for x in vec), []).append(value)
-            for radius, members in shells.items():
-                consider(members, d, dim, radius)
-            consider([v for ms in shells.values() for v in ms], d, dim, None)
+            if _count_fitting(n_max - 1, d, base, dim) > len(best.members):
+                # (value - 1, squared norm) of the fitting vectors, in
+                # increasing value since every digit is below the base
+                vectors = [(0, 0)]
+                for i in reversed(range(dim)):
+                    w = base**i
+                    vectors = [
+                        (v + x * w, s + x * x)
+                        for v, s in vectors
+                        for x in range(min(d, (n_max - 1 - v) // w + 1))
+                    ]
+                shells: dict[Optional[int], list[int]] = {}
+                for v, s in vectors:
+                    shells.setdefault(s, []).append(v + 1)
+                shells[None] = [v + 1 for v, _ in vectors]
+                for radius, members in shells.items():
+                    key = (len(members), -d, -dim, -(-1 if radius is None else radius))
+                    if key > best_key and is_ap_free(members):
+                        best = BehrendSet(n_max, tuple(members), d, dim, radius)
+                        best_key = key
             dim += 1
         d += 1
-    assert best is not None
     if not is_ap_free(best.members):
         raise AuditError("construction produced a progression")
     return best
@@ -436,9 +451,7 @@ def blowup_tournament(
     k = len(kernel.vertices)
     if n_max is None:
         n_max = k
-        while not behrend(n_max).members or all(
-            1 + (k - 1) * d > n_max for d in behrend(n_max).members
-        ):
+        while all(1 + (k - 1) * d > n_max for d in behrend(n_max).members):
             n_max += 1
     base = rs_graph(k, part_cycle, n_max)
     r = base.r

@@ -388,6 +388,41 @@ def oracle_max_ap_free(n: int) -> int:
     return best
 
 
+def oracle_behrend(n_max: int) -> tuple:
+    """``behrend(n_max)`` as (members, digits, dimension, radius), by
+    walking every vector of each admitted digit cube, keeping those whose
+    value fits, pooling the squared-norm shells, and taking the AP-free
+    candidate with the largest key (size, -d, -dim, -radius)."""
+    from tourkit.lowerbound import _VECTOR_BUDGET
+
+    def ap_free(members) -> bool:
+        present = set(members)
+        return not any(
+            (a + c) % 2 == 0 and (a + c) // 2 in present
+            for a, c in itertools.combinations(sorted(present), 2)
+        )
+
+    candidates = [((1,), 1, 1, 0)]
+    for d in range(2, n_max + 2):
+        base = 2 * d
+        dim = 1
+        while base ** (dim - 1) <= n_max and d**dim <= _VECTOR_BUDGET:
+            shells: dict = {}
+            for vec in itertools.product(range(d), repeat=dim):
+                value = 1 + sum(x * base**i for i, x in enumerate(vec))
+                if value <= n_max:
+                    shells.setdefault(sum(x * x for x in vec), []).append(value)
+            for radius, members in shells.items():
+                candidates.append((tuple(sorted(members)), d, dim, radius))
+            pooled = sorted(v for ms in shells.values() for v in ms)
+            candidates.append((tuple(pooled), d, dim, None))
+            dim += 1
+    return max(
+        (c for c in candidates if ap_free(c[0])),
+        key=lambda c: (len(c[0]), -c[1], -c[2], 1 if c[3] is None else -c[3]),
+    )
+
+
 def oracle_patterned_cycles(g) -> int:
     """Cycles v_1 .. v_l v_1 of a base graph with v_j in part
     ``cycle_pattern[j]`` and every consecutive pair an edge, by recursion

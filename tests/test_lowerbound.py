@@ -20,6 +20,7 @@ from tourkit.lowerbound import (
 from tourkit.orderedhom import graph_two_colorable
 
 from conftest import (
+    oracle_behrend,
     oracle_localization,
     oracle_max_ap_free,
     oracle_patterned_cycles,
@@ -47,6 +48,34 @@ class TestBehrend:
         assert not is_ap_free([1, 2, 3])
         assert not is_ap_free([2, 6, 10])
         assert is_ap_free([])
+
+
+class TestBehrendAgainstOracle:
+    """``behrend`` enumerates only the digit vectors that fit and skips
+    candidates and grids that cannot win; the oracle walks every cube."""
+
+    @staticmethod
+    def _fields(result):
+        return (result.members, result.digits, result.dimension, result.radius)
+
+    def test_small_ranges(self):
+        for n in range(1, 65):
+            assert self._fields(behrend(n)) == oracle_behrend(n), n
+
+    def test_bench_base_graph_ranges(self):
+        for n in (120, 130, 140, 150, 160):
+            assert self._fields(behrend(n)) == oracle_behrend(n), n
+
+    def test_large_range_pinned(self):
+        # values taken when every grid's whole cube was enumerated
+        result = behrend(400)
+        assert (len(result), result.digits, result.dimension, result.radius) == (
+            32,
+            2,
+            5,
+            None,
+        )
+        assert result.n_max == 400 and is_ap_free(result.members)
 
 
 class TestRSGraph:
@@ -86,6 +115,12 @@ class TestRSGraph:
             g = rs_graph(k, pattern, nmax)
             assert g.patterned_cycles == oracle_patterned_cycles(g)
             assert g.patterned_cycles <= g.r**2
+
+    def test_bench_base_graph_pinned(self):
+        # the base graph of the blowup bench's rsgraph job; values taken
+        # when behrend enumerated every grid's whole cube
+        g = rs_graph(5, (5, 3, 1, 4, 2), 130)
+        assert (len(g.cliques), len(g.edges), g.patterned_cycles) == (672, 6720, 11280)
 
     def test_cycle_bound_across_small_parameters(self):
         for k, nmax in ((3, 5), (3, 25), (3, 40), (4, 12), (5, 10)):
