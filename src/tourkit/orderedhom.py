@@ -12,7 +12,16 @@ each labeling's backedge graph yields a finite family; a maximal element
 of that family under the OPH order is the object the lower-bound
 construction is built around.
 
-Three facts keep this fast with the same output:
+The searches run on neighbour masks indexed by label (bit w of
+``adj[v]`` set for each neighbour w of v), the form ``LabeledGraph``
+keeps. The labeling sweep in ``core_family`` never builds a
+``LabeledGraph`` for a backedge graph: it builds the masks straight from
+the labeling, finds the core's labels on them with the search behind
+``ordered_core``, and reads the core's canonical key off them as well.
+Only a core whose class is new becomes a ``LabeledGraph``, one per member
+of the family.
+
+Three facts keep the searches fast with the same output:
 
 * A smallest subset S receiving an OPH f from g also receives a
   retraction, an OPH fixing every vertex of S: otherwise f after f maps g
@@ -36,6 +45,9 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .digraphs import OrientedGraph, _bits, _search, _span
 from .errors import AuditError, BudgetExceeded
+
+# neighbour masks indexed by label: a list, or a LabeledGraph's dict
+Masks = Sequence[int] | Mapping[int, int]
 
 __all__ = [
     "LabeledGraph",
@@ -164,17 +176,17 @@ def backedge_graph(h: OrientedGraph, labeling: Sequence[int]) -> LabeledGraph:
 
 
 def _oph_checks(
-    g: LabeledGraph, tadj: Mapping[int, int], top: int
+    gvs: Sequence[int], gadj: Masks, tadj: Masks, top: int
 ) -> list[list[tuple]]:
-    """``_search`` checks for the OPHs from g into a target with neighbour
+    """``_search`` checks for the OPHs from the graph with ascending labels
+    ``gvs`` and neighbour masks ``gadj`` into a target with neighbour
     masks ``tadj`` and labels up to ``top``. Level i places the i-th vertex
-    of g in label order, at slot i. Its image is at or above the previous
-    one and adjacent to the images of its earlier neighbours."""
-    gvs = g.vertices
+    in label order, at slot i. Its image is at or above the previous one
+    and adjacent to the images of its earlier neighbours."""
     at_least = [-(1 << w) for w in range(top + 1)]  # the labels from w up
     checks: list[list[tuple]] = [[]]
     for i in range(1, len(gvs)):
-        row = g._adj[gvs[i]]
+        row = gadj[gvs[i]]
         checks.append(
             [(i - 1, at_least)] + [(j, tadj) for j in range(i) if row >> gvs[j] & 1]
         )
@@ -189,7 +201,8 @@ def _maps(
     of the i-th vertex of g in label order."""
     full = sum(1 << w for w in target.vertices)
     top = max(target.vertices, default=0)
-    return _search(range(g.n), [full] * g.n, _oph_checks(g, target._adj, top))
+    checks = _oph_checks(g.vertices, g._adj, target._adj, top)
+    return _search(range(g.n), [full] * g.n, checks)
 
 
 def find_oph(g: LabeledGraph, target: LabeledGraph) -> Optional[OphMap]:
@@ -220,14 +233,20 @@ def order_isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> bool:
 def _interval_chromatic(g: LabeledGraph) -> int:
     """The fewest runs of consecutive labels, each an independent set,
     that cover the vertices: the interval chromatic number of Pach and
-    Tardos (2006).
+    Tardos (2006)."""
+    return _interval_runs(g._adj, g.vertices)
+
+
+def _interval_runs(adj: Masks, labels: Sequence[int]) -> int:
+    """``_interval_chromatic`` of the graph with neighbour masks ``adj``
+    on the ascending ``labels``.
 
     The greedy scan that extends each run while it stays independent is
     optimal.
     """
     runs = run = 0
-    for v in g.vertices:
-        if not run or g._adj[v] & run:
+    for v in labels:
+        if not run or adj[v] & run:
             runs += 1
             run = 0
         run |= 1 << v
@@ -290,16 +309,23 @@ def ordered_core(g: LabeledGraph, budget: Optional[int] = None) -> LabeledGraph:
     that first size on; subsets skipped below it do not count. Exceeding
     it raises BudgetExceeded carrying ``tested``.
     """
-    gvs = g.vertices
-    n = len(gvs)
+    return g.induced(_core_labels(g._adj, g.vertices, budget))
+
+
+def _core_labels(
+    adj: Masks, labels: Sequence[int], budget: Optional[int] = None
+) -> tuple[int, ...]:
+    """The labels of ``ordered_core`` of the graph with neighbour masks
+    ``adj`` on the ascending ``labels``, under the same budget."""
+    n = len(labels)
     if not n:
-        return g
-    adj = [g._adj[v] for v in gvs]
-    bits = [1 << v for v in gvs] + [0]
-    bad = [[a & ~b for b in adj] + [-1] for a in adj]
-    checks = _oph_checks(g, g._adj, gvs[-1])
+        return ()
+    rows = [adj[v] for v in labels]
+    bits = [1 << v for v in labels] + [0]
+    bad = [[a & ~b for b in rows] + [-1] for a in rows]
+    checks = _oph_checks(labels, adj, adj, labels[-1])
     tested = 0
-    for size in range(_interval_chromatic(g), n + 1):
+    for size in range(_interval_runs(adj, labels), n + 1):
         for subset in itertools.combinations(range(n), size):
             tested += 1
             if budget is not None and tested > budget:
@@ -310,7 +336,7 @@ def ordered_core(g: LabeledGraph, budget: Optional[int] = None) -> LabeledGraph:
             if domains is not None and next(
                 _search(range(n), domains, checks), None
             ) is not None:
-                return g.induced(gvs[i] for i in subset)
+                return tuple([labels[i] for i in subset])
     raise AuditError("no retraction onto the whole graph")
 
 
@@ -340,14 +366,19 @@ def core_family(h: OrientedGraph, budget: Optional[int] = None) -> CoreFamily:
     deduplicate up to order-preserving isomorphism.
 
     Each labeling is first reduced to a bit code of its backedge graph,
-    read straight off the labeling; the graph, its core and the core's
-    key are built only for the first labeling with a new code, since a
-    later one can only repeat a class already seen.
+    read straight off the labeling; a later labeling with a code already
+    seen can only repeat a class, so it is skipped. For a new code the
+    backedge graph is built as a list of neighbour masks indexed by
+    label, its core found on those masks, and the core's canonical key
+    (the ``LabeledGraph.canonical_key`` it would have) read off them too.
+    A ``LabeledGraph`` is built only for a core whose key is new: one per
+    member of the family.
 
     ``budget`` caps the number of labelings processed (h! needed for an
     exhaustive family).
     """
     m = h.n + 1
+    labels = tuple(range(1, m))
     # pair_bit[a][b]: the code bit of backedge {b, a} when label a > b
     pair_bit = [
         [1 << (a * m + b) if a > b else 0 for b in range(m)] for a in range(m)
@@ -358,7 +389,7 @@ def core_family(h: OrientedGraph, budget: Optional[int] = None) -> CoreFamily:
     members: list[LabeledGraph] = []
     witnesses: list[tuple[int, ...]] = []
     processed = 0
-    for labeling in itertools.permutations(range(1, m)):
+    for labeling in itertools.permutations(labels):
         processed += 1
         if budget is not None and processed > budget:
             raise BudgetExceeded(
@@ -370,11 +401,31 @@ def core_family(h: OrientedGraph, budget: Optional[int] = None) -> CoreFamily:
         if code in seen_codes:
             continue
         seen_codes.add(code)
-        core = ordered_core(backedge_graph(h, labeling))
-        key = core.canonical_key()
+        adj = [0] * m  # the backedge graph, as backedge_graph builds it
+        for u, v in arcs:
+            a, b = labeling[u], labeling[v]
+            if a > b:
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+        core = _core_labels(adj, labels)
+        size = len(core)
+        # the key's tuple, like the core's, is built from a list: a tuple
+        # built from a generator grows by reallocation, and once per code
+        # that fragments the heap enough to raise the peak RSS
+        key = (
+            size,
+            tuple([
+                (i + 1, j + 1)
+                for i in range(size)
+                for j in range(i + 1, size)
+                if adj[core[i]] >> core[j] & 1
+            ]),
+        )
         if key not in seen_keys:
             seen_keys.add(key)
-            members.append(core)
+            members.append(
+                LabeledGraph(core, ((core[i - 1], core[j - 1]) for i, j in key[1]))
+            )
             witnesses.append(labeling)
     return CoreFamily(tuple(members), tuple(witnesses))
 

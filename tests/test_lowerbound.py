@@ -157,6 +157,45 @@ class TestPartStructure:
                 for v in classes[i - 1]:
                     assert not minimal_hard.has_edge(u, v)
 
+    # the bench's blowup patterns: the minimal hard pattern relabeled
+    # vertex v -> labeling[v - 1]; kernels, witnesses, classes and part
+    # cycles taken when the core family built a LabeledGraph per backedge
+    # graph
+    KERNEL_1 = ((1, 2, 3, 5, 7), [(1, 3), (1, 5), (2, 5), (2, 7), (3, 7)])
+    KERNEL_2 = ((1, 2, 4, 6, 7), [(1, 4), (1, 6), (2, 6), (2, 7), (4, 7)])
+    BENCH_DERIVATIONS = [
+        ((6, 1, 2, 7, 4, 3, 5), KERNEL_1, (1, 2, 5, 6, 4, 3, 7),
+         ((1,), (2,), (6,), (3, 5), (4, 7))),
+        ((2, 3, 7, 1, 6, 4, 5), KERNEL_1, (2, 3, 1, 5, 4, 7, 6),
+         ((3,), (1,), (2,), (4, 5), (6, 7))),
+        ((7, 5, 4, 2, 6, 1, 3), KERNEL_1, (1, 2, 5, 6, 4, 7, 3),
+         ((1,), (2,), (7,), (3, 5), (4, 6))),
+        ((6, 2, 4, 3, 1, 5, 7), KERNEL_2, (2, 1, 3, 7, 6, 4, 5),
+         ((2,), (1, 3), (6,), (5, 7), (4,))),
+        ((4, 5, 1, 7, 6, 3, 2), KERNEL_1, (2, 1, 4, 3, 5, 6, 7),
+         ((2,), (1,), (4,), (3, 5), (6, 7))),
+        ((2, 3, 4, 7, 5, 6, 1), KERNEL_1, (1, 3, 5, 2, 6, 4, 7),
+         ((1,), (4,), (2,), (3, 6), (5, 7))),
+        ((1, 2, 5, 6, 7, 3, 4), KERNEL_1, (3, 1, 5, 4, 2, 7, 6),
+         ((2,), (5,), (1,), (3, 4), (6, 7))),
+        ((7, 3, 5, 6, 1, 2, 4), KERNEL_1, (2, 1, 4, 5, 7, 6, 3),
+         ((2,), (1,), (7,), (3, 4), (5, 6))),
+        ((2, 5, 1, 6, 4, 3, 7), KERNEL_1, (2, 3, 1, 6, 4, 7, 5),
+         ((3,), (1,), (2,), (5, 7), (4, 6))),
+    ]
+
+    @pytest.mark.parametrize(
+        "labeling, kernel, witness, classes", BENCH_DERIVATIONS
+    )
+    def test_bench_relabelings_pinned(
+        self, minimal_hard, labeling, kernel, witness, classes
+    ):
+        got = derive_part_structure(minimal_hard.relabel(list(labeling)))
+        assert (got[0].vertices, sorted(got[0].edges)) == kernel
+        assert got[1] == witness
+        assert got[2] == classes
+        assert got[5] == (5, 3, 1, 4, 2)
+
     def test_two_colorable_patterns_are_refused(self):
         from tourkit.digraphs import c3_pattern
 

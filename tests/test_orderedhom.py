@@ -8,7 +8,12 @@ from math import comb
 import pytest
 
 from tourkit.coloring import acyclic_k_coloring, chromatic_number
-from tourkit.digraphs import c3_pattern, random_tournament, transitive_tournament
+from tourkit.digraphs import (
+    OrientedGraph,
+    c3_pattern,
+    random_tournament,
+    transitive_tournament,
+)
 from tourkit.errors import BudgetExceeded
 from tourkit.orderedhom import (
     CoreFamily,
@@ -316,6 +321,46 @@ class TestFamilyAgainstOracle:
                 members.append(core)
         family = CoreFamily(tuple(members), ((),) * len(members))
         assert _maximal_indices(family) == oracle_maximal_indices(members)
+
+
+class TestMaskFamilyAgainstOracle:
+    """``core_family`` finds each backedge graph's core on neighbour masks
+    built from the labeling; the oracle builds every backedge graph and
+    core as a ``LabeledGraph``. The patterns are not tournaments, so their
+    non-edges, and isolated vertices, must survive in the masks."""
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_seeded_oriented_patterns(self, n):
+        rng = random.Random(60 + n)
+        patterns = []
+        while len(patterns) < (4 if n < 6 else 2):
+            h = random_oriented_graph(n, rng)
+            if len(h.edges) < comb(n, 2):
+                patterns.append(h)
+        for h in patterns:
+            family = core_family(h)
+            assert (family.members, family.witnesses) == oracle_core_family(h)
+
+    @pytest.mark.parametrize(
+        "h",
+        [
+            OrientedGraph(4, []),
+            # vertex 3, between the others in label order, has no edge
+            OrientedGraph(5, [(1, 2), (2, 4), (4, 1), (5, 2)]),
+            OrientedGraph(6, [(2, 1), (1, 4), (4, 5), (5, 2), (6, 4)]),
+        ],
+    )
+    def test_edgeless_and_isolated_vertex_patterns(self, h):
+        family = core_family(h)
+        assert (family.members, family.witnesses) == oracle_core_family(h)
+
+    def test_budget_counts_labelings(self, rng):
+        h = random_oriented_graph(4, rng)
+        assert core_family(h, budget=24) == core_family(h)
+        for b in (0, 1, 5, 23):
+            with pytest.raises(BudgetExceeded) as err:
+                core_family(h, budget=b)
+            assert err.value.info["processed"] == b + 1
 
 
 class TestCoreFamily:
