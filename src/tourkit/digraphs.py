@@ -198,10 +198,15 @@ class OrientedGraph:
         return cls._from_masks(k, out, inn)
 
     def relabel(self, perm: Sequence[int]) -> "OrientedGraph":
-        """Apply a permutation: vertex v becomes perm[v-1] (a bijection on 1..n)."""
+        """Apply a permutation: vertex v becomes perm[v-1] (a bijection on 1..n).
+
+        A tournament stays a ``Tournament``; any other graph, a k-partite
+        tournament included, becomes a plain ``OrientedGraph``: a relabelling
+        need not keep a subclass's structure."""
         if sorted(perm) != list(self.vertices):
             raise ValueError("perm must be a bijection on 1..n")
-        return self._image(type(self), self.n, [0, *perm])
+        cls = Tournament if isinstance(self, Tournament) else OrientedGraph
+        return self._image(cls, self.n, [0, *perm])
 
     def induced(self, vertices: Sequence[int]) -> "OrientedGraph":
         """Induced subdigraph, relabelled to 1..k in the given label order."""
@@ -744,17 +749,11 @@ def distance_to_h_free(
                 best = depth
                 best_flips = tuple(flipped)
             return
-        copy_pairs = []
-        seen = set()
-        for u, v in pattern.edges:
-            a, b = witness[u - 1], witness[v - 1]
-            key = (min(a, b), max(a, b))
-            if key not in seen:
-                seen.add(key)
-                copy_pairs.append((a, b))
+        # the copy is injective, so each pattern edge is a distinct pair
         on_path = set(flipped)
         pin = set(pinned)
-        for a, b in copy_pairs:
+        for u, v in pattern.edges:
+            a, b = witness[u - 1], witness[v - 1]
             key = (min(a, b), max(a, b))
             if key in pin or key in on_path:
                 continue

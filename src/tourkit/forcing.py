@@ -1,14 +1,14 @@
 """The k-partite forcing construction and its certification machinery.
 
-A k-partite tournament orients every edge between k disjoint parts and
-leaves the parts internally empty; a completion adds arbitrary
-tournaments inside the parts. The randomized construction orients the
-part pairs prescribed by a digraph D deterministically and flips a
-seeded fair coin for every remaining cross pair. Its guarantee is that
-every completion carries many copies of the pattern, pairwise disjoint
-on cross edges; the certifier extracts such a family explicitly from any
-given completion and the exhaustive checker decides forcing outright by
-enumerating every completion.
+A k-partite tournament is an ``OrientedGraph`` that orients every pair
+between k disjoint parts and leaves the pairs inside a part open; a
+completion adds arbitrary tournaments inside the parts. The randomized
+construction orients the part pairs prescribed by a digraph D
+deterministically and flips a seeded fair coin for every remaining cross
+pair. Its guarantee is that every completion carries many copies of the
+pattern, pairwise disjoint on cross edges; the certifier extracts such a
+family explicitly from any given completion and the exhaustive checker
+decides forcing outright by enumerating every completion.
 
 The per-tuple copy target gamma(h) = 2^(-h^2) / (8 h^4) is exposed as an
 exact rational and reported against the achieved count, never enforced:
@@ -138,14 +138,17 @@ def disjoint_tuples(t: int, k: int) -> TupleCollection:
 # -- the k-partite tournament -------------------------------------------
 
 
-class KPartiteTournament:
-    """k parts of m vertices each with every cross pair oriented.
+class KPartiteTournament(OrientedGraph):
+    """An oriented graph on k parts of m vertices each, with every cross
+    pair oriented and no edge inside a part.
 
-    Global vertex ids are 1..k*m; part i occupies (i-1)*m+1 .. i*m.
-    Inner pairs carry no edge.
+    Global vertex ids are 1..k*m; part i occupies (i-1)*m+1 .. i*m. The
+    masks, ``edges``, equality and immutability are ``OrientedGraph``'s;
+    the constructor adds the k-partite checks, and a completion orients
+    the inner pairs.
     """
 
-    __slots__ = ("k", "m", "out", "_inn", "deterministic_pairs", "seed")
+    __slots__ = ("k", "m", "deterministic_pairs", "seed")
 
     def __init__(
         self,
@@ -157,36 +160,21 @@ class KPartiteTournament:
     ):
         if k < 2 or m < 1:
             raise ValueError("need k >= 2 parts of size m >= 1")
-        n = k * m
-        out = [0] * (n + 1)
-        inn = [0] * (n + 1)
+        cross_edges = list(cross_edges)
+        super().__init__(k * m, cross_edges)
+        count = len(self.edges)
+        if count != len(cross_edges):
+            raise ValueError(f"{len(cross_edges) - count} cross pairs given twice")
         for u, v in cross_edges:
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ValueError(f"vertex outside 1..{n}")
-            pu, pv = (u - 1) // m, (v - 1) // m
-            if pu == pv:
+            if (u - 1) // m == (v - 1) // m:
                 raise ValueError(f"({u},{v}) is an inner pair; parts carry no edges")
-            if (out[u] | inn[u]) >> v & 1:
-                raise ValueError(f"pair {(min(u, v), max(u, v))} oriented twice")
-            out[u] |= 1 << v
-            inn[v] |= 1 << u
-        count = sum(map(int.bit_count, out))
         expected = k * (k - 1) // 2 * m * m
         if count != expected:
             raise ValueError(f"{count} cross pairs oriented, expected {expected}")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "out", tuple(out))
-        object.__setattr__(self, "_inn", tuple(inn))
         object.__setattr__(self, "deterministic_pairs", deterministic_pairs)
         object.__setattr__(self, "seed", seed)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("KPartiteTournament is immutable")
-
-    @property
-    def n(self) -> int:
-        return self.k * self.m
 
     def vertex(self, part: int, index: int) -> int:
         """Global id of vertex `index` (1-based) of part `part` (1-based)."""
@@ -200,9 +188,6 @@ class KPartiteTournament:
     def part_vertices(self, part: int) -> range:
         base = (part - 1) * self.m
         return range(base + 1, base + self.m + 1)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.out[u] >> v) & 1)
 
     def cross_edges(self) -> Iterator[tuple[int, int]]:
         for u in range(1, self.n + 1):
@@ -226,7 +211,7 @@ class KPartiteTournament:
         """The tournament that keeps the cross edges and orients every inner
         pair as ``inner_edges`` lists it."""
         n = self.n
-        out, inn = list(self.out), list(self._inn)
+        out, inn = list(self.out), list(self.inn)
         for a, b in inner_edges:
             inner = 1 <= a <= n and 1 <= b <= n and self.part_of(a) == self.part_of(b)
             if not inner or (out[a] | inn[a] | 1 << a) >> b & 1:

@@ -46,11 +46,14 @@ class ParseError(ValueError):
 
 
 def _lines(text: str) -> list[tuple[int, str]]:
+    """The numbered lines that are neither blank nor comments; at least one."""
     out = []
     for i, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if stripped and not stripped.startswith("#"):
             out.append((i, stripped))
+    if not out:
+        raise ParseError(1, "empty input")
     return out
 
 
@@ -61,10 +64,17 @@ def _int(token: str, line_no: int, what: str) -> int:
         raise ParseError(line_no, f"{what} must be an integer, got {token!r}")
 
 
+def _pair(line: str, line_no: int, form: str) -> tuple[int, int]:
+    """The two integer endpoints of an edge line written as ``form``."""
+    parts = line.split()
+    if len(parts) != 2:
+        raise ParseError(line_no, f"edge line must be {form!r}")
+    a, b = parts
+    return _int(a, line_no, "edge endpoint"), _int(b, line_no, "edge endpoint")
+
+
 def parse_oriented_graph(text: str) -> OrientedGraph:
     lines = _lines(text)
-    if not lines:
-        raise ParseError(1, "empty input")
     first_no, first = lines[0]
     n = _int(first, first_no, "vertex count")
     if n < 0:
@@ -89,12 +99,7 @@ def parse_oriented_graph(text: str) -> OrientedGraph:
                     edges.append((i, j))
     elif mode == "edges":
         for line_no, line in lines[2:]:
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError(line_no, "edge line must be 'u v'")
-            u = _int(parts[0], line_no, "edge endpoint")
-            v = _int(parts[1], line_no, "edge endpoint")
-            edges.append((u, v))
+            edges.append(_pair(line, line_no, "u v"))
     else:
         raise ParseError(mode_no, f"expected 'matrix' or 'edges', got {mode!r}")
     try:
@@ -127,8 +132,6 @@ def serialize_oriented_graph(g: OrientedGraph, style: str = "edges") -> str:
 
 def parse_labeled_graph(text: str) -> LabeledGraph:
     lines = _lines(text)
-    if not lines:
-        raise ParseError(1, "empty input")
     first_no, first = lines[0]
     if not first.startswith("vertices:"):
         raise ParseError(first_no, "first line must be 'vertices: <labels>'")
@@ -138,14 +141,12 @@ def parse_labeled_graph(text: str) -> LabeledGraph:
         raise ParseError(first_no, "labels must be listed in increasing order")
     if len(set(vertices)) != len(vertices):
         raise ParseError(first_no, "labels must be distinct")
+    if vertices and vertices[0] < 1:
+        raise ParseError(first_no, "labels must be positive integers")
     edges = []
     vset = set(vertices)
     for line_no, line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(line_no, "edge line must be 'i j'")
-        a = _int(parts[0], line_no, "edge endpoint")
-        b = _int(parts[1], line_no, "edge endpoint")
+        a, b = _pair(line, line_no, "i j")
         if a >= b:
             raise ParseError(line_no, "edges must be written with i < j")
         if a not in vset or b not in vset:
@@ -162,19 +163,13 @@ def serialize_labeled_graph(g: LabeledGraph) -> str:
 
 def parse_undirected_graph(text: str) -> LabeledGraph:
     lines = _lines(text)
-    if not lines:
-        raise ParseError(1, "empty input")
     first_no, first = lines[0]
     n = _int(first, first_no, "vertex count")
     if n < 0:
         raise ParseError(first_no, "vertex count must be nonnegative")
     edges = []
     for line_no, line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(line_no, "edge line must be 'i j'")
-        a = _int(parts[0], line_no, "edge endpoint")
-        b = _int(parts[1], line_no, "edge endpoint")
+        a, b = _pair(line, line_no, "i j")
         if a == b:
             raise ParseError(line_no, "self-loop")
         if not (1 <= a <= n and 1 <= b <= n):
@@ -193,8 +188,6 @@ def serialize_undirected_graph(g: LabeledGraph) -> str:
 
 def parse_kpartite(text: str) -> KPartiteTournament:
     lines = _lines(text)
-    if not lines:
-        raise ParseError(1, "empty input")
     first_no, first = lines[0]
     tokens = first.split()
     if len(tokens) != 3 or tokens[0] != "parts:":
@@ -231,8 +224,6 @@ def serialize_kpartite(f: KPartiteTournament) -> str:
 
 def parse_matrix(text: str) -> BinaryMatrix:
     lines = _lines(text)
-    if not lines:
-        raise ParseError(1, "empty input")
     first_no, first = lines[0]
     n = _int(first, first_no, "dimension")
     rows = lines[1:]

@@ -486,7 +486,7 @@ def blowup_tournament(
     # item 3: one copy of the forcing construction per clique; the clique
     # puts forcing part p on the block of its p-th vertex
     f_parts = [_span(p * m + 1, p * m + m) for p in range(k)]
-    f_masks = ((out, forcing.out), (inn, forcing._inn))
+    f_masks = ((out, forcing.out), (inn, forcing.inn))
     for clique in base.cliques:
         shifts = [(x - p) * m for p, x in enumerate(clique, start=1)]
         for w in range(1, k * m + 1):

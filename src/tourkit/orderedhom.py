@@ -111,11 +111,7 @@ class LabeledGraph:
 
     def canonical_key(self) -> tuple[int, tuple[tuple[int, int], ...]]:
         """Edge list after the order-preserving relabeling onto 1..n."""
-        pos = {v: i + 1 for i, v in enumerate(self.vertices)}
-        return (
-            self.n,
-            tuple(sorted((pos[a], pos[b]) for a, b in self.edges)),
-        )
+        return _key(self._adj, self.vertices)
 
     def __eq__(self, other) -> bool:
         return (
@@ -129,6 +125,27 @@ class LabeledGraph:
 
     def __repr__(self) -> str:
         return f"LabeledGraph({list(self.vertices)}, {sorted(self.edges)})"
+
+
+def _key(
+    adj: Masks, labels: Sequence[int]
+) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The canonical key of the graph with neighbour masks ``adj`` on the
+    ascending ``labels``: its size and its sorted edge list after the
+    order-preserving relabeling onto 1..n."""
+    size = len(labels)
+    # the tuple is built from a list: a tuple built from a generator grows
+    # by reallocation, and once per backedge code in ``core_family`` that
+    # fragments the heap enough to raise the peak RSS
+    return (
+        size,
+        tuple([
+            (i + 1, j + 1)
+            for i in range(size)
+            for j in range(i + 1, size)
+            if adj[labels[i]] >> labels[j] & 1
+        ]),
+    )
 
 
 @dataclass(frozen=True)
@@ -230,16 +247,10 @@ def order_isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> bool:
     return g1.canonical_key() == g2.canonical_key()
 
 
-def _interval_chromatic(g: LabeledGraph) -> int:
-    """The fewest runs of consecutive labels, each an independent set,
-    that cover the vertices: the interval chromatic number of Pach and
-    Tardos (2006)."""
-    return _interval_runs(g._adj, g.vertices)
-
-
 def _interval_runs(adj: Masks, labels: Sequence[int]) -> int:
-    """``_interval_chromatic`` of the graph with neighbour masks ``adj``
-    on the ascending ``labels``.
+    """The interval chromatic number of Pach and Tardos (2006) of the graph
+    with neighbour masks ``adj`` on the ascending ``labels``: the fewest
+    runs of consecutive labels, each an independent set, that cover them.
 
     The greedy scan that extends each run while it stays independent is
     optimal.
@@ -370,7 +381,7 @@ def core_family(h: OrientedGraph, budget: Optional[int] = None) -> CoreFamily:
     seen can only repeat a class, so it is skipped. For a new code the
     backedge graph is built as a list of neighbour masks indexed by
     label, its core found on those masks, and the core's canonical key
-    (the ``LabeledGraph.canonical_key`` it would have) read off them too.
+    read off them too, by the ``_key`` behind ``LabeledGraph.canonical_key``.
     A ``LabeledGraph`` is built only for a core whose key is new: one per
     member of the family.
 
@@ -408,19 +419,7 @@ def core_family(h: OrientedGraph, budget: Optional[int] = None) -> CoreFamily:
                 adj[a] |= 1 << b
                 adj[b] |= 1 << a
         core = _core_labels(adj, labels)
-        size = len(core)
-        # the key's tuple, like the core's, is built from a list: a tuple
-        # built from a generator grows by reallocation, and once per code
-        # that fragments the heap enough to raise the peak RSS
-        key = (
-            size,
-            tuple([
-                (i + 1, j + 1)
-                for i in range(size)
-                for j in range(i + 1, size)
-                if adj[core[i]] >> core[j] & 1
-            ]),
-        )
+        key = _key(adj, core)
         if key not in seen_keys:
             seen_keys.add(key)
             members.append(

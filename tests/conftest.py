@@ -316,6 +316,13 @@ def oracle_maximal_indices(members) -> list[int]:
     ]
 
 
+def oracle_canonical_key(g: LabeledGraph) -> tuple:
+    """Size and sorted edge list after mapping the i-th smallest label
+    to i, through a position dictionary."""
+    pos = {v: i + 1 for i, v in enumerate(g.vertices)}
+    return (g.n, tuple(sorted((pos[a], pos[b]) for a, b in g.edges)))
+
+
 def oracle_interval_chromatic(g: LabeledGraph) -> int:
     """Fewest runs of consecutive labels, each an independent set, by
     trying every way to cut the label sequence."""

@@ -9,6 +9,7 @@ import pytest
 from tourkit.digraphs import (
     OrientedGraph,
     c3_pattern,
+    count_embeddings,
     single_edge_pattern,
     transitive_tournament,
 )
@@ -262,3 +263,46 @@ class TestKPartiteType:
         f = four_cycle_forcing()
         for comp in f.completions():
             assert f.agrees_with(comp)
+
+
+class TestKPartiteIsAnOrientedGraph:
+    """A k-partite tournament is an ``OrientedGraph``: equality, hashing,
+    edges and relabelling are the ones of any oriented graph."""
+
+    @staticmethod
+    def three_parts():
+        h, d = c3_pattern(), OrientedGraph(3, [])
+        return build_forcing(h, [[1], [2], [3]], d, 3, seed=7)
+
+    def test_equal_to_the_oriented_graph_of_its_cross_edges(self):
+        f = self.three_parts()
+        g = OrientedGraph(f.n, f.cross_edges())
+        assert f == g and g == f
+        assert hash(f) == hash(g)
+        assert f == self.three_parts()
+
+    def test_edges_count_as_single_edge_embeddings(self):
+        f = self.three_parts()
+        assert len(f.edges) == 3 * 9
+        assert count_embeddings(f, single_edge_pattern()) == len(f.edges)
+
+    def test_relabel_gives_a_plain_oriented_graph(self):
+        f = self.three_parts()
+        perm = [9, 1, 5, 2, 8, 3, 7, 4, 6]
+        g = f.relabel(perm)
+        assert type(g) is OrientedGraph
+        assert g.edges == {(perm[u - 1], perm[v - 1]) for u, v in f.cross_edges()}
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(1, 3), (1, 3), (1, 4), (2, 3), (2, 4)],  # a pair given twice
+            [(1, 3), (3, 1), (1, 4), (2, 3), (2, 4)],  # both directions
+            [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)],  # an inner pair
+            [(1, 3), (1, 5), (2, 3), (2, 4)],  # a vertex outside 1..n
+            [(1, 3), (1, 4), (2, 3)],  # a missing pair
+        ],
+    )
+    def test_malformed_cross_edges_raise_value_error(self, edges):
+        with pytest.raises(ValueError):
+            KPartiteTournament(2, 2, edges)

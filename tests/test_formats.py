@@ -159,6 +159,14 @@ class TestLabeledGraphFormat:
         with pytest.raises(ParseError, match="line 2"):
             parse_labeled_graph("vertices: 1 2\n1 3\n")
 
+    def test_nonpositive_label_reported_on_the_header(self):
+        with pytest.raises(ParseError, match="line 1: labels must be positive"):
+            parse_labeled_graph("vertices: 0 1\n")
+
+    def test_nonpositive_label_reported_before_an_edge_line(self):
+        with pytest.raises(ParseError, match="line 1"):
+            parse_labeled_graph("vertices: -2 3\n0 1\n")
+
 
 class TestUndirectedFormat:
     def test_roundtrip(self):

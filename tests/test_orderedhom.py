@@ -19,7 +19,7 @@ from tourkit.orderedhom import (
     CoreFamily,
     LabeledGraph,
     OphMap,
-    _interval_chromatic,
+    _interval_runs,
     _maximal_indices,
     backedge_graph,
     core_family,
@@ -35,6 +35,7 @@ from tourkit.orderedhom import (
 )
 
 from conftest import (
+    oracle_canonical_key,
     oracle_core_family,
     oracle_graph_chromatic,
     oracle_interval_chromatic,
@@ -269,7 +270,7 @@ class TestRetractionCoreAgainstOracle:
         for _ in range(150):
             labels = sorted(rng.sample(range(1, 12), rng.randrange(0, 8)))
             g = random_labeled_graph(labels, rng.random(), rng)
-            assert _interval_chromatic(g) == oracle_interval_chromatic(g)
+            assert _interval_runs(g._adj, g.vertices) == oracle_interval_chromatic(g)
 
     def test_budget_counts_subsets_from_interval_chromatic(self, rng):
         graphs = [path_13_23(), path_12_23()]
@@ -285,6 +286,20 @@ class TestRetractionCoreAgainstOracle:
             with pytest.raises(BudgetExceeded) as err:
                 ordered_core(g, budget=exact - 1)
             assert err.value.info["tested"] == exact
+
+
+class TestCanonicalKeyAgainstOracle:
+    def test_seeded_graphs_on_sparse_labels(self, rng):
+        graphs = [LabeledGraph([], []), LabeledGraph([3, 8, 20], [])]
+        for _ in range(100):
+            labels = rng.sample(range(1, 60), rng.randrange(0, 10))
+            graphs.append(random_labeled_graph(sorted(labels), rng.random(), rng))
+        for g in graphs:
+            assert g.canonical_key() == oracle_canonical_key(g)
+
+    def test_minimal_hard_family_members(self, hard_family):
+        for member in hard_family.members:
+            assert member.canonical_key() == oracle_canonical_key(member)
 
 
 class TestFamilyAgainstOracle:
