@@ -19,14 +19,42 @@ the two masks. The search is a loop over an explicit stack, so the number
 of variables is not bounded by Python's recursion limit.
 
 Branching picks the unassigned variable occurring in the most clauses
-(ties to the smallest index). The first branching decision is pinned to a
-single value, which is sound because complementing every variable
-preserves all NAE clauses.
+(ties to the smallest index) and tries 0, then 1. The first branching
+decision is pinned to 0, which is sound because complementing every
+variable preserves all NAE clauses.
 
-Two fronts run the one search, each with its own forced-set rule:
+A level is one branching decision with the propagation that follows it.
+Each assigned variable records its level, its place in the assignment
+order and the variable whose forced set assigned it. A conflict is a
+clause {v, u, g} with all three on one side. It is explained by walking
+its variables of the current level back through the forced sets that
+assigned them: w, assigned by the forced set of s, goes back to s and to
+one u with {s, u, w} a clause and u on the side of s. That u is from an
+earlier level when one is, else from this level and assigned before w,
+so the walk never goes round in a circle. What remains is the decision
+and a set of earlier levels' variables, which with the decision's value
+force the conflict. When both values of a level have failed, the union
+of their two sets rules out the values that the earlier levels gave
+those variables. The search returns to the deepest level h holding one
+of them and skips the untried values of every level in between: each
+assignment below them keeps levels 1..h, so none satisfies the clauses.
+Level h's variables in the union are explained in turn by earlier ones
+and count against h's current value; an empty union means that no
+assignment exists. Only subtrees without a satisfying assignment are
+skipped, and the rest are visited in the same order, so the assignment
+found is the one backtracking one level at a time finds: the first in
+branching order, 0 before 1.
+
+A node is one level entered, plus the final check that finds every
+variable assigned, and a budget counts nodes. A backjump only removes
+nodes, so a search never takes more than backtracking one level at a
+time would.
+
+Two fronts run the one search, each with its own forced-set rule and a
+rule ``third(f, z)`` giving ``link(f, z)`` for the explanations:
 
 - ``solve_nae`` takes a clause list and builds the ``link`` masks from it
-  once; its rule ignores ``opp``.
+  once; its forced rule ignores ``opp``.
 - ``solve_tournament`` takes a tournament T, whose clauses are its cyclic
   triangles, and lists neither them nor ``link``: if v -> u,
   ``link(v, u)`` is ``out[u] & inn[v]``, otherwise ``out[v] & inn[u]``.
@@ -36,14 +64,15 @@ Two fronts run the one search, each with its own forced-set rule:
   either end of those edges, by ORing ``out[u]`` over the u or by
   testing ``inn[w]`` for each w, and walks the smaller of the two masks.
   The clause degrees and partner masks likewise come from one walk of the
-  smaller of ``out[v]`` and ``inn[v]`` per vertex.
+  smaller of ``out[v]`` and ``inn[v]`` per vertex, and ``third(f, z)`` is
+  ``(out[f] & inn[z]) | (inn[f] & out[z])``.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
-from .digraphs import Tournament, _gather
+from .digraphs import Tournament, _bits, _gather
 from .errors import BudgetExceeded
 
 __all__ = ["solve_nae", "solve_tournament"]
@@ -80,7 +109,10 @@ def solve_nae(
     def forced(v: int, same: int, opp: int) -> int:
         return _gather(same & partners[v], link[v])
 
-    return _search(num_vars, degree, forced, budget)
+    def third(f: int, z: int) -> int:
+        return link[f].get(z, 0)
+
+    return _search(num_vars, degree, forced, third, budget)
 
 
 def solve_tournament(
@@ -90,13 +122,20 @@ def solve_tournament(
 
     Entry v-1 of the result is the value of vertex v. The search, its node
     count and its result are those of ``solve_nae(t.n, clauses)`` for the
-    cyclic-triangle clauses, since the degrees and forced sets are the
-    same.
+    cyclic-triangle clauses, since the degrees, the forced sets and the
+    ``third`` masks that explain each conflict, and so every backjump, are
+    the same.
     """
     if not isinstance(t, Tournament):
         raise ValueError("NAE 2-coloring requires a tournament")
     degree, forced = _tournament_rule(t)
-    return _search(t.n, degree, forced, budget)
+    out, inn = t.out, t.inn
+
+    def third(f: int, z: int) -> int:
+        # the w of a cyclic triangle f -> z -> w -> f or z -> f -> w -> z
+        return (out[f] & inn[z]) | (inn[f] & out[z])
+
+    return _search(t.n, degree, forced, third, budget)
 
 
 def _tournament_rule(
@@ -170,42 +209,93 @@ def _search(
     num_vars: int,
     degree: list[int],
     forced: Callable[[int, int, int], int],
+    third: Callable[[int, int], int],
     budget: Optional[int],
 ) -> Optional[list[int]]:
-    """The one NAE search over clause degrees and a front's forced-set rule.
+    """The one NAE search over clause degrees and a front's two rules.
 
     ``forced(v, same, opp)`` is called with v in ``side[x]``, ``same`` =
     ``side[x]`` and ``opp`` = ``side[1 - x]``. It returns the OR of
     ``link(v, u)`` over the u in ``same``, restricted to the variables
-    outside ``opp``; bits in ``opp`` may be kept or dropped. The search
-    is a loop over an explicit stack of pending branches, so its depth
-    is not bounded by Python's recursion limit.
+    outside ``opp``; bits in ``opp`` may be kept or dropped.
+    ``third(f, z)`` is ``link(f, z)``: the mask of the w with {f, z, w} a
+    clause. The search is a loop over an explicit stack of open levels,
+    so its depth is not bounded by Python's recursion limit.
     """
     side = [0, 0]
     by_degree = sorted(range(1, num_vars + 1), key=lambda v: (-degree[v], v))
+    # for each assigned variable: the level it was assigned at, its place
+    # in the assignment order (one step per forced set), and the variable
+    # whose forced set assigned it (0 for a level's decision)
+    level = [0] * (num_vars + 1)
+    order = [0] * (num_vars + 1)
+    setter = [0] * (num_vars + 1)
+    tick = 0
 
-    def assign(v: int, x: int) -> bool:
-        side[x] |= 1 << v
-        queue = [(v, x)]
+    def partner(f: int, z: int, mask: int, before: int, limit: int) -> int:
+        # a u in mask completing a clause with f and z: the lowest in
+        # before if there is one, else the lowest placed before limit
+        cands = third(f, z) & mask
+        low = cands & before
+        if low:
+            return low & -low
+        while True:
+            low = cands & -cands
+            if order[low.bit_length() - 1] < limit:
+                return low
+            cands ^= low
+
+    def explain(todo: int, before: int) -> int:
+        # walk the assigned variables in todo back through the forced sets
+        # that assigned them, stopping at those in before; the ones reached
+        seen = 0
+        while todo:
+            low = todo & -todo
+            seen |= low
+            w = low.bit_length() - 1
+            s = setter[w]
+            if s and not low & before:
+                todo |= (1 << s) | partner(
+                    s, w, side[(side[1] >> s) & 1], before, order[w]
+                )
+            todo &= ~seen
+        return seen & before
+
+    def assign(d: int, x: int, depth: int) -> Optional[int]:
+        # None, or on a conflict the earlier levels' variables behind it
+        nonlocal tick
+        before = side[0] | side[1]
+        side[x] |= 1 << d
+        level[d], order[d], setter[d] = depth, tick, 0
+        tick += 1
+        queue = [(d, x)]
         while queue:
             v, x = queue.pop()
             y = 1 - x
             new = forced(v, side[x], side[y])
-            if new & side[x]:
-                return False
+            clash = new & side[x]
+            if clash:
+                # the clause {v, u, g} has all three on side x
+                g = clash & before or clash
+                g &= -g
+                u = partner(v, g.bit_length() - 1, side[x], before, tick)
+                return explain((1 << v) | g | u, before)
             new &= ~side[y]
             if new:
                 side[y] |= new
                 while new:
                     low = new & -new
-                    queue.append((low.bit_length() - 1, y))
+                    w = low.bit_length() - 1
+                    level[w], order[w], setter[w] = depth, tick, v
+                    queue.append((w, y))
                     new ^= low
-        return True
+                tick += 1
+        return None
 
-    # each entry is a branch still to try: the position in by_degree, the
-    # two masks to restore and the value; a node pushes its branches in
-    # reverse, so value 0 runs first and value 1 after its whole subtree
-    pending: list[tuple[int, int, int, int]] = []
+    # each open level: the position in by_degree, the two masks to restore,
+    # the value it holds and the earlier levels' variables behind the
+    # failure of its value 0
+    stack: list[tuple[int, int, int, int, int]] = []
     start = nodes = 0
     while True:
         nodes += 1
@@ -218,13 +308,23 @@ def _search(
         if start == num_vars:
             return [(side[1] >> v) & 1 for v in range(1, num_vars + 1)]
         zero, one = side
-        if nodes > 1:  # the root pins its variable to 0
-            pending.append((start, zero, one, 1))
-        pending.append((start, zero, one, 0))
-        while pending:
-            start, side[0], side[1], value = pending.pop()
-            if assign(by_degree[start], value):
+        value = why = 0
+        while True:
+            conflict = assign(by_degree[start], value, len(stack) + 1)
+            if conflict is None:
                 break
-        else:
-            return None
+            why |= conflict
+            # the root pins its variable to 0; a level whose values both
+            # failed returns to the deepest level behind the failures and
+            # explains that level's variables among them by earlier ones
+            while value or not stack:
+                if not why:
+                    return None
+                depth = max(level[w] for w in _bits(why))
+                start, zero, one, value, held = stack[depth - 1]
+                del stack[depth - 1 :]
+                why = held | explain(why, zero | one)
+            value = 1
+            side[0], side[1] = zero, one
+        stack.append((start, zero, one, value, why))
         start += 1

@@ -169,6 +169,166 @@ def oracle_tournament_forced(t, v: int, same: int, opp: int) -> int:
     return acc & ~opp
 
 
+def oracle_nae_chronological(num_vars: int, clauses=None, tournament=None):
+    """The NAE search as it was before it backjumped, with its node count.
+
+    Exactly one of ``clauses`` and ``tournament`` is given. The search
+    and both forced-set rules are the chronological-backtracking ones,
+    copied unchanged apart from the returned count, so a fault in the
+    backjumping search cannot hide in its own check. Returns the
+    assignment (None when there is none) and the nodes visited.
+    """
+    if tournament is None:
+        degree, forced = _chrono_clause_rule(num_vars, clauses)
+    else:
+        degree, forced = _chrono_tournament_rule(tournament)
+    return _chrono_search(num_vars, degree, forced)
+
+
+def _chrono_gather(mask: int, table) -> int:
+    acc = 0
+    while mask:
+        low = mask & -mask
+        acc |= table[low.bit_length() - 1]
+        mask ^= low
+    return acc
+
+
+def _chrono_clause_rule(num_vars, clauses):
+    degree = [0] * (num_vars + 1)
+    # link[v][u] for each partner u of v, and the mask of those partners
+    link = [{} for _ in range(num_vars + 1)]
+    partners = [0] * (num_vars + 1)
+    for a, b, c in clauses:
+        for v, u, w in ((a, b, c), (b, c, a), (c, a, b)):
+            degree[v] += 1
+            link[v][u] = link[v].get(u, 0) | (1 << w)
+            link[v][w] = link[v].get(w, 0) | (1 << u)
+            partners[v] |= (1 << u) | (1 << w)
+
+    def forced(v, same, opp):
+        return _chrono_gather(same & partners[v], link[v])
+
+    return degree, forced
+
+
+def _chrono_tournament_rule(t):
+    out, inn = t.out, t.inn
+    degree, partners = _chrono_triangle_partners(t)
+
+    def half(a, c, fwd, back):
+        # the w in c with back[w] & a, i.e. c & OR fwd[u] over the u in a
+        if a.bit_count() <= c.bit_count():
+            return c & _chrono_gather(a, fwd)
+        hit = 0
+        while c:
+            low = c & -c
+            if back[low.bit_length() - 1] & a:
+                hit |= low
+            c ^= low
+        return hit
+
+    def forced(v, same, opp):
+        p = partners[v]
+        same &= p
+        p &= ~opp
+        return half(same & out[v], p & inn[v], out, inn) | half(
+            same & inn[v], p & out[v], inn, out
+        )
+
+    return degree, forced
+
+
+def _chrono_triangle_partners(t):
+    out, inn = t.out, t.inn
+    degree = [0] * (t.n + 1)
+    partners = [0] * (t.n + 1)
+    for v in t.vertices:
+        walk, other = out[v], inn[v]
+        table = out
+        if walk.bit_count() > other.bit_count():
+            walk, other, table = other, walk, inn
+        count = shared = 0
+        while walk:
+            low = walk & -walk
+            x = table[low.bit_length() - 1] & other
+            if x:
+                count += x.bit_count()
+                shared |= low | x
+            walk ^= low
+        degree[v] = count
+        partners[v] = shared
+    return degree, partners
+
+
+def _chrono_search(num_vars, degree, forced):
+    side = [0, 0]
+    by_degree = sorted(range(1, num_vars + 1), key=lambda v: (-degree[v], v))
+
+    def assign(v, x):
+        side[x] |= 1 << v
+        queue = [(v, x)]
+        while queue:
+            v, x = queue.pop()
+            y = 1 - x
+            new = forced(v, side[x], side[y])
+            if new & side[x]:
+                return False
+            new &= ~side[y]
+            if new:
+                side[y] |= new
+                while new:
+                    low = new & -new
+                    queue.append((low.bit_length() - 1, y))
+                    new ^= low
+        return True
+
+    # each entry is a branch still to try: the position in by_degree, the
+    # two masks to restore and the value; a node pushes its branches in
+    # reverse, so value 0 runs first and value 1 after its whole subtree
+    pending = []
+    start = nodes = 0
+    while True:
+        nodes += 1
+        # assignments only grow along a branch, so the scan resumes at start
+        assigned = side[0] | side[1]
+        while start < num_vars and (assigned >> by_degree[start]) & 1:
+            start += 1
+        if start == num_vars:
+            return [(side[1] >> v) & 1 for v in range(1, num_vars + 1)], nodes
+        zero, one = side
+        if nodes > 1:  # the root pins its variable to 0
+            pending.append((start, zero, one, 1))
+        pending.append((start, zero, one, 0))
+        while pending:
+            start, side[0], side[1], value = pending.pop()
+            if assign(by_degree[start], value):
+                break
+        else:
+            return None, nodes
+        start += 1
+
+
+def oracle_nae_first(num_vars: int, clauses):
+    """The first NAE assignment in the search's order, by enumeration.
+
+    Variables are ordered by clause count (most first, ties to the
+    smaller index) and the assignments are scanned lexicographically in
+    that order, 0 before 1, with the first variable held at 0. None when
+    no assignment qualifies.
+    """
+    degree = [0] * (num_vars + 1)
+    for clause in clauses:
+        for v in clause:
+            degree[v] += 1
+    ordered = sorted(range(1, num_vars + 1), key=lambda v: (-degree[v], v))
+    for values in itertools.product((0, 1), repeat=max(num_vars - 1, 0)):
+        value = dict(zip(ordered, (0, *values)))
+        if all(len({value[v] for v in clause}) == 2 for clause in clauses):
+            return [value[v] for v in range(1, num_vars + 1)]
+    return None
+
+
 def oracle_chromatic(d: OrientedGraph) -> int:
     """Least k over exhaustive k^n assignments."""
     for k in range(1, d.n + 1):

@@ -3,6 +3,8 @@ other, with the search order and node counts pinned."""
 
 import itertools
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,10 +12,17 @@ from tourkit import nae
 from tourkit.coloring import cyclic_triangles, smallest_non_two_colorable_tournament
 from tourkit.digraphs import Tournament, c3_pattern, random_tournament
 from tourkit.errors import BudgetExceeded
+from tourkit.formats import parse_undirected_graph
 from tourkit.hardness import reduce_graph
 from tourkit.orderedhom import LabeledGraph
 
-from conftest import oracle_nae, oracle_tournament_forced, random_labeled_graph
+from conftest import (
+    oracle_nae,
+    oracle_nae_chronological,
+    oracle_nae_first,
+    oracle_tournament_forced,
+    random_labeled_graph,
+)
 
 
 def random_clauses(seed, num_vars, count):
@@ -226,7 +235,9 @@ PINNED_TOURNAMENTS = {
     "T(G7)": (
         lambda: reduce_graph(LabeledGraph(range(1, 8), _G7_EDGES)).tournament,
         _G7,
-        96,
+        # 96 when the search backtracked one level at a time; backjumping
+        # skips levels that no conflict below them depends on
+        75,
     ),
     "minimal hard": (smallest_non_two_colorable_tournament, None, 4),
     "T(no-cut n7 m10)": (
@@ -264,4 +275,92 @@ class TestPinnedSearch:
         clauses = cyclic_triangles(t)
         check_pinned(
             lambda b: nae.solve_nae(t.n, clauses, budget=b), expected, budget
+        )
+
+
+def bench_reductions(seed, workdir):
+    """The stratum and T(G) of every job of the bench's reduction workload
+    at ``seed``, from the graph files its set-up writes to ``workdir``."""
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    sys.path.insert(0, bench)
+    try:
+        import workloads
+
+        jobs = workloads.reduction(seed, workdir).jobs
+    finally:
+        sys.path.remove(bench)
+    graphs = [(job.kind, Path(job.argv[1]).read_text()) for job in jobs]
+    return [
+        (kind, reduce_graph(parse_undirected_graph(text)).tournament)
+        for kind, text in graphs
+    ]
+
+
+def check_chronological(solve, num_vars, clauses=None, tournament=None):
+    """``solve(budget)`` returns the chronological search's answer within
+    that search's node count; the answer is returned."""
+    expected, nodes = oracle_nae_chronological(num_vars, clauses, tournament)
+    assert solve(nodes) == expected
+    return expected
+
+
+# G on 7 vertices with 4 triangles. A search that blames a conflict on the
+# levels of its earlier variables, not on the variables, fails both values
+# at level 9 of T(G), returns to level 8, fails there too and jumps on to
+# level 4: it never asks which earlier levels level 8's variables rested
+# on, skips T(G)'s first 2-colouring and returns a later one
+_LEVEL_BLAME_EDGES = [
+    (1, 5), (1, 6), (1, 7), (2, 4), (2, 5), (2, 7),
+    (3, 4), (3, 6), (3, 7), (4, 5), (4, 7), (5, 6),
+]
+
+
+class TestBackjumping:
+    """Backjumping skips only subtrees without an assignment, so each answer
+    is the chronological search's, found in at most as many nodes, and the
+    first assignment in the search's order."""
+
+    def test_clause_sets(self):
+        rng = random.Random(0x424A)
+        for _ in range(1500):
+            n = rng.randrange(3, 41)
+            clauses = [
+                tuple(rng.sample(range(1, n + 1), 3))
+                for _ in range(rng.randrange(3 * n + 1))
+            ]
+            expected = check_chronological(
+                lambda b: nae.solve_nae(n, clauses, budget=b), n, clauses
+            )
+            if n <= 12:
+                assert expected == oracle_nae_first(n, clauses)
+
+    def test_random_tournaments(self):
+        rng = random.Random(0x424B)
+        for _ in range(500):
+            t = random_tournament(rng.randrange(3, 40), rng)
+            expected = check_chronological(
+                lambda b: nae.solve_tournament(t, budget=b), t.n, tournament=t
+            )
+            if t.n <= 12:
+                assert expected == oracle_nae_first(t.n, cyclic_triangles(t))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_bench_reductions(self, seed, tmp_path):
+        reductions = bench_reductions(seed, tmp_path)
+        assert {kind for kind, _ in reductions} == {"n7", "n8", "n9", "nocut7"}
+        for kind, t in reductions:
+            expected = check_chronological(
+                lambda b: nae.solve_tournament(t, budget=b), t.n, tournament=t
+            )
+            # the nocut7 graphs have no triangle-free cut, so no T(G) colouring
+            assert (expected is None) == (kind == "nocut7")
+
+    def test_a_return_explains_the_level_it_returns_to(self):
+        t = reduce_graph(LabeledGraph(range(1, 8), _LEVEL_BLAME_EDGES)).tournament
+        clauses = cyclic_triangles(t)
+        check_chronological(
+            lambda b: nae.solve_tournament(t, budget=b), t.n, tournament=t
+        )
+        check_chronological(
+            lambda b: nae.solve_nae(t.n, clauses, budget=b), t.n, clauses
         )
