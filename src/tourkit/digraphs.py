@@ -164,12 +164,6 @@ class OrientedGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.out[u] >> v) & 1)
 
-    def out_degree(self, v: int) -> int:
-        return self.out[v].bit_count()
-
-    def in_degree(self, v: int) -> int:
-        return self.inn[v].bit_count()
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, OrientedGraph)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import nae
 from .coloring import Coloring, nae_two_coloring, verify_coloring
@@ -225,7 +225,6 @@ def reduce_graph(g: LabeledGraph) -> ReductionOutput:
     spine -> triples, spine -> blocks, blocks -> triples.
     """
     n = g.n
-    pos = {lab: i + 1 for i, lab in enumerate(g.vertices)}
     triangles = tuple(graph_triangles(g))
     m = len(triangles)
     size = n + 18 * m
@@ -245,7 +244,7 @@ def reduce_graph(g: LabeledGraph) -> ReductionOutput:
     # block b = 3(t-1) + (r-1) is the gadget of triangle t's r-th vertex:
     # its u is that vertex's spine position and its v the triple vertex
     # z0 + b; the pairs of u or v with the block take the gadget's edges
-    us = [pos[tri[r]] for tri in triangles for r in range(3)]
+    us = [u for clause in _cut_clauses(g, triangles) for u in clause]
     own = [0] * (n + 1)  # own[y]: the blocks whose u is y
     for b, u in enumerate(us):
         block = _span(k0 + 5 * b, k0 + 5 * b + 4)
@@ -280,6 +279,17 @@ def reduce_graph(g: LabeledGraph) -> ReductionOutput:
     return ReductionOutput(graph=g, triangles=triangles, tournament=t)
 
 
+def _cut_clauses(g: LabeledGraph, triangles: Iterable) -> list[tuple[int, int, int]]:
+    """Each triangle on vertex positions, which follow the sorted labels."""
+    pos = {lab: i + 1 for i, lab in enumerate(g.vertices)}
+    return [(pos[a], pos[b], pos[c]) for a, b, c in triangles]
+
+
+def _triangle_free(coloring: Coloring, clauses: Iterable) -> bool:
+    """Whether no triangle, as a clause on positions, is monochromatic."""
+    return all(len({coloring.color(x) for x in clause}) > 1 for clause in clauses)
+
+
 def has_triangle_free_cut(
     g: LabeledGraph, budget: Optional[int] = None
 ) -> Optional[Coloring]:
@@ -287,16 +297,13 @@ def has_triangle_free_cut(
 
     One NAE constraint per triangle; positions follow the sorted labels.
     """
-    triangles = graph_triangles(g)
-    pos = {lab: i + 1 for i, lab in enumerate(g.vertices)}
-    clauses = [(pos[a], pos[b], pos[c]) for a, b, c in triangles]
+    clauses = _cut_clauses(g, graph_triangles(g))
     solution = nae.solve_nae(g.n, clauses, budget=budget)
     if solution is None:
         return None
     coloring = Coloring(tuple(x + 1 for x in solution), 2)
-    for a, b, c in triangles:
-        if coloring.color(pos[a]) == coloring.color(pos[b]) == coloring.color(pos[c]):
-            raise AuditError("solver returned a monochromatic triangle")
+    if not _triangle_free(coloring, clauses):
+        raise AuditError("solver returned a monochromatic triangle")
     return coloring
 
 
@@ -328,18 +335,7 @@ def check_reduction(
             tuple(tcol.color(reduction.y_vertex(i)) for i in range(1, g.n + 1)),
             2,
         )
-        pos = {lab: i + 1 for i, lab in enumerate(g.vertices)}
-        lifted_valid = all(
-            len(
-                {
-                    lifted.color(pos[a]),
-                    lifted.color(pos[b]),
-                    lifted.color(pos[c]),
-                }
-            )
-            > 1
-            for a, b, c in reduction.triangles
-        )
+        lifted_valid = _triangle_free(lifted, _cut_clauses(g, reduction.triangles))
         if not lifted_valid:
             raise AuditError("lifted coloring is not a triangle-free cut")
     return ReductionCheck(

@@ -16,14 +16,14 @@ to dominant value 1, mirroring the >= 1/2 rule for dominant directions.
 The decomposition pipeline runs the partitioner at delta/5, refines to an
 equipartition, reruns at gamma = 1/(2 q^4), then samples one
 representative block per part (seeded) and retries until the two
-homogeneity events hold. Every stage's equipartition is audited at its
-target delta. Audits and the sampling work on integer block counts:
-a block of ``ones`` ones in ``size`` entries is delta-homogeneous iff
-min(ones, size - ones) * q <= p * size for delta = p/q. When stage one
-ends in singletons and the size budget leaves room for n classes, stage
-two reuses it: the only equipartition refining singletons is itself.
-Size bounds of the underlying existential constants are reported, not
-enforced.
+homogeneity events hold. Each stage's equipartition is counted once,
+and its audit at the stage's target delta and the sampling read that
+count: a block of ``ones`` ones in ``size`` entries is delta-homogeneous
+iff min(ones, size - ones) * q <= p * size for delta = p/q. For
+n <= 30/delta the decomposition is the singleton equipartition. The
+copy branch needs a size budget below n, which ``tourkit regularity``
+does not take. Size bounds of the underlying existential constants are
+reported, not enforced.
 
 Matrices are row and column bit masks, so a block count is a sum of
 popcounts, and no decision here, the split order included, uses floats.
@@ -67,10 +67,13 @@ __all__ = [
 HALF = Fraction(1, 2)
 
 
-def _check_delta(delta) -> Fraction:
+def _check_delta(delta, n: int) -> Fraction:
+    """delta as a Fraction, for an n x n matrix with n >= 1."""
     delta = Fraction(delta)
     if not 0 < delta < HALF:
         raise ValueError("delta must lie strictly between 0 and 1/2")
+    if n < 1:
+        raise ValueError("regularity needs a matrix with at least one row (n >= 1)")
     return delta
 
 
@@ -192,7 +195,7 @@ def audit_bipartition(
     delta: Fraction,
 ) -> BipartitionAudit:
     """Exact audit: per-block one counts and sizes, and the total bad weight."""
-    delta = _check_delta(delta)
+    delta = _check_delta(delta, a.n)
     _validate_partition(rows, a.n, "row partition")
     _validate_partition(cols, a.n, "column partition")
     ones = _block_counts(a, rows, cols)
@@ -278,7 +281,6 @@ class AfnPartition:
     """Partition branch: a certified delta-homogeneous bipartition pair."""
 
     audit: BipartitionAudit
-    size_budget: int
 
 
 @dataclass(frozen=True)
@@ -295,7 +297,6 @@ class AfnInconclusive:
     """Neither branch achieved within the size budget."""
 
     last_audit: BipartitionAudit
-    copy_count: int
 
 
 AfnOutcome = Union[AfnPartition, AfnCopies, AfnInconclusive]
@@ -344,7 +345,7 @@ def afn_partition(
     half's masks cut by the other axis's class masks; the second half's
     are what is left, and only the split class's blocks change weight.
     """
-    delta = _check_delta(delta)
+    delta = _check_delta(delta, a.n)
     bm = b if isinstance(b, BinaryMatrix) else BinaryMatrix(b)
     n = a.n
     budget = size_budget if size_budget is not None else n
@@ -360,7 +361,7 @@ def afn_partition(
         # bad weight <= delta, exactly: bad * q <= p * n^2
         if sum(bad[0]) * delta.denominator <= delta.numerator * n * n:
             audit = audit_bipartition(a, parts[0], parts[1], delta)
-            return AfnPartition(audit=audit, size_budget=budget)
+            return AfnPartition(audit=audit)
         picks = [
             (weight, -len(part), -axis, -i)
             for axis in (0, 1) if len(parts[axis]) < budget
@@ -398,9 +399,7 @@ def afn_partition(
             witness=find_matrix_copy(a, bm),
             pattern=tuple(tuple(bm[i, j] for j in span) for i in span),
         )
-    return AfnInconclusive(
-        last_audit=audit_bipartition(a, parts[0], parts[1], delta), copy_count=0
-    )
+    return AfnInconclusive(last_audit=audit_bipartition(a, parts[0], parts[1], delta))
 
 
 # -- equipartitions and refinement --------------------------------------
@@ -439,10 +438,10 @@ def audit_equipartition(
 ) -> EquipartitionAudit:
     """Exact audit, with the density of the edges from part i to part j
     (0 when i = j)."""
-    delta = _check_delta(delta)
-    a = BinaryMatrix.from_tournament(t)
-    bad_weight = _equipartition_bad_weight(a, partition.parts, delta)
-    ones = _block_counts(a, partition.parts, partition.parts)
+    delta = _check_delta(delta, t.n)
+    ones = _equipartition_counts(BinaryMatrix.from_tournament(t), partition.parts)
+    (table,) = _dominant_values(ones, partition.parts, delta)
+    bad_weight = _bad_share(table, partition.parts)
     return EquipartitionAudit(
         delta=delta,
         bad_weight=bad_weight,
@@ -457,20 +456,41 @@ def audit_equipartition(
     )
 
 
-def _equipartition_bad_weight(
-    a: BinaryMatrix, parts: Sequence[Sequence[int]], delta: Fraction
+def _equipartition_counts(
+    a: BinaryMatrix, parts: Sequence[Sequence[int]]
+) -> list[list[int]]:
+    """Ones of every block of the parts on both axes, from the masks of ``a``."""
+    _validate_partition(parts, a.n, "partition")
+    return _block_counts(a, parts, parts)
+
+
+def _dominant_values(
+    ones: Sequence[Sequence[int]], parts: Sequence[Sequence[int]], *deltas: Fraction
+) -> list[list[list[Optional[bool]]]]:
+    """For each delta, per block of the parts on both axes (``ones[i][j]``
+    ones): None when it is not delta-homogeneous, else whether its dominant
+    value is 1."""
+    sizes = [len(part) for part in parts]
+    tables: list[list[list[Optional[bool]]]] = [[] for _ in deltas]
+    for row, sx in zip(ones, sizes):
+        blocks = [sx * sy for sy in sizes]
+        for table, delta in zip(tables, deltas):
+            weights = _bad_weights(row, blocks, delta)
+            table.append(
+                [None if w else 2 * c >= s for c, s, w in zip(row, blocks, weights)]
+            )
+    return tables
+
+
+def _bad_share(
+    table: Sequence[Sequence[Optional[bool]]], parts: Sequence[Sequence[int]]
 ) -> Fraction:
     """Share of the n^2 entries lying in ordered pairs of distinct parts
-    whose edge density is not delta-homogeneous; ``a`` is the
-    tournament's adjacency matrix."""
-    _validate_partition(parts, a.n, "partition")
-    ones = _block_counts(a, parts, parts)
+    that ``table`` (from ``_dominant_values``) marks not homogeneous."""
     sizes = [len(part) for part in parts]
-    bad = 0
-    for i, (row, sx) in enumerate(zip(ones, sizes)):
-        weights = _bad_weights(row, [sx * sy for sy in sizes], delta)
-        bad += sum(weights) - weights[i]
-    return Fraction(bad, a.n * a.n)
+    pairs = itertools.permutations(range(len(parts)), 2)
+    bad = sum(sizes[i] * sizes[j] for i, j in pairs if table[i][j] is None)
+    return Fraction(bad, sum(sizes) ** 2)
 
 
 def _feasible_q(n: int, parts: Sequence[Sequence[int]]) -> list[int]:
@@ -566,6 +586,7 @@ class StrongDecomposition:
     item1_failures counts pairs i<j that are either non-homogeneous at
     delta or have mismatched dominant directions between the parts and
     their representatives; the bound delta * q^2 is part of the contract.
+    Item 2 (every representative pair delta-homogeneous) always holds.
     Representative sizes (item 3) are reported, not enforced.
     """
 
@@ -577,7 +598,6 @@ class StrongDecomposition:
     q: int
     item1_failures: int
     item1_bound: Fraction
-    item2_ok: bool
     representative_sizes: tuple[int, ...]
     attempts: int
     seed: int
@@ -594,33 +614,29 @@ def strong_decomposition(
     """Two-stage refinement plus seeded representative sampling.
 
     Stage one partitions at delta/5 starting from the trivial partition;
-    stage two refines at gamma = 1/(2 q^4). When stage one has n
-    singleton parts and ``size_budget`` is None or at least n, stage two
-    is stage one itself, since the partitioner would end on a homogeneous
-    pair and the refinement could only return the singletons; it is still
-    audited at gamma. Representatives are the stage-two parts containing
-    one uniformly sampled vertex per stage-one part, resampled until all
-    representative pairs are delta-homogeneous and at most 4 delta q^2 / 5
-    pairs flip their dominant direction. Both audits and the sampling
-    test homogeneity on integer block counts. If either partitioning
-    stage finds pattern copies instead, that branch is returned as the
-    outcome.
+    stage two refines at gamma = 1/(2 q^4). Representatives are the
+    stage-two parts containing one uniformly sampled vertex per stage-one
+    part, resampled until all representative pairs are delta-homogeneous
+    and at most 4 delta q^2 / 5 pairs flip their dominant direction. Each
+    stage's equipartition is counted once, from the matrix's masks, and
+    its audit at the stage's target delta and the sampling read that
+    integer count. If either partitioning stage finds pattern copies
+    instead, that branch is returned as the outcome.
 
-    Stage one's part count is at least 30/delta, so for n <= 30/delta it
-    has n singleton parts: each representative is forced, the seed has no
-    effect and ``attempts`` is 1.
+    With room for n classes (``size_budget`` None or at least n) the
+    partitioner always ends on a homogeneous pair: a bad block has a class
+    of two or more members to split, and the all-singleton pair is
+    0-homogeneous. So the copy branch needs a ``size_budget`` below n,
+    which ``tourkit regularity`` does not pass. Stage one has at least
+    30/delta parts, so for n <= 30/delta both stages are the singleton
+    equipartition; with room for n classes stage two is stage one itself,
+    still audited at gamma. Each representative is then forced, the seed
+    has no effect and ``attempts`` is 1.
     """
-    delta = _check_delta(delta)
+    delta = _check_delta(delta, t.n)
     a = BinaryMatrix.from_tournament(t)
     b = bipartite_adjacency(f)
     n = t.n
-
-    def audited(p: Equipartition, target_delta: Fraction) -> Equipartition:
-        if _equipartition_bad_weight(a, p.parts, target_delta) > target_delta:
-            raise AuditError(
-                f"refinement missed its homogeneity target {target_delta}"
-            )
-        return p
 
     def refinement_stage(
         p: Equipartition, target_delta: Fraction
@@ -638,27 +654,33 @@ def strong_decomposition(
         target_q = Fraction(6 * len(p.parts) * len(rows) * len(cols)) / target_delta
         feasible = _feasible_q(n, p.parts)  # n is always feasible
         q = next((cand for cand in feasible if cand >= target_q), feasible[-1])
-        return audited(refine_to_equipartition(t, p, rows, cols, q), target_delta)
+        return refine_to_equipartition(t, p, rows, cols, q)
+
+    def audit(p: Equipartition, table, target_delta: Fraction) -> None:
+        if _bad_share(table, p.parts) > target_delta:
+            raise AuditError(f"refinement missed its homogeneity target {target_delta}")
 
     trivial = Equipartition(parts=(tuple(range(1, n + 1)),))
     stage1 = refinement_stage(trivial, delta / 5)
     if isinstance(stage1, AfnCopies):
         return stage1
+    ones1 = _equipartition_counts(a, stage1.parts)
+    near, good = _dominant_values(ones1, stage1.parts, delta / 5, delta)
+    audit(stage1, near, delta / 5)
     q = stage1.q
     gamma = Fraction(1, 2 * q**4)
     if q == n and (size_budget is None or size_budget >= n):
-        # With room for n classes the partitioner always ends on a
-        # homogeneous pair (a bad block has a class of two or more members
-        # to split, and the all-singleton pair is 0-homogeneous), and the
-        # only equipartition refining singletons is itself.
-        stage2 = audited(stage1, gamma)
+        stage2, ones2 = stage1, ones1
     else:
         stage2 = refinement_stage(stage1, gamma)
         if isinstance(stage2, AfnCopies):
             return stage2
+        ones2 = _equipartition_counts(a, stage2.parts)
+    at_gamma, rep_good = _dominant_values(ones2, stage2.parts, gamma, delta)
+    audit(stage2, at_gamma, gamma)
 
     samples, reps, failures, attempts = _sample_representatives(
-        a, stage1, stage2, delta, seed, retry_budget
+        stage1, stage2, near, good, rep_good, delta, seed, retry_budget
     )
     return StrongDecomposition(
         partition=stage1,
@@ -669,34 +691,18 @@ def strong_decomposition(
         q=q,
         item1_failures=failures,
         item1_bound=delta * q * q,
-        item2_ok=True,
         representative_sizes=tuple(len(r) for r in reps),
         attempts=attempts,
         seed=seed,
     )
 
 
-def _dominant_values(
-    a: BinaryMatrix, parts: Sequence[Sequence[int]], *deltas: Fraction
-) -> list[list[list[Optional[bool]]]]:
-    """For each delta, per block of the parts on both axes: None when it is
-    not delta-homogeneous, else whether its dominant value is 1."""
-    sizes = [len(part) for part in parts]
-    tables: list[list[list[Optional[bool]]]] = [[] for _ in deltas]
-    for row, sx in zip(_block_counts(a, parts, parts), sizes):
-        blocks = [sx * sy for sy in sizes]
-        for table, delta in zip(tables, deltas):
-            weights = _bad_weights(row, blocks, delta)
-            table.append(
-                [None if w else 2 * c >= s for c, s, w in zip(row, blocks, weights)]
-            )
-    return tables
-
-
 def _sample_representatives(
-    a: BinaryMatrix,
     stage1: Equipartition,
     stage2: Equipartition,
+    near: Sequence[Sequence[Optional[bool]]],
+    good: Sequence[Sequence[Optional[bool]]],
+    rep_good: Sequence[Sequence[Optional[bool]]],
     delta: Fraction,
     seed: int,
     retry_budget: int,
@@ -705,13 +711,13 @@ def _sample_representatives(
     is the stage-two part holding it. Resampled until every representative
     pair is delta-homogeneous, at most 4 delta q^2 / 5 pairs homogeneous
     at delta/5 flip their dominant direction, and at most delta q^2 pairs
-    fail item 1. Returns the samples, the representatives, the item-1
-    failures and the number of attempts."""
+    fail item 1. ``near`` and ``good`` are stage one's ``_dominant_values``
+    tables at delta/5 and delta, ``rep_good`` stage two's at delta.
+    Returns the samples, the representatives, the item-1 failures and the
+    number of attempts."""
     q = stage1.q
     member_of = {v: idx for idx, part in enumerate(stage2.parts) for v in part}
     pairs = list(itertools.combinations(range(q), 2))
-    near, good = _dominant_values(a, stage1.parts, delta / 5, delta)
-    (rep_good,) = _dominant_values(a, stage2.parts, delta)
 
     digest = hashlib.sha256(f"{seed}:representatives".encode()).digest()
     rng = random.Random(int.from_bytes(digest[:8], "big"))

@@ -735,9 +735,7 @@ def oracle_afn_partition(a, b, delta: Fraction, size_budget=None):
                 if Fraction(min(ones, size - ones), size) > delta:
                     bad[i][j] = size
         if Fraction(sum(map(sum, bad)), n * n) <= delta:
-            return AfnPartition(
-                audit=audit_bipartition(a, rows, cols, delta), size_budget=budget
-            )
+            return AfnPartition(audit=audit_bipartition(a, rows, cols, delta))
         if len(rows) >= budget and len(cols) >= budget:
             break
         candidates = []
@@ -763,9 +761,7 @@ def oracle_afn_partition(a, b, delta: Fraction, size_budget=None):
             witness=find_matrix_copy(a, b),
             pattern=tuple(tuple(int(x) for x in row) for row in b),
         )
-    return AfnInconclusive(
-        last_audit=audit_bipartition(a, rows, cols, delta), copy_count=0
-    )
+    return AfnInconclusive(last_audit=audit_bipartition(a, rows, cols, delta))
 
 
 def oracle_sample_representatives(t, stage1, stage2, delta, seed, retry_budget):

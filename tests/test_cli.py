@@ -40,6 +40,7 @@ def usage_errors(files):
         ["kofh", files["c3"], "--budget", "5"],  # flag kofh does not read
         ["count", files["c3"], files["c3"], "--seed", "1"],
         ["distance", files["c3"], files["c3"], "--budget", "-1"],  # negative
+        ["regularity", files["t12"], "--pattern-size", "2"],  # flag removed
         ["nonsense"],
     ]
 
@@ -154,6 +155,16 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             run_cli(["color", "--help"])
         assert exc.value.code == 0
+
+    def test_regularity_rejects_an_empty_tournament(self, files, capsys):
+        empty = files["dir"] / "t0.txt"
+        empty.write_text("0\n")
+        code, out = run_cli(["regularity", str(empty)])
+        assert code == 3 and out == ""
+        err = capsys.readouterr().err
+        assert err == (
+            "input error: regularity needs a matrix with at least one row (n >= 1)\n"
+        )
 
     def test_forcing_build_rejects_one_vertex_pattern(self, files, capsys):
         single = files["dir"] / "single.txt"

@@ -313,7 +313,6 @@ class TestAfnPartition:
         a = BinaryMatrix([[1 if i == j else 0 for j in range(8)] for i in range(8)])
         out = afn_partition(a, [[1, 1], [1, 1]], Fraction(1, 10), size_budget=1)
         assert isinstance(out, AfnInconclusive)
-        assert out.copy_count == 0
         assert count_matrix_copies(a, [[1, 1], [1, 1]]) == 0
 
 
@@ -442,7 +441,6 @@ class TestStrongDecomposition:
         )
         assert isinstance(out, StrongDecomposition)
         assert out.item1_failures <= out.item1_bound
-        assert out.item2_ok
 
     def test_random_sixty(self, rng):
         t = random_tournament(60, rng)
@@ -509,15 +507,25 @@ def stages_of_four(n):
     return stage1, stage2
 
 
+def sample_representatives(t, stage1, stage2, delta, seed, retry_budget):
+    """The library sampler, fed stage one's tables at delta/5 and delta and
+    stage two's at delta, as ``strong_decomposition`` feeds it."""
+    a = BinaryMatrix.from_tournament(t)
+    ones1 = regularity._equipartition_counts(a, stage1.parts)
+    ones2 = regularity._equipartition_counts(a, stage2.parts)
+    near, good = regularity._dominant_values(ones1, stage1.parts, delta / 5, delta)
+    (rep_good,) = regularity._dominant_values(ones2, stage2.parts, delta)
+    return regularity._sample_representatives(
+        stage1, stage2, near, good, rep_good, delta, seed, retry_budget
+    )
+
+
 class TestRepresentativeSampling:
     """The sampling loop on hand-built stages with non-singleton parts,
     which the pipeline itself reaches only at n >= 120 (delta = 1/4)."""
 
     def run_both(self, t, stage1, stage2, delta, seed, retry_budget=200):
-        got = regularity._sample_representatives(
-            BinaryMatrix.from_tournament(t),
-            stage1, stage2, delta, seed, retry_budget,
-        )
+        got = sample_representatives(t, stage1, stage2, delta, seed, retry_budget)
         want = oracle_sample_representatives(
             t, stage1, stage2, delta, seed, retry_budget
         )
@@ -584,11 +592,8 @@ class TestRepresentativeSampling:
         stage1, stage2 = stages_of_four(24)
         flips = [(u, v) for u in range(1, 5) for v in range(5, 9) if (u - v) % 2 == 0]
         t = transitive_tournament(24).flip_pairs(flips)
-        a = BinaryMatrix.from_tournament(t)
         with pytest.raises(BudgetExceeded) as info:
-            regularity._sample_representatives(
-                a, stage1, stage2, Fraction(1, 4), 0, 7
-            )
+            sample_representatives(t, stage1, stage2, Fraction(1, 4), 0, 7)
         assert info.value.info == {"retries": 7}
         with pytest.raises(BudgetExceeded):
             oracle_sample_representatives(t, stage1, stage2, Fraction(1, 4), 0, 7)
@@ -632,6 +637,62 @@ class TestStageTwoShortcut:
         assert len(calls) == 2
         # stage two runs at gamma^2 / 3 with gamma = 1 / (2 q^4)
         assert calls[1] == Fraction(1, 3 * (2 * 30**4) ** 2)
+
+
+class TestCountsOnce:
+    """The pipeline counts the blocks of each stage's equipartition once,
+    from raw masks, and reads its audits and sampling tables off that
+    count; the partitioner's closing audit keeps its own count."""
+
+    @staticmethod
+    def count_block_counts(monkeypatch):
+        calls = []
+        real = regularity._block_counts
+
+        def spy(a, rows, cols):
+            calls.append(rows)
+            return real(a, rows, cols)
+
+        monkeypatch.setattr(regularity, "_block_counts", spy)
+        return calls
+
+    def test_singleton_path_counts_its_partition_once(self, monkeypatch):
+        t = random_tournament(36, random.Random(2))
+        calls = self.count_block_counts(monkeypatch)
+        out = strong_decomposition(
+            t, default_bipartite_pattern(2), Fraction(1, 4), seed=0
+        )
+        assert out.q == 36
+        # the partitioner's audit, then the singleton equipartition
+        assert len(calls) == 2
+        assert calls[1] == out.partition.parts
+
+    def test_stage_two_path_counts_each_stage_once(self, monkeypatch):
+        t = transitive_tournament(30)
+        calls = self.count_block_counts(monkeypatch)
+        out = strong_decomposition(
+            t, default_bipartite_pattern(2), Fraction(1, 4), seed=0, size_budget=29
+        )
+        assert out.q == 30
+        # per stage: the partitioner's audit, then the stage's equipartition
+        assert len(calls) == 4
+        assert calls[1] == calls[3] == out.partition.parts
+
+
+class TestEmptyMatrix:
+    def test_entry_points_reject_n_zero(self):
+        a = BinaryMatrix([])
+        t = transitive_tournament(0)
+        quarter = Fraction(1, 4)
+        calls = (
+            lambda: audit_bipartition(a, [], [], quarter),
+            lambda: audit_equipartition(t, Equipartition(parts=()), quarter),
+            lambda: afn_partition(a, [[1]], quarter),
+            lambda: strong_decomposition(t, default_bipartite_pattern(2), quarter, 0),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=r"at least one row \(n >= 1\)"):
+                call()
 
 
 class TestEquipartitionType:
