@@ -390,8 +390,9 @@ def _cmd_check_reduction(args) -> tuple[int, Report]:
     rep.put("triangle-free-cut", cut)
     rep.put("tournament-2-colorable", tcol)
     rep.put("agree", "yes" if chk.agree else "no")
-    if chk.lifted_cut_valid is not None:
-        rep.put("lifted-cut-valid", "yes" if chk.lifted_cut_valid else "no")
+    if chk.tournament_coloring is not None:
+        # check_reduction raises AuditError (exit 4) on an invalid lift
+        rep.put("lifted-cut-valid", "yes")
     return (EXIT_OK if chk.agree else EXIT_NEGATIVE), rep
 
 

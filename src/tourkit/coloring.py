@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Optional
 
 from . import nae
-from .digraphs import OrientedGraph, Tournament, tournament_from_bits
+from .digraphs import OrientedGraph, Tournament, enumerate_tournaments
 from .digraphs import _bits, _gather, _mask, _peel
 from .errors import AuditError, BudgetExceeded
 
@@ -190,13 +190,12 @@ def smallest_non_two_colorable_tournament() -> Tournament:
     """First non-2-colorable tournament in the (n, bit-code) scan order.
 
     Scans vertex counts upward and, within each n, tournaments in the
-    lexicographic bit order of ``tournament_from_bits``. The minimum n is
-    discovered, not assumed. Cached for the process lifetime.
+    bit order of ``enumerate_tournaments``. The minimum n is discovered,
+    not assumed. Cached for the process lifetime.
     """
     n = 1
     while True:
-        for bits in range(1 << (n * (n - 1) // 2)):
-            t = tournament_from_bits(n, bits)
+        for t in enumerate_tournaments(n):
             if acyclic_k_coloring(t, 2) is None:
                 return t
         n += 1

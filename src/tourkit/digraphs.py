@@ -87,6 +87,18 @@ def _peel(inn: Sequence[int], members: int) -> Optional[list[int]]:
     return order
 
 
+def _edge_error(n: int, u: int, v: int, reverse_present: bool) -> Optional[str]:
+    """Why u -> v cannot be an edge of an oriented graph on 1..n whose
+    edges include v -> u when ``reverse_present``; None when it can."""
+    if not (1 <= u <= n and 1 <= v <= n):
+        return f"edge ({u},{v}) uses a vertex outside 1..{n}"
+    if u == v:
+        return f"self-loop at vertex {u}"
+    if reverse_present:
+        return f"both directions present between {u} and {v}"
+    return None
+
+
 class OrientedGraph:
     """A digraph with at most one directed edge per vertex pair, no loops.
 
@@ -105,12 +117,9 @@ class OrientedGraph:
         out = [0] * (n + 1)
         inn = [0] * (n + 1)
         for u, v in edge_set:
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ValueError(f"edge ({u},{v}) uses a vertex outside 1..{n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if (v, u) in edge_set:
-                raise ValueError(f"both directions present between {u} and {v}")
+            error = _edge_error(n, u, v, (v, u) in edge_set)
+            if error:
+                raise ValueError(error)
             out[u] |= 1 << v
             inn[v] |= 1 << u
         object.__setattr__(self, "n", n)

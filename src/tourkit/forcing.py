@@ -50,7 +50,6 @@ __all__ = [
     "forcing_parameters",
     "KPartiteTournament",
     "TupleCollection",
-    "HPartition",
     "CompletionCertificate",
     "disjoint_tuples",
     "build_forcing",
@@ -148,14 +147,13 @@ class KPartiteTournament(OrientedGraph):
     the inner pairs.
     """
 
-    __slots__ = ("k", "m", "deterministic_pairs", "seed")
+    __slots__ = ("k", "m", "seed")
 
     def __init__(
         self,
         k: int,
         m: int,
         cross_edges: Sequence[tuple[int, int]],
-        deterministic_pairs: frozenset[tuple[int, int]] = frozenset(),
         seed: Optional[int] = None,
     ):
         if k < 2 or m < 1:
@@ -173,7 +171,6 @@ class KPartiteTournament(OrientedGraph):
             raise ValueError(f"{count} cross pairs oriented, expected {expected}")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "deterministic_pairs", deterministic_pairs)
         object.__setattr__(self, "seed", seed)
 
     def vertex(self, part: int, index: int) -> int:
@@ -280,39 +277,23 @@ def build_forcing(
     _validate_coloring_against_d(h, classes, d)
     k = len(classes)
     edges: list[tuple[int, int]] = []
-    deterministic = set()
     for i in range(1, k + 1):
         for j in range(i + 1, k + 1):
             vi = [(i - 1) * m + a for a in range(1, m + 1)]
             vj = [(j - 1) * m + b for b in range(1, m + 1)]
             if d.has_edge(i, j):
-                deterministic.add((i, j))
                 edges.extend((u, v) for u in vi for v in vj)
             elif d.has_edge(j, i):
-                deterministic.add((j, i))
                 edges.extend((v, u) for u in vi for v in vj)
             else:
                 rng = _pair_rng(seed, i, j)
                 for u in vi:
                     for v in vj:
                         edges.append((u, v) if rng.getrandbits(1) else (v, u))
-    return KPartiteTournament(
-        k, m, edges, deterministic_pairs=frozenset(deterministic), seed=seed
-    )
+    return KPartiteTournament(k, m, edges, seed=seed)
 
 
 # -- certification ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HPartition:
-    """Per part: disjoint transitive blocks of the class size, each stored
-    in its forward (transitive) order."""
-
-    blocks: tuple[tuple[tuple[int, ...], ...], ...]
-
-    def block_counts(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.blocks)
 
 
 @dataclass(frozen=True)
@@ -326,9 +307,6 @@ class CompletionCertificate:
     """
 
     embeddings: tuple[Embedding, ...]
-    hpartition: HPartition
-    tuples_scanned: tuple[tuple[int, ...], ...]
-    successful_tuples: tuple[tuple[int, ...], ...]
     gamma: Fraction
     target: Fraction
 
@@ -388,12 +366,8 @@ def certify_completion(
                     pool &= ~(1 << v)
         blocks.append(part_blocks)
 
-    hpartition = HPartition(tuple(tuple(b) for b in blocks))
-    scanned = _greedy_box_collection(hpartition.block_counts())
-
     embeddings: list[Embedding] = []
-    winners: list[tuple[int, ...]] = []
-    for s in scanned:
+    for s in _greedy_box_collection([len(b) for b in blocks]):
         mapping = [0] * h.n
         for i in range(k):
             block = blocks[i][s[i] - 1]
@@ -409,15 +383,11 @@ def certify_completion(
             if not emb.is_valid(t, h):
                 raise AuditError("certifier produced an invalid embedding")
             embeddings.append(emb)
-            winners.append(s)
 
     _assert_cross_disjoint(f.part_of, h, embeddings)
     params = forcing_parameters(max(h.n, 2))
     return CompletionCertificate(
         embeddings=tuple(embeddings),
-        hpartition=hpartition,
-        tuples_scanned=tuple(scanned),
-        successful_tuples=tuple(winners),
         gamma=params.gamma,
         target=params.gamma * f.m * f.m,
     )

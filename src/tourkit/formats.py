@@ -16,7 +16,9 @@ serializer round-trips through its parser. Formats:
 
 from __future__ import annotations
 
-from .digraphs import OrientedGraph, Tournament
+from typing import Optional, Sequence
+
+from .digraphs import OrientedGraph, Tournament, _edge_error
 from .forcing import KPartiteTournament
 from .orderedhom import LabeledGraph
 from .regularity import BinaryMatrix
@@ -73,6 +75,25 @@ def _pair(line: str, line_no: int, form: str) -> tuple[int, int]:
     return _int(a, line_no, "edge endpoint"), _int(b, line_no, "edge endpoint")
 
 
+def _first_bad_edge(
+    n: int, edges: Sequence[tuple[int, int]], m: int = 0
+) -> Optional[tuple[int, str]]:
+    """Index and reason of the first edge, in input order, that an oriented
+    graph on 1..n cannot take; with part size ``m``, also a cross pair
+    given twice or a pair inside a part. None when every edge fits."""
+    seen: set[tuple[int, int]] = set()
+    for idx, (u, v) in enumerate(edges):
+        error = _edge_error(n, u, v, (v, u) in seen)
+        if m and not error and (u, v) in seen:
+            error = f"cross pair ({u},{v}) given twice"
+        if m and not error and (u - 1) // m == (v - 1) // m:
+            error = f"({u},{v}) is an inner pair; parts carry no edges"
+        if error:
+            return idx, error
+        seen.add((u, v))
+    return None
+
+
 def parse_oriented_graph(text: str) -> OrientedGraph:
     lines = _lines(text)
     first_no, first = lines[0]
@@ -104,8 +125,11 @@ def parse_oriented_graph(text: str) -> OrientedGraph:
         raise ParseError(mode_no, f"expected 'matrix' or 'edges', got {mode!r}")
     try:
         return OrientedGraph(n, edges)
-    except ValueError as exc:
-        raise ParseError(lines[-1][0], str(exc))
+    except ValueError:
+        # a bad edge is on its own line; a matrix clash on row u of (u, v)
+        idx, error = _first_bad_edge(n, edges)
+        row = edges[idx][0]
+        raise ParseError(lines[1 + row if mode == "matrix" else 2 + idx][0], error)
 
 
 def parse_tournament(text: str) -> Tournament:
@@ -210,7 +234,11 @@ def parse_kpartite(text: str) -> KPartiteTournament:
     try:
         return KPartiteTournament(k, m, edges)
     except ValueError as exc:
-        raise ParseError(lines[-1][0], str(exc))
+        # a bad edge is on its own line; a missing pair only at the end
+        bad = _first_bad_edge(k * m, edges, m)
+        if bad is None:
+            raise ParseError(lines[-1][0], str(exc))
+        raise ParseError(lines[1 + bad[0]][0], bad[1])
 
 
 def serialize_kpartite(f: KPartiteTournament) -> str:

@@ -314,7 +314,6 @@ class ReductionCheck:
     reduction: ReductionOutput
     cut: Optional[Coloring]
     tournament_coloring: Optional[Coloring]
-    lifted_cut_valid: Optional[bool]
 
     @property
     def agree(self) -> bool:
@@ -325,25 +324,19 @@ def check_reduction(
     g: LabeledGraph, budget: Optional[int] = None
 ) -> ReductionCheck:
     """Solve both sides and, when the tournament side is colorable, lift
-    the coloring back to a cut of the graph and validate it."""
+    the coloring back to a cut of the graph and validate it: a lift that
+    leaves a triangle monochromatic raises AuditError."""
     reduction = reduce_graph(g)
     cut = has_triangle_free_cut(g, budget=budget)
     tcol = nae_two_coloring(reduction.tournament, budget=budget)
-    lifted_valid: Optional[bool] = None
     if tcol is not None:
         lifted = Coloring(
             tuple(tcol.color(reduction.y_vertex(i)) for i in range(1, g.n + 1)),
             2,
         )
-        lifted_valid = _triangle_free(lifted, _cut_clauses(g, reduction.triangles))
-        if not lifted_valid:
+        if not _triangle_free(lifted, _cut_clauses(g, reduction.triangles)):
             raise AuditError("lifted coloring is not a triangle-free cut")
-    return ReductionCheck(
-        reduction=reduction,
-        cut=cut,
-        tournament_coloring=tcol,
-        lifted_cut_valid=lifted_valid,
-    )
+    return ReductionCheck(reduction=reduction, cut=cut, tournament_coloring=tcol)
 
 
 def lift(t: Tournament, k: int) -> Tournament:

@@ -169,10 +169,6 @@ class OphMap:
                 return False
         return all(target.has_edge(d[a], d[b]) for a, b in source.edges)
 
-    def is_bijective(self) -> bool:
-        images = [t for _, t in self.mapping]
-        return len(set(images)) == len(images)
-
 
 def backedge_graph(h: OrientedGraph, labeling: Sequence[int]) -> LabeledGraph:
     """Undirected graph of the edges pointing against the labeling.

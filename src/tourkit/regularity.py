@@ -289,7 +289,6 @@ class AfnCopies:
 
     count: int
     witness: tuple[tuple[int, ...], tuple[int, ...]]
-    pattern: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -393,12 +392,7 @@ def afn_partition(
         masks[axis][idx : idx + 1] = [_mask(first), _mask(second)]
     count = count_matrix_copies(a, bm)
     if count > 0:
-        span = range(1, bm.n + 1)
-        return AfnCopies(
-            count=count,
-            witness=find_matrix_copy(a, bm),
-            pattern=tuple(tuple(bm[i, j] for j in span) for i in span),
-        )
+        return AfnCopies(count=count, witness=find_matrix_copy(a, bm))
     return AfnInconclusive(last_audit=audit_bipartition(a, parts[0], parts[1], delta))
 
 
@@ -600,7 +594,6 @@ class StrongDecomposition:
     item1_bound: Fraction
     representative_sizes: tuple[int, ...]
     attempts: int
-    seed: int
 
 
 def strong_decomposition(
@@ -693,7 +686,6 @@ def strong_decomposition(
         item1_bound=delta * q * q,
         representative_sizes=tuple(len(r) for r in reps),
         attempts=attempts,
-        seed=seed,
     )
 
 

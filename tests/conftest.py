@@ -756,11 +756,7 @@ def oracle_afn_partition(a, b, delta: Fraction, size_budget=None):
         target[idx : idx + 1] = [first, second]
     count = count_matrix_copies(a, b)
     if count:
-        return AfnCopies(
-            count=count,
-            witness=find_matrix_copy(a, b),
-            pattern=tuple(tuple(int(x) for x in row) for row in b),
-        )
+        return AfnCopies(count=count, witness=find_matrix_copy(a, b))
     return AfnInconclusive(last_audit=audit_bipartition(a, rows, cols, delta))
 
 

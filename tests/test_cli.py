@@ -143,6 +143,13 @@ class TestExitCodes:
         code, _ = run_cli(["classify", str(bad)])
         assert code == 3
 
+    def test_bad_edge_names_its_line(self, files, capsys):
+        bad = files["dir"] / "bad-edge.txt"
+        bad.write_text("3\nedges\n1 5\n1 2\n2 3\n")
+        code, out = run_cli(["count", str(bad), files["c3"]])
+        assert code == 3 and out == ""
+        assert capsys.readouterr().err.startswith("input error: line 3:")
+
     def test_missing_file(self):
         code, _ = run_cli(["classify", "/nonexistent/path.txt"])
         assert code == 3
@@ -196,6 +203,19 @@ class TestExitCodes:
         assert code == cli.EXIT_AUDIT
         assert "audit failure:" in capsys.readouterr().err
 
+    def test_invalid_lift_is_an_audit_failure(self, files, monkeypatch, capsys):
+        from tourkit import cli, hardness
+        from tourkit.coloring import Coloring
+
+        # a tournament colouring with one colour on K3's spine: only
+        # check_reduction's lifted-cut audit can catch it
+        monkeypatch.setattr(
+            hardness, "nae_two_coloring", lambda t, budget=None: Coloring((1,) * t.n, 2)
+        )
+        code, out = run_cli(["check-reduction", files["k3"]])
+        assert code == cli.EXIT_AUDIT == 4 and out == ""
+        assert "audit failure: lifted coloring" in capsys.readouterr().err
+
     def test_check_reduction_has_no_recursion_limit(self, tmp_path):
         # an edgeless graph on 1100 vertices: each NAE search branches once
         # per variable, deeper than Python's default recursion limit
@@ -243,9 +263,12 @@ class TestPipelines:
         code, out = run_cli(["check-reduction", files["k3"]])
         assert code == 0
         assert "agree: yes" in out
+        # printed, always as yes, exactly when the tournament side is colourable
+        assert "lifted-cut-valid: yes" in out.splitlines()
         code, out = run_cli(["check-reduction", files["k5"]])
         assert code == 0
         assert "triangle-free-cut: no" in out
+        assert "lifted-cut-valid" not in out
 
     def test_lift_chain(self, files):
         lifted = files["dir"] / "lifted.txt"

@@ -122,7 +122,6 @@ class TestBuildForcing:
         assert all(
             f.has_edge(u, v) for u in f.part_vertices(1) for v in f.part_vertices(2)
         )
-        assert (1, 2) in f.deterministic_pairs
 
     def test_invalid_coloring_rejected(self):
         h = c3_pattern()

@@ -1,5 +1,6 @@
 """Text format round-trips and line-numbered error reporting."""
 
+import itertools
 import random
 
 import pytest
@@ -204,6 +205,122 @@ class TestKPartiteFormat:
     def test_missing_pairs_rejected(self):
         with pytest.raises(ParseError):
             parse_kpartite("parts: 2 2\n1.1 2.1\n")
+
+
+def pad(rng, lines, target):
+    """Interleave blank and comment lines at random; return the text and
+    the line number that ``lines[target]`` lands on."""
+    out = []
+    for i, line in enumerate(lines):
+        out.extend(rng.choice(["", "   ", "# note", "\t# x"]) for _ in range(rng.randrange(3)))
+        if i == target:
+            line_no = len(out) + 1
+        out.append(line)
+    out.extend("# end" for _ in range(rng.randrange(2)))
+    return "\n".join(out) + "\n", line_no
+
+
+def corrupt_oriented_graph(rng):
+    """A serialized random oriented graph with one invalid edge line or
+    matrix row; returns its lines and the index of the bad one."""
+    n = rng.randrange(2, 8)
+    g = random_oriented_graph(n, rng)
+    if rng.randrange(2):
+        lines = serialize_oriented_graph(g, "edges").splitlines()
+        at = rng.randrange(2, len(lines) + 1)
+        u = rng.randrange(1, n + 1)
+        bad = [f"{u} {n + 1}", f"0 {u}", f"{u} {u}"]
+        if at > 2:  # an earlier edge to reverse
+            a, b = lines[rng.randrange(2, at)].split()
+            bad.append(f"{b} {a}")
+        lines.insert(at, rng.choice(bad))
+        return lines, at
+    lines = serialize_oriented_graph(g, "matrix").splitlines()
+    # a 1 on the diagonal, or in a later row against an earlier row's 1
+    fixes = [(i, i) for i in g.vertices] + [(v, u) for u, v in g.edges if u < v]
+    i, j = rng.choice(fixes)
+    row = lines[i + 1]
+    lines[i + 1] = row[: j - 1] + "1" + row[j:]
+    return lines, i + 1
+
+
+def corrupt_kpartite(rng):
+    """A serialized random k-partite tournament with one invalid cross-edge
+    line inserted; returns its lines and the index of the bad one."""
+    k, m = rng.randrange(2, 4), rng.randrange(1, 4)
+    edges = [
+        (u, v) if rng.randrange(2) else (v, u)
+        for u, v in itertools.combinations(range(1, k * m + 1), 2)
+        if (u - 1) // m != (v - 1) // m
+    ]
+    lines = serialize_kpartite(KPartiteTournament(k, m, edges)).splitlines()
+    at = rng.randrange(1, len(lines) + 1)
+    p, a = rng.randrange(1, k + 1), rng.randrange(1, m + 1)
+    bad = [f"{p}.{a} {p}.{a}", f"{p}.{a} {k + 1}.1"]
+    if m >= 2:
+        bad.append(f"{p}.{a} {p}.{a % m + 1}")  # an inner pair
+    if at > 1:  # an earlier cross edge, given twice or reversed
+        x, y = lines[rng.randrange(1, at)].split()
+        bad.extend([f"{x} {y}", f"{y} {x}"])
+    lines.insert(at, rng.choice(bad))
+    return lines, at
+
+
+class TestEdgeErrorLines:
+    @pytest.mark.parametrize(
+        "text, line_no",
+        [
+            ("3\nedges\n1 5\n1 2\n2 3\n", 3),  # a vertex out of range
+            ("3\nedges\n1 2\n2 2\n2 3\n", 4),  # a loop
+            ("3\nedges\n1 2\n2 3\n2 1\n1 3\n", 5),  # both directions
+            ("3\nmatrix\n011\n101\n000\n", 4),  # both directions, row 2
+        ],
+    )
+    def test_oriented_graph(self, text, line_no):
+        with pytest.raises(ParseError) as exc:
+            parse_oriented_graph(text)
+        assert exc.value.line_no == line_no
+
+    @pytest.mark.parametrize(
+        "text, line_no",
+        [
+            ("parts: 2 2\n1.1 1.2\n1.1 2.1\n1.1 2.2\n1.2 2.1\n1.2 2.2\n", 2),
+            ("parts: 2 2\n1.1 2.1\n1.1 2.2\n1.1 2.1\n1.2 2.1\n1.2 2.2\n", 4),
+            ("parts: 2 2\n1.1 2.1\n2.1 1.1\n1.1 2.2\n1.2 2.1\n1.2 2.2\n", 3),
+        ],
+    )
+    def test_kpartite(self, text, line_no):
+        with pytest.raises(ParseError) as exc:
+            parse_kpartite(text)
+        assert exc.value.line_no == line_no
+
+    def test_end_of_input_errors_stay_on_the_last_line(self):
+        with pytest.raises(ParseError, match="expected 4") as exc:
+            parse_kpartite("parts: 2 2\n1.1 2.1\n1.1 2.2\n# done\n")
+        assert exc.value.line_no == 3
+
+    def test_hypothesis(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(
+            max_examples=300, deadline=None, derandomize=True, database=None
+        )
+        @hypothesis.given(st.randoms(use_true_random=False), st.booleans())
+        def check(rng, kpartite):
+            if kpartite:
+                lines, at = corrupt_kpartite(rng)
+                parse = parse_kpartite
+            else:
+                lines, at = corrupt_oriented_graph(rng)
+                parse = parse_oriented_graph
+            text, line_no = pad(rng, lines, at)
+            with pytest.raises(ParseError) as exc:
+                parse(text)
+            assert exc.value.line_no == line_no
+            assert str(exc.value).startswith(f"line {line_no}:")
+
+        check()
 
 
 class TestMatrixFormat:

@@ -4,7 +4,9 @@ import itertools
 
 import pytest
 
+from tourkit import hardness
 from tourkit.coloring import (
+    Coloring,
     acyclic_k_coloring,
     nae_two_coloring,
     verify_coloring,
@@ -15,6 +17,7 @@ from tourkit.digraphs import (
     enumerate_tournaments,
     transitive_tournament,
 )
+from tourkit.errors import AuditError
 from tourkit.hardness import (
     GADGET_NAMES,
     check_reduction,
@@ -32,6 +35,18 @@ from conftest import random_labeled_graph
 
 def complete_graph(n):
     return LabeledGraph(range(1, n + 1), itertools.combinations(range(1, n + 1), 2))
+
+
+def spine_cut_is_triangle_free(g, chk):
+    """Recheck the lifted cut: no triangle of the graph (on 1..n) has one
+    colour on its spine vertices under the tournament coloring."""
+    color = chk.tournament_coloring.color
+    spine = [color(chk.reduction.y_vertex(i)) for i in range(1, g.n + 1)]
+    return all(
+        len({spine[a - 1], spine[b - 1], spine[c - 1]}) > 1
+        for a, b, c in itertools.combinations(range(1, g.n + 1), 3)
+        if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c)
+    )
 
 
 class TestGadget:
@@ -210,7 +225,7 @@ class TestCheckReduction:
         chk = check_reduction(complete_graph(3))
         assert chk.agree
         assert chk.cut is not None and chk.tournament_coloring is not None
-        assert chk.lifted_cut_valid
+        assert spine_cut_is_triangle_free(complete_graph(3), chk)
 
     def test_k5_both_unsatisfiable(self):
         chk = check_reduction(complete_graph(5))
@@ -223,7 +238,18 @@ class TestCheckReduction:
             chk = check_reduction(g)
             assert chk.agree
             if chk.tournament_coloring is not None:
-                assert chk.lifted_cut_valid
+                assert spine_cut_is_triangle_free(g, chk)
+
+    def test_monochromatic_lift_raises(self, monkeypatch):
+        # one colour everywhere leaves K3's triangle monochromatic on the spine
+        def one_color(t, budget=None):
+            return Coloring((1,) * t.n, 2)
+
+        monkeypatch.setattr(hardness, "nae_two_coloring", one_color)
+        with pytest.raises(AuditError, match="lifted coloring"):
+            check_reduction(complete_graph(3))
+        # a graph without a triangle has nothing to lift onto
+        assert check_reduction(LabeledGraph(range(1, 4), [(1, 2)])).agree
 
 
 class TestLift:

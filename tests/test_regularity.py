@@ -484,7 +484,8 @@ class TestStrongDecomposition:
         )
         assert isinstance(out, AfnCopies)
         a = BinaryMatrix.from_tournament(t)
-        assert out.count == count_matrix_copies(a, out.pattern)
+        b = bipartite_adjacency(default_bipartite_pattern(2))
+        assert out.count == count_matrix_copies(a, b)
 
     def test_partition_audit_from_scratch(self, rng):
         t = random_tournament(30, rng)
