@@ -5,6 +5,18 @@ inducing an acyclic subdigraph; for tournaments each class induces a
 transitive subtournament. A pattern is *easy* exactly when it admits a
 proper 2-coloring.
 
+``acyclic_k_coloring`` backtracks over the vertices in label order with
+forward checking. Each class keeps a mask of the vertices that would
+close a directed triangle with two of its members, grown on each
+placement and restored on undo. A class that blocks v never takes v, and
+a placement that leaves a later vertex blocked by every class (once all
+k are open; an empty class blocks nothing) is undone before it counts.
+In a tournament a class is acyclic exactly when it spans no cyclic
+triangle, so the masks decide every class test and the reachability walk
+runs only on other oriented graphs; an input with C(n,2) edges counts as
+a tournament. Only subtrees without a coloring are cut, so the coloring
+found is the one plain label-order backtracking finds, in no more nodes.
+
 Solvers take explicit node budgets; exhausting one raises BudgetExceeded
 instead of returning a (wrong) negative answer. Each invocation is
 single-threaded and keeps its state on the stack, so concurrent calls on
@@ -80,11 +92,19 @@ def acyclic_k_coloring(
 ) -> Optional[Coloring]:
     """A proper k-coloring if one exists, else None.
 
-    Backtracking in vertex order 1..n with incremental per-class cycle
-    detection. Symmetry is broken by pinning vertex 1 to color 1 and only
-    opening one fresh class at a time, so the output is deterministic.
-    The search counts one node per placement plus the root, and raises
-    BudgetExceeded when the count passes ``budget``.
+    Backtracking in vertex order 1..n. Symmetry is broken by pinning vertex
+    1 to color 1 and only opening one fresh class at a time, so the output
+    is deterministic. Each class c keeps a mask ``blocked[c]`` of the
+    vertices that close a directed triangle with two of its members; v
+    never joins a class that blocks it. In a tournament a class is acyclic
+    exactly when it spans no cyclic triangle, so that test decides alone;
+    in any other oriented graph a class that does not block v is tested by
+    reachability inside the class. A placement that leaves a later vertex
+    blocked by all k classes is rejected (forward checking). Both cuts
+    remove only subtrees without a coloring, so the coloring returned is
+    the one plain label-order backtracking returns. The search counts one
+    node per placement kept, plus the root, and raises BudgetExceeded when
+    the count passes ``budget``.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -92,7 +112,12 @@ def acyclic_k_coloring(
     if n == 0:
         return Coloring((), k)
     out, inn = d.out, d.inn
+    tournament = sum(map(int.bit_count, out)) == n * (n - 1) // 2
     masks = [0] * k
+    # blocked[c]: the vertices that close a directed triangle with two
+    # members of class c; an empty class blocks nothing
+    blocked = [0] * k
+    saved = [0] * (n + 1)  # saved[v]: blocked[c] before v joined class c
     assign = [0] * (n + 1)  # assign[v]: class index + 1 of a placed vertex
     # v may join classes 0..limits[v]-1: vertex 1 is pinned to class 1, and
     # a fresh class may be opened only as the next unused index, which
@@ -100,7 +125,8 @@ def acyclic_k_coloring(
     limits = [1] * (n + 1)
     # verdicts[v][m]: does v keep the class with mask m acyclic? A class
     # test depends only on (m, v), and the search repeats most of them.
-    verdicts: list[dict[int, bool]] = [{} for _ in range(n + 1)]
+    # Only a graph that is not a tournament needs them.
+    verdicts: list[dict[int, bool]] = [] if tournament else [{} for _ in range(n + 1)]
     nodes = 1
     if budget is not None and nodes > budget:
         raise BudgetExceeded("coloring search budget exhausted", nodes=nodes)
@@ -108,16 +134,39 @@ def acyclic_k_coloring(
     while True:
         limit = limits[v]
         while c < limit:
+            old = blocked[c]
+            if old >> v & 1:
+                c += 1
+                continue
             m = masks[c]
-            if not (inn[v] & m and out[v] & m):
-                break  # v has no in- or no out-neighbour there: no cycle
-            seen = verdicts[v]
-            fits = seen.get(m)
-            if fits is None:
-                fits = seen[m] = _class_stays_acyclic(d, m, v)
-            if fits:
-                break
-            c += 1
+            into, back = out[v] & m, inn[v] & m
+            if verdicts and into and back:
+                seen = verdicts[v]
+                fits = seen.get(m)
+                if fits is None:
+                    fits = seen[m] = _class_stays_acyclic(d, m, v)
+                if not fits:
+                    c += 1
+                    continue
+            if v == n:
+                break  # the coloring is complete: nothing left to block
+            # w with v -> u -> w -> v or v -> w -> u -> v for a member u
+            if into:
+                blocked[c] |= inn[v] & _gather(into, out)
+            if back:
+                blocked[c] |= out[v] & _gather(back, inn)
+            if masks[-1] or c == k - 1:
+                # every class is open: a later vertex blocked by all of
+                # them wipes the subtree out, so v does not go here
+                wiped = ~((2 << v) - 1)
+                for mask in blocked:
+                    wiped &= mask
+                if wiped:
+                    blocked[c] = old
+                    c += 1
+                    continue
+            saved[v] = old
+            break
         if c < limit:
             masks[c] |= 1 << v
             assign[v] = c + 1
@@ -136,6 +185,7 @@ def acyclic_k_coloring(
             return None
         c = assign[v] - 1
         masks[c] &= ~(1 << v)
+        blocked[c] = saved[v]
         c += 1
 
 

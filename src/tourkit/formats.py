@@ -79,13 +79,13 @@ def _first_bad_edge(
     n: int, edges: Sequence[tuple[int, int]], m: int = 0
 ) -> Optional[tuple[int, str]]:
     """Index and reason of the first edge, in input order, that an oriented
-    graph on 1..n cannot take; with part size ``m``, also a cross pair
-    given twice or a pair inside a part. None when every edge fits."""
+    graph on 1..n cannot take, or that repeats an earlier one; with part
+    size ``m``, also a pair inside a part. None when every edge fits."""
     seen: set[tuple[int, int]] = set()
     for idx, (u, v) in enumerate(edges):
         error = _edge_error(n, u, v, (v, u) in seen)
-        if m and not error and (u, v) in seen:
-            error = f"cross pair ({u},{v}) given twice"
+        if not error and (u, v) in seen:
+            error = f"{'cross pair' if m else 'edge'} ({u},{v}) given twice"
         if m and not error and (u - 1) // m == (v - 1) // m:
             error = f"({u},{v}) is an inner pair; parts carry no edges"
         if error:
@@ -124,12 +124,17 @@ def parse_oriented_graph(text: str) -> OrientedGraph:
     else:
         raise ParseError(mode_no, f"expected 'matrix' or 'edges', got {mode!r}")
     try:
-        return OrientedGraph(n, edges)
+        g = OrientedGraph(n, edges)
     except ValueError:
         # a bad edge is on its own line; a matrix clash on row u of (u, v)
         idx, error = _first_bad_edge(n, edges)
         row = edges[idx][0]
         raise ParseError(lines[1 + row if mode == "matrix" else 2 + idx][0], error)
+    if len(g.edges) != len(edges):
+        # the edge set dropped a repeat: report the second line of the first
+        idx, error = _first_bad_edge(n, edges)
+        raise ParseError(lines[2 + idx][0], error)
+    return g
 
 
 def parse_tournament(text: str) -> Tournament:
@@ -137,7 +142,8 @@ def parse_tournament(text: str) -> Tournament:
     try:
         return Tournament.from_oriented(g)
     except ValueError as exc:
-        raise ParseError(len(text.splitlines()), str(exc))
+        # a missing pair needs the whole input: report the last content line
+        raise ParseError(_lines(text)[-1][0], str(exc))
 
 
 def serialize_oriented_graph(g: OrientedGraph, style: str = "edges") -> str:

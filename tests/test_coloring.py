@@ -1,5 +1,6 @@
 """Acyclic coloring solvers and the easy/hard classifier."""
 
+import functools
 import random
 
 import pytest
@@ -90,21 +91,73 @@ def coloring_outcome(solver, d, k, budget):
         return str(exc), exc.info
 
 
+def nodes_used(solver, d, k):
+    """The search's node count: the least budget it finishes within."""
+    hi = 1
+    while isinstance(coloring_outcome(solver, d, k, hi), tuple):
+        hi *= 2
+    lo = hi // 2  # 0, or a budget the search ran out of
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if isinstance(coloring_outcome(solver, d, k, mid), tuple):
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+@functools.cache
+def seeded_inputs():
+    """Seeded tournaments up to n = 20 and oriented graphs (mostly not
+    tournaments, so the reachability test runs) up to n = 12, each with a k
+    at and around its chromatic number."""
+    rng = random.Random(80)
+    out = []
+    for i in range(120):
+        if i % 2:
+            d = random_tournament(rng.randint(1, 20), rng)
+        else:
+            d = random_oriented_graph(rng.randint(1, 12), rng)
+        chi = oracle_chromatic(d) if d.n <= 8 else chromatic_number(d)
+        out.extend((d, k) for k in sorted({max(1, chi - 1), chi, chi + 1, i % 4 + 1}))
+    return tuple(out)
+
+
 class TestIterativeSearch:
     def test_matches_recursive_oracle(self):
-        rng = random.Random(80)
-        stopped = found = refuted = 0
-        for i in range(240):
-            n = rng.randint(1, 12)
-            d = random_tournament(n, rng) if i % 2 else random_oriented_graph(n, rng)
-            k = i % 4 + 1
-            for budget in (None, 1, 5, 37):
-                got = coloring_outcome(acyclic_k_coloring, d, k, budget)
-                assert got == coloring_outcome(oracle_acyclic_k_coloring, d, k, budget)
-                stopped += isinstance(got, tuple)
-                found += got is not None and not isinstance(got, tuple)
-                refuted += got is None
-        assert min(stopped, found, refuted) >= 30
+        for n in range(1, 7):
+            for t in enumerate_tournaments(n):
+                for k in (1, 2, 3):
+                    assert acyclic_k_coloring(t, k) == oracle_acyclic_k_coloring(t, k)
+        found = refuted = 0
+        for d, k in seeded_inputs():
+            got = acyclic_k_coloring(d, k)
+            assert got == oracle_acyclic_k_coloring(d, k)
+            found += got is not None
+            refuted += got is None
+        assert min(found, refuted) >= 80
+
+    def test_node_counts_stay_within_the_oracle(self):
+        fewer = 0
+        for d, k in seeded_inputs():
+            nodes = nodes_used(acyclic_k_coloring, d, k)
+            # the oracle runs out of nodes - 1, so it needs at least as many
+            assert isinstance(
+                coloring_outcome(oracle_acyclic_k_coloring, d, k, nodes - 1), tuple
+            )
+            fewer += isinstance(
+                coloring_outcome(oracle_acyclic_k_coloring, d, k, nodes), tuple
+            )
+        assert fewer >= 100
+
+    def test_budget_is_the_node_count(self):
+        for d, k in seeded_inputs():
+            nodes = nodes_used(acyclic_k_coloring, d, k)
+            assert acyclic_k_coloring(d, k, budget=nodes) == acyclic_k_coloring(d, k)
+            if nodes > 1:
+                with pytest.raises(BudgetExceeded) as exc:
+                    acyclic_k_coloring(d, k, budget=nodes - 1)
+                assert exc.value.info == {"nodes": nodes}
 
 
 class TestNaeSolver:

@@ -73,7 +73,8 @@ class TestOrientedGraphFormat:
         "text, line_no",
         [
             ("3\nedges\n1 2\n2 3\n", 4),
-            ("3\nmatrix\n010\n000\n100\n# no 2 -> 3\n", 6),
+            # a trailing comment is not the last line that counts
+            ("3\nmatrix\n010\n000\n100\n# no 2 -> 3\n", 5),
         ],
     )
     def test_non_tournament_reports_its_line(self, text, line_no):
@@ -230,9 +231,9 @@ def corrupt_oriented_graph(rng):
         at = rng.randrange(2, len(lines) + 1)
         u = rng.randrange(1, n + 1)
         bad = [f"{u} {n + 1}", f"0 {u}", f"{u} {u}"]
-        if at > 2:  # an earlier edge to reverse
+        if at > 2:  # an earlier edge to reverse or to repeat
             a, b = lines[rng.randrange(2, at)].split()
-            bad.append(f"{b} {a}")
+            bad.extend([f"{b} {a}", f"{a} {b}"])
         lines.insert(at, rng.choice(bad))
         return lines, at
     lines = serialize_oriented_graph(g, "matrix").splitlines()
@@ -274,6 +275,7 @@ class TestEdgeErrorLines:
             ("3\nedges\n1 2\n2 2\n2 3\n", 4),  # a loop
             ("3\nedges\n1 2\n2 3\n2 1\n1 3\n", 5),  # both directions
             ("3\nmatrix\n011\n101\n000\n", 4),  # both directions, row 2
+            ("3\nedges\n1 2\n2 3\n# again\n1 2\n", 6),  # an edge given twice
         ],
     )
     def test_oriented_graph(self, text, line_no):
@@ -298,6 +300,18 @@ class TestEdgeErrorLines:
         with pytest.raises(ParseError, match="expected 4") as exc:
             parse_kpartite("parts: 2 2\n1.1 2.1\n1.1 2.2\n# done\n")
         assert exc.value.line_no == 3
+        with pytest.raises(ParseError, match="not a tournament") as exc:
+            parse_tournament("3\nedges\n1 2\n2 3\n# done\n")
+        assert exc.value.line_no == 4
+
+    def test_repeated_edge_line_is_rejected(self):
+        with pytest.raises(ParseError, match=r"edge \(2,3\) given twice") as exc:
+            parse_oriented_graph("3\nedges\n2 3\n1 2\n2 3\n3 1\n")
+        assert exc.value.line_no == 5
+        # the first repeat, in input order, before a later bad edge
+        with pytest.raises(ParseError, match="given twice") as exc:
+            parse_oriented_graph("3\nedges\n1 2\n1 2\n3 3\n")
+        assert exc.value.line_no == 4
 
     def test_hypothesis(self):
         hypothesis = pytest.importorskip("hypothesis")
