@@ -31,7 +31,7 @@ from typing import Optional
 
 from . import nae
 from .digraphs import OrientedGraph, Tournament, enumerate_tournaments
-from .digraphs import _bits, _gather, _mask, _peel
+from .digraphs import _gather, _mask, _peel
 from .errors import AuditError, BudgetExceeded
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "chromatic_number",
     "classify",
     "verify_coloring",
-    "cyclic_triangles",
     "smallest_non_two_colorable_tournament",
 ]
 
@@ -187,18 +186,6 @@ def acyclic_k_coloring(
         masks[c] &= ~(1 << v)
         blocked[c] = saved[v]
         c += 1
-
-
-def cyclic_triangles(t: Tournament) -> list[tuple[int, int, int]]:
-    """All cyclic triples a->b->c->a, reported once with a = min."""
-    out = []
-    for a in t.vertices:
-        later = ~((1 << (a + 1)) - 1)
-        for b in _bits(t.out[a] & later):
-            # c with b->c and c->a, c > a
-            for c in _bits(t.out[b] & t.inn[a] & later):
-                out.append((a, b, c))
-    return out
 
 
 def nae_two_coloring(

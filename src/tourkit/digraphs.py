@@ -40,7 +40,6 @@ __all__ = [
     "cyclic_triangle",
     "transitive_tournament",
     "c3_pattern",
-    "single_edge_pattern",
     "tournament_from_bits",
     "enumerate_tournaments",
     "random_tournament",
@@ -264,9 +263,6 @@ class Tournament(OrientedGraph):
             inn[b] ^= 1 << a
         return Tournament._from_masks(self.n, out, inn)
 
-    def is_transitive(self) -> bool:
-        return self.is_acyclic()
-
 
 # -- small fixed graphs ------------------------------------------------
 
@@ -282,10 +278,6 @@ def transitive_tournament(n: int) -> Tournament:
 def c3_pattern() -> OrientedGraph:
     """The directed triangle as a pattern."""
     return OrientedGraph(3, [(1, 2), (2, 3), (3, 1)])
-
-
-def single_edge_pattern() -> OrientedGraph:
-    return OrientedGraph(2, [(1, 2)])
 
 
 def tournament_from_bits(n: int, bits: int) -> Tournament:
@@ -365,9 +357,6 @@ class Embedding:
     """
 
     mapping: tuple[int, ...]
-
-    def image(self) -> frozenset[int]:
-        return frozenset(self.mapping)
 
     def apply(self, pattern_vertex: int) -> int:
         return self.mapping[pattern_vertex - 1]

@@ -1,6 +1,7 @@
 """Line-oriented text formats.
 
-Every parser reports violations with the offending line number, and every
+Every parser reports violations with the offending line number. The
+oriented-graph and k-partite formats also have a serializer, and every
 serializer round-trips through its parser. Formats:
 
 * oriented graph / tournament: first line ``n``, then either ``matrix``
@@ -8,10 +9,12 @@ serializer round-trips through its parser. Formats:
   ``edges`` followed by ``u v`` lines meaning u -> v;
 * labeled graph: ``vertices: <sorted labels>``, then ``i j`` edge lines
   with i < j;
-* undirected graph: first line ``n``, then ``i j`` edge lines;
+* undirected graph: first line ``n``, then ``i j`` edge lines, where
+  ``j i`` is the same edge;
 * k-partite tournament: header ``parts: m k``, then cross-edge lines
-  ``i.a j.b`` meaning vertex a of part i -> vertex b of part j;
-* binary matrix: ``n`` then n rows of 0/1 characters.
+  ``i.a j.b`` meaning vertex a of part i -> vertex b of part j.
+
+An edge line that repeats an earlier one is an error at its second line.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from typing import Optional, Sequence
 from .digraphs import OrientedGraph, Tournament, _edge_error
 from .forcing import KPartiteTournament
 from .orderedhom import LabeledGraph
-from .regularity import BinaryMatrix
 
 __all__ = [
     "ParseError",
@@ -29,13 +31,9 @@ __all__ = [
     "parse_tournament",
     "serialize_oriented_graph",
     "parse_labeled_graph",
-    "serialize_labeled_graph",
     "parse_undirected_graph",
-    "serialize_undirected_graph",
     "parse_kpartite",
     "serialize_kpartite",
-    "parse_matrix",
-    "serialize_matrix",
 ]
 
 
@@ -173,7 +171,7 @@ def parse_labeled_graph(text: str) -> LabeledGraph:
         raise ParseError(first_no, "labels must be distinct")
     if vertices and vertices[0] < 1:
         raise ParseError(first_no, "labels must be positive integers")
-    edges = []
+    edges: dict[tuple[int, int], None] = {}  # a set in input order
     vset = set(vertices)
     for line_no, line in lines[1:]:
         a, b = _pair(line, line_no, "i j")
@@ -181,14 +179,10 @@ def parse_labeled_graph(text: str) -> LabeledGraph:
             raise ParseError(line_no, "edges must be written with i < j")
         if a not in vset or b not in vset:
             raise ParseError(line_no, f"edge ({a},{b}) uses an unknown label")
-        edges.append((a, b))
+        if (a, b) in edges:
+            raise ParseError(line_no, f"edge ({a},{b}) given twice")
+        edges[a, b] = None
     return LabeledGraph(vertices, edges)
-
-
-def serialize_labeled_graph(g: LabeledGraph) -> str:
-    lines = ["vertices: " + " ".join(str(v) for v in g.vertices)]
-    lines.extend(f"{a} {b}" for a, b in sorted(g.edges))
-    return "\n".join(lines) + "\n"
 
 
 def parse_undirected_graph(text: str) -> LabeledGraph:
@@ -197,23 +191,18 @@ def parse_undirected_graph(text: str) -> LabeledGraph:
     n = _int(first, first_no, "vertex count")
     if n < 0:
         raise ParseError(first_no, "vertex count must be nonnegative")
-    edges = []
+    edges: dict[tuple[int, int], None] = {}  # a set in input order
     for line_no, line in lines[1:]:
         a, b = _pair(line, line_no, "i j")
         if a == b:
             raise ParseError(line_no, "self-loop")
         if not (1 <= a <= n and 1 <= b <= n):
             raise ParseError(line_no, f"edge ({a},{b}) outside 1..{n}")
-        edges.append((min(a, b), max(a, b)))
+        edge = (min(a, b), max(a, b))
+        if edge in edges:
+            raise ParseError(line_no, f"edge ({a},{b}) given twice")
+        edges[edge] = None
     return LabeledGraph(range(1, n + 1), edges)
-
-
-def serialize_undirected_graph(g: LabeledGraph) -> str:
-    if g.vertices != tuple(range(1, g.n + 1)):
-        raise ValueError("undirected-graph format needs vertices 1..n")
-    lines = [str(g.n)]
-    lines.extend(f"{a} {b}" for a, b in sorted(g.edges))
-    return "\n".join(lines) + "\n"
 
 
 def parse_kpartite(text: str) -> KPartiteTournament:
@@ -254,24 +243,3 @@ def serialize_kpartite(f: KPartiteTournament) -> str:
         pv, av = f.part_of(v), (v - 1) % f.m + 1
         lines.append(f"{pu}.{au} {pv}.{av}")
     return "\n".join(lines) + "\n"
-
-
-def parse_matrix(text: str) -> BinaryMatrix:
-    lines = _lines(text)
-    first_no, first = lines[0]
-    n = _int(first, first_no, "dimension")
-    rows = lines[1:]
-    if len(rows) != n:
-        raise ParseError(first_no, f"expected {n} rows, got {len(rows)}")
-    entries = []
-    for line_no, row in rows:
-        if len(row) != n or any(ch not in "01" for ch in row):
-            raise ParseError(line_no, f"row must be {n} characters of 0/1")
-        entries.append([int(ch) for ch in row])
-    return BinaryMatrix(entries)
-
-
-def serialize_matrix(a: BinaryMatrix) -> str:
-    span = range(1, a.n + 1)
-    rows = ["".join(str(mask >> c & 1) for c in span) for mask in a.rows[1:]]
-    return "\n".join([str(a.n), *rows]) + "\n"

@@ -194,15 +194,6 @@ class ReductionOutput:
         base = self.n + 3 * self.m + 15 * (t - 1) + 5 * (r - 1)
         return tuple(range(base + 1, base + 6))
 
-    def y_vertices(self) -> range:
-        return range(1, self.n + 1)
-
-    def z_vertices(self) -> range:
-        return range(self.n + 1, self.n + 3 * self.m + 1)
-
-    def k_vertices(self) -> range:
-        return range(self.n + 3 * self.m + 1, self.n + 18 * self.m + 1)
-
     def role_lines(self) -> list[str]:
         lines = [f"spine: {self.n}", f"triangles: {self.m}"]
         labels = self.graph.vertices

@@ -43,7 +43,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .digraphs import OrientedGraph, _bits, _search, _span
+from .digraphs import OrientedGraph, _bits, _search
 from .errors import AuditError, BudgetExceeded
 
 # neighbour masks indexed by label: a list, or a LabeledGraph's dict
@@ -62,8 +62,6 @@ __all__ = [
     "select_k",
     "odd_cycle_certificate",
     "order_isomorphic",
-    "graph_two_colorable",
-    "graph_chromatic_number",
 ]
 
 
@@ -488,11 +486,6 @@ def select_k(
     return k
 
 
-def graph_two_colorable(g: LabeledGraph) -> bool:
-    """Bipartiteness of the underlying undirected graph."""
-    return _bipartition_or_odd_cycle(g)[0] is not None
-
-
 def odd_cycle_certificate(g: LabeledGraph) -> list[int]:
     """An odd cycle (as a vertex sequence) in a non-bipartite graph.
 
@@ -550,34 +543,3 @@ def _splice_cycle(
     lca = x
     cycle = path_u[: path_u.index(lca) + 1] + list(reversed(path_w))
     return cycle
-
-
-def graph_chromatic_number(g: LabeledGraph) -> int:
-    """Exact chromatic number of a small undirected graph."""
-    if g.n == 0:
-        return 0
-    if not g.edges:
-        return 1
-    if graph_two_colorable(g):
-        return 2
-    for k in range(3, g.n + 1):
-        if _graph_k_colorable(g, k):
-            return k
-    return g.n
-
-
-def _graph_k_colorable(g: LabeledGraph, k: int) -> bool:
-    """Has g (with a vertex) a proper colouring with k >= 1 colours? A
-    ``_search`` over the vertices in label order, colours 0..k-1 as
-    values: each earlier neighbour j is checked through ``(j, other)``,
-    ``other[c]`` every colour but c. Numbering colours by first use
-    loses no colouring, so the i-th vertex takes one of the first i + 1
-    colours."""
-    vs = g.vertices
-    other = [~(1 << c) for c in range(k)]
-    checks = [
-        [(j, other) for j in range(i) if g._adj[v] >> vs[j] & 1]
-        for i, v in enumerate(vs)
-    ]
-    domains = [_span(0, min(i, k - 1)) for i in range(len(vs))]
-    return next(_search(range(len(vs)), domains, checks), None) is not None

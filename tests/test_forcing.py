@@ -10,7 +10,6 @@ from tourkit.digraphs import (
     OrientedGraph,
     c3_pattern,
     count_embeddings,
-    single_edge_pattern,
     transitive_tournament,
 )
 from tourkit.errors import BudgetExceeded
@@ -116,7 +115,7 @@ class TestBuildForcing:
         assert differing >= 95  # 16 coins per pair; collisions are rare
 
     def test_d_edges_are_deterministic_full_pairs(self):
-        h = single_edge_pattern()
+        h = OrientedGraph(2, [(1, 2)])
         d = OrientedGraph(2, [(1, 2)])
         f = build_forcing(h, [[1], [2]], d, 3, seed=5)
         assert all(
@@ -163,7 +162,7 @@ class TestCertifyCompletion:
                         pairs.add(key)
 
     def test_deterministic_cross_edges_always_certify(self):
-        h = single_edge_pattern()
+        h = OrientedGraph(2, [(1, 2)])
         d = OrientedGraph(2, [(1, 2)])
         f = build_forcing(h, [[1], [2]], d, 3, seed=1)
         for completion in f.completions():
@@ -208,11 +207,10 @@ class TestForcesExhaustive:
             assert forces_exhaustive(f, h) == oracle_forces(f, h)
 
     def test_budget_refusal(self):
-        f = build_forcing(
-            single_edge_pattern(), [[1], [2]], OrientedGraph(2, [(1, 2)]), 6, seed=0
-        )
+        edge = OrientedGraph(2, [(1, 2)])
+        f = build_forcing(edge, [[1], [2]], edge, 6, seed=0)
         with pytest.raises(BudgetExceeded):
-            forces_exhaustive(f, single_edge_pattern(), max_inner_pairs=10)
+            forces_exhaustive(f, edge, max_inner_pairs=10)
 
 
 class TestSearchMinForcing:
@@ -223,12 +221,12 @@ class TestSearchMinForcing:
         # its cross edges contain a directed cycle, so no completion is
         # transitive
         assert any(
-            not comp.is_transitive() for comp in found.completions()
+            not comp.is_acyclic() for comp in found.completions()
         )
-        assert all(not comp.is_transitive() for comp in found.completions())
+        assert all(not comp.is_acyclic() for comp in found.completions())
 
     def test_single_edge_needs_parts_of_one(self):
-        found = search_min_forcing(single_edge_pattern(), 2)
+        found = search_min_forcing(OrientedGraph(2, [(1, 2)]), 2)
         assert found is not None and found.m == 1
 
     def test_transitive_triangle(self):
@@ -283,7 +281,7 @@ class TestKPartiteIsAnOrientedGraph:
     def test_edges_count_as_single_edge_embeddings(self):
         f = self.three_parts()
         assert len(f.edges) == 3 * 9
-        assert count_embeddings(f, single_edge_pattern()) == len(f.edges)
+        assert count_embeddings(f, OrientedGraph(2, [(1, 2)])) == len(f.edges)
 
     def test_relabel_gives_a_plain_oriented_graph(self):
         f = self.three_parts()

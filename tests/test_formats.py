@@ -12,18 +12,13 @@ from tourkit.formats import (
     ParseError,
     parse_kpartite,
     parse_labeled_graph,
-    parse_matrix,
     parse_oriented_graph,
     parse_tournament,
     parse_undirected_graph,
     serialize_kpartite,
-    serialize_labeled_graph,
-    serialize_matrix,
     serialize_oriented_graph,
-    serialize_undirected_graph,
 )
 from tourkit.orderedhom import LabeledGraph
-from tourkit.regularity import BinaryMatrix
 
 from conftest import random_labeled_graph, random_oriented_graph
 
@@ -147,7 +142,8 @@ class TestOrientedGraphRoundTrip:
 class TestLabeledGraphFormat:
     def test_roundtrip(self):
         g = LabeledGraph([2, 5, 9], [(2, 9), (5, 9)])
-        assert parse_labeled_graph(serialize_labeled_graph(g)) == g
+        assert parse_labeled_graph("vertices: 2 5 9\n2 9\n5 9\n") == g
+        assert parse_labeled_graph("# no edges\nvertices: 4\n") == LabeledGraph([4], [])
 
     def test_header_required(self):
         with pytest.raises(ParseError, match="line 1"):
@@ -169,11 +165,17 @@ class TestLabeledGraphFormat:
         with pytest.raises(ParseError, match="line 1"):
             parse_labeled_graph("vertices: -2 3\n0 1\n")
 
+    def test_repeated_edge_line_is_rejected(self):
+        with pytest.raises(ParseError, match=r"edge \(2,9\) given twice") as exc:
+            parse_labeled_graph("vertices: 2 5 9\n2 9\n5 9\n# again\n2 9\n")
+        assert exc.value.line_no == 5
+
 
 class TestUndirectedFormat:
     def test_roundtrip(self):
         g = LabeledGraph(range(1, 5), [(1, 2), (2, 3), (1, 4)])
-        assert parse_undirected_graph(serialize_undirected_graph(g)) == g
+        assert parse_undirected_graph("4\n1 2\n2 3\n1 4\n") == g
+        assert parse_undirected_graph("2\n") == LabeledGraph([1, 2], [])
 
     def test_normalizes_order(self):
         g = parse_undirected_graph("3\n2 1\n3 2\n")
@@ -186,6 +188,15 @@ class TestUndirectedFormat:
     def test_out_of_range(self):
         with pytest.raises(ParseError, match="line 3"):
             parse_undirected_graph("3\n1 2\n1 4\n")
+
+    def test_repeated_edge_line_is_rejected(self):
+        with pytest.raises(ParseError, match=r"edge \(1,2\) given twice") as exc:
+            parse_undirected_graph("3\n1 2\n2 3\n1 2\n")
+        assert exc.value.line_no == 4
+        # j i is the edge i j
+        with pytest.raises(ParseError, match=r"edge \(2,1\) given twice") as exc:
+            parse_undirected_graph("3\n1 2\n2 1\n2 3\n")
+        assert exc.value.line_no == 3
 
 
 class TestKPartiteFormat:
@@ -336,20 +347,3 @@ class TestEdgeErrorLines:
 
         check()
 
-
-class TestMatrixFormat:
-    def test_roundtrip(self, rng):
-        a = BinaryMatrix.random(5, rng)
-        b = parse_matrix(serialize_matrix(a))
-        span = range(1, 6)
-        assert [[b[r, c] for c in span] for r in span] == [
-            [a[r, c] for c in span] for r in span
-        ]
-
-    def test_row_length_checked(self):
-        with pytest.raises(ParseError, match="line 3"):
-            parse_matrix("2\n01\n1\n")
-
-    def test_row_count_checked(self):
-        with pytest.raises(ParseError, match="line 1"):
-            parse_matrix("3\n010\n001\n")

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from tourkit import nae
-from tourkit.coloring import cyclic_triangles, smallest_non_two_colorable_tournament
+from tourkit.coloring import smallest_non_two_colorable_tournament
 from tourkit.digraphs import Tournament, c3_pattern, random_tournament
 from tourkit.errors import BudgetExceeded
 from tourkit.formats import parse_undirected_graph
@@ -17,6 +17,7 @@ from tourkit.hardness import reduce_graph
 from tourkit.orderedhom import LabeledGraph
 
 from conftest import (
+    oracle_cyclic_triangles,
     oracle_nae,
     oracle_nae_chronological,
     oracle_nae_first,
@@ -56,7 +57,7 @@ def triangle_degrees_and_partners(t):
     sharing one with it, from the listed triangles."""
     degree = [0] * (t.n + 1)
     partners = [0] * (t.n + 1)
-    for triangle in cyclic_triangles(t):
+    for triangle in oracle_cyclic_triangles(t):
         for v in triangle:
             degree[v] += 1
             for u in triangle:
@@ -132,7 +133,7 @@ class TestTournamentFront:
             for _ in range(6):
                 t = random_tournament(n, rng)
                 assert nae.solve_tournament(t) == nae.solve_nae(
-                    t.n, cyclic_triangles(t)
+                    t.n, oracle_cyclic_triangles(t)
                 )
 
     def test_matches_clause_front_on_reductions(self):
@@ -140,7 +141,9 @@ class TestTournamentFront:
         for _ in range(12):
             g = random_labeled_graph(range(1, rng.randrange(4, 7)), 0.6, rng)
             t = reduce_graph(g).tournament
-            assert nae.solve_tournament(t) == nae.solve_nae(t.n, cyclic_triangles(t))
+            assert nae.solve_tournament(t) == nae.solve_nae(
+                t.n, oracle_cyclic_triangles(t)
+            )
 
     def test_degrees_count_the_triangle_clauses(self):
         rng = random.Random(0x7044)
@@ -272,7 +275,7 @@ class TestPinnedSearch:
         build, expected, budget = PINNED_TOURNAMENTS[name]
         t = build()
         check_pinned(lambda b: nae.solve_tournament(t, budget=b), expected, budget)
-        clauses = cyclic_triangles(t)
+        clauses = oracle_cyclic_triangles(t)
         check_pinned(
             lambda b: nae.solve_nae(t.n, clauses, budget=b), expected, budget
         )
@@ -342,7 +345,7 @@ class TestBackjumping:
                 lambda b: nae.solve_tournament(t, budget=b), t.n, tournament=t
             )
             if t.n <= 12:
-                assert expected == oracle_nae_first(t.n, cyclic_triangles(t))
+                assert expected == oracle_nae_first(t.n, oracle_cyclic_triangles(t))
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_bench_reductions(self, seed, tmp_path):
@@ -357,7 +360,7 @@ class TestBackjumping:
 
     def test_a_return_explains_the_level_it_returns_to(self):
         t = reduce_graph(LabeledGraph(range(1, 8), _LEVEL_BLAME_EDGES)).tournament
-        clauses = cyclic_triangles(t)
+        clauses = oracle_cyclic_triangles(t)
         check_chronological(
             lambda b: nae.solve_tournament(t, budget=b), t.n, tournament=t
         )
