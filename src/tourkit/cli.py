@@ -155,8 +155,6 @@ def _cmd_distance(args) -> tuple[int, Report]:
     capped = args.budget is not None and result.lower_bound > args.budget
     limit = "distance exceeds budget" if capped else "search node budget exhausted"
     rep.note(f"{limit}; proven lower bound {result.lower_bound}")
-    if result.upper_bound is not None:
-        rep.put("upper-bound", result.upper_bound)
     return EXIT_BUDGET, rep
 
 
@@ -475,9 +473,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("host")
     p.add_argument("pattern")
 
-    p = command("distance", "reversal distance to pattern-freeness", "--budget")
+    p = command("distance", "reversal distance to pattern-freeness")
     p.add_argument("host")
     p.add_argument("pattern")
+    # here the budget caps the distance; the search stops at its own
+    # 2,000,000-node budget
+    p.add_argument("--budget", **dict(
+        _FLAGS["--budget"], help="largest distance to search for"
+    ))
 
     p = command("core", "ordered core of a labeled graph")
     p.add_argument("graph")

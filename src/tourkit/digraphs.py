@@ -19,7 +19,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Generator, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Generator, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import AuditError, BudgetExceeded
 
@@ -630,46 +630,57 @@ def embedding_stats(host: OrientedGraph, pattern: OrientedGraph) -> EmbeddingSta
 class DistanceResult:
     """Outcome of the reversal-distance search.
 
-    ``distance`` is the exact minimum when ``exact`` is True; otherwise the
-    search proved ``lower_bound`` but exceeded its budget before settling
-    the exact value.
+    When ``exact`` is True, ``distance`` is the minimum and ``flips`` is a
+    set of that many pairs whose reversal removes every copy, each written
+    (smaller label, larger label), in the order the search reversed them.
+    Otherwise ``distance`` and ``flips`` are None and ``lower_bound`` is
+    what the search proved before a limit stopped it.
     """
 
     distance: Optional[int]
     lower_bound: int
     exact: bool
     flips: Optional[tuple[tuple[int, int], ...]] = None
-    upper_bound: Optional[int] = None
 
 
-def _greedy_disjoint_copies(
+def _packing(
     out: list[int], inn: list[int], n: int, pattern: OrientedGraph, plan: _Plan
-) -> tuple[int, Optional[tuple[int, ...]]]:
-    """Number of pairwise pair-disjoint copies found greedily (a lower bound
-    on the reversal distance, since each copy needs its own reversal), and
-    the first copy in search order (None when there is none).
+) -> Callable[[], tuple[int, Optional[tuple[int, ...]]]]:
+    """A greedy packing of pairwise pair-disjoint copies of the pattern in
+    the host with masks ``out`` and ``inn`` on 1..n. Each call returns the
+    number of copies found (a lower bound on the reversal distance, since
+    each copy needs its own reversal) and the first copy in search order
+    (None when there is none).
 
     Each copy is the first embedding in search order that uses no pair of
     an earlier copy; one search, resumed after each copy's pairs are
     cleared from its ``allow`` table, finds them all. An edgeless pattern
-    uses no pair, so there every embedding counts.
+    uses no pair, so there every embedding counts. The search tables are
+    built once and read ``out`` and ``inn`` themselves, so a caller may
+    edit those lists in place between calls; a call resets only ``allow``.
     """
     allow = [-1] * (n + 1)  # allow[x]: the y whose pair {x, y} no copy used
+    unused = allow[:]
     edges = [(u - 1, v - 1) for u, v in pattern.edges]
     domains, checks = _tables(out, inn, n, plan)
     for check, links in zip(checks, plan.links):
         check += [(p, allow) for p, _ in links]
-    found = 0
-    first = None
-    for mapping in _first_fits(_search(plan.slots, domains, checks)):
-        if first is None:
-            first = tuple(mapping)
-        found += 1
-        for u, v in edges:
-            a, b = mapping[u], mapping[v]
-            allow[a] &= ~(1 << b)
-            allow[b] &= ~(1 << a)
-    return found, first
+
+    def pack() -> tuple[int, Optional[tuple[int, ...]]]:
+        allow[:] = unused
+        found = 0
+        first = None
+        for mapping in _first_fits(_search(plan.slots, domains, checks)):
+            if first is None:
+                first = tuple(mapping)
+            found += 1
+            for u, v in edges:
+                a, b = mapping[u], mapping[v]
+                allow[a] &= ~(1 << b)
+                allow[b] &= ~(1 << a)
+        return found, first
+
+    return pack
 
 
 def distance_to_h_free(
@@ -680,38 +691,60 @@ def distance_to_h_free(
 ) -> DistanceResult:
     """Minimum number of edge reversals making the tournament pattern-free.
 
-    Branch-and-bound over surviving embeddings: any pattern-free tournament
-    must differ from the current one on at least one directed pair of each
-    surviving copy, so the search branches on the copy's pairs. A greedy
-    pair-disjoint-copy packing gives the lower bound, and its first copy,
-    the first embedding in search order, is the copy branched on.
+    Iterative deepening (IDA*) over surviving copies. Any pattern-free
+    tournament differs from the current one on at least one pair of each
+    surviving copy, so a node branches on the pairs of one copy, its
+    witness, in ``pattern.edges`` order. A child never reverses a pair
+    already reversed on its path, nor one that an earlier sibling
+    reversed (that sibling's subtree holds every set using it). A greedy
+    pair-disjoint packing gives the bound: a node at depth d whose packing
+    has p copies needs at least d + p reversals in all. The packing's
+    first copy, the first embedding in search order, is the witness.
+
+    Each pass is a depth-first search under a limit. It prunes every node
+    whose bound exceeds the limit and returns at the first node, in
+    preorder, with no copy. The first limit is the root's bound. A pass
+    that finds no such node proves the distance is at least the least
+    bound it pruned and exceeds the limit, so the next limit is the larger
+    of the two and no limit passes over the distance d. The first pass
+    that returns is the one at limit d, and it returns the first
+    copy-free node of depth d in preorder, whose depth is the limit.
+
+    That node is also what a branch-and-bound over the same tree returns
+    when it keeps its incumbent unless a solution is strictly shallower.
+    The bound at a node never exceeds the depth of a solution below it,
+    so before that search holds a depth-d solution it prunes no ancestor
+    of the first one; it reaches that one first and then keeps it.
 
     ``budget`` caps the admissible distance; if the true distance exceeds
-    it the result is inexact with ``lower_bound = budget + 1``. A result
-    whose lower bound exceeds C(n,2) means no reversal set of any size
-    works (the pattern embeds into every tournament on n vertices); an
-    edgeless pattern with at most n vertices gets that answer, lower bound
-    cap + 1, without a search.
-    ``node_budget`` caps the number of search nodes; on exhaustion the
-    result is inexact and carries the best proven lower bound.
+    it the result is inexact with ``lower_bound`` the larger of cap + 1 and
+    the root's bound. A result whose lower bound exceeds C(n,2) means no
+    reversal set of any size works (the pattern embeds into every
+    tournament on n vertices); an edgeless pattern with at most n vertices
+    gets that answer, lower bound cap + 1, without a search.
+    ``node_budget`` caps the number of search nodes, one per packing; on
+    exhaustion the result is inexact and its lower bound is the current
+    limit, which the earlier passes proved, or 0 when the budget ran out
+    at the root, before its packing.
     """
     if pattern.n == 0:
         raise ValueError("pattern must have at least one vertex")
     n = t.n
-    best: Optional[int] = None
-    best_flips: Optional[tuple[tuple[int, int], ...]] = None
     all_pairs = n * (n - 1) // 2
     cap = min(budget, all_pairs) if budget is not None else all_pairs
     if not pattern.edges and pattern.n <= n:
         # a reversal changes no copy of an edgeless pattern, and one embeds
         return DistanceResult(None, cap + 1, False)
-    root_lb = 0
-    nodes = 0
-    exhausted = False
+    if node_budget < 1:
+        return DistanceResult(None, 0, False)
 
     out = list(t.out)
     inn = list(t.inn)
-    plan = _plan(pattern)
+    pack = _packing(out, inn, n, pattern, _plan(pattern))
+    edges = [(u - 1, v - 1) for u, v in pattern.edges]
+    flipped: list[tuple[int, int]] = []
+    nodes = 1
+    exhausted = False
 
     def flip(a: int, b: int) -> None:
         # reverse a->b into b->a
@@ -720,51 +753,56 @@ def distance_to_h_free(
         out[b] |= 1 << a
         inn[a] |= 1 << b
 
-    def search(flipped: list[tuple[int, int]], pinned: set) -> None:
-        nonlocal best, best_flips, root_lb, nodes, exhausted
-        nodes += 1
-        if nodes > node_budget:
-            exhausted = True
-            return
-        depth = len(flipped)
-        limit = cap if best is None else min(cap, best - 1)
-        if depth > limit:
-            return
-        copies, witness = _greedy_disjoint_copies(out, inn, n, pattern, plan)
-        lb = depth + copies
-        if not flipped:
-            root_lb = max(root_lb, lb)
-        if lb > limit:
-            return
-        if witness is None:
-            if best is None or depth < best:
-                best = depth
-                best_flips = tuple(flipped)
-            return
+    def deepen(witness: tuple[int, ...], pinned: set, limit: int) -> Optional[int]:
+        """The pass under ``limit`` below the node with copy ``witness``,
+        whose reversed pairs are ``flipped``. Returns the least bound it
+        pruned, all_pairs + 1 when it pruned none, or None when it stopped:
+        ``exhausted``, or at a node with no copy, left in ``flipped``."""
+        nonlocal nodes, exhausted
+        depth = len(flipped) + 1
         # the copy is injective, so each pattern edge is a distinct pair
         on_path = set(flipped)
         pin = set(pinned)
-        for u, v in pattern.edges:
-            a, b = witness[u - 1], witness[v - 1]
-            key = (min(a, b), max(a, b))
+        least = all_pairs + 1
+        for u, v in edges:
+            a, b = witness[u], witness[v]
+            key = (a, b) if a < b else (b, a)
             if key in pin or key in on_path:
                 continue
+            nodes += 1
+            if nodes > node_budget:
+                exhausted = True
+                return None
             flip(a, b)
             flipped.append(key)
-            search(flipped, pin)
+            copies, first = pack()
+            if depth + copies > limit:
+                least = min(least, depth + copies)
+            elif first is None:
+                return None
+            else:
+                below = deepen(first, pin, limit)
+                if below is None:
+                    return None
+                least = min(least, below)
             flipped.pop()
             flip(b, a)
-            if exhausted:
-                return
             pin.add(key)
+        return least
 
-    search([], set())
-    if best is not None and not exhausted:
-        return DistanceResult(best, best, True, best_flips)
-    if exhausted:
-        return DistanceResult(None, root_lb, False, best_flips, best)
-    # search complete without a solution: every reversal set within the cap
-    # leaves a copy, so the distance is at least cap + 1
+    root_lb, witness = pack()
+    if witness is None:
+        return DistanceResult(0, 0, True, ())
+    limit = root_lb
+    while limit <= cap:
+        least = deepen(witness, set(), limit)
+        if exhausted:
+            return DistanceResult(None, limit, False)
+        if least is None:
+            return DistanceResult(limit, limit, True, tuple(flipped))
+        limit = max(limit + 1, least)
+    # every pass within the cap ended without a copy-free node: every
+    # reversal set within the cap leaves a copy
     return DistanceResult(None, max(root_lb, cap + 1), False)
 
 

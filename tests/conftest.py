@@ -24,7 +24,12 @@ from tourkit.coloring import (
     smallest_non_two_colorable_tournament,
     verify_coloring,
 )
-from tourkit.digraphs import OrientedGraph, Tournament, enumerate_embeddings
+from tourkit.digraphs import (
+    DistanceResult,
+    OrientedGraph,
+    Tournament,
+    enumerate_embeddings,
+)
 from tourkit.errors import BudgetExceeded
 from tourkit.forcing import build_forcing, certify_completion
 from tourkit.lowerbound import blowup_tournament, derive_part_structure
@@ -413,6 +418,52 @@ def oracle_greedy_disjoint_copies(host: OrientedGraph, pattern: OrientedGraph):
         first = first or pick
         taken.add(pick)
         banned.update(frozenset((pick[u - 1], pick[v - 1])) for u, v in pattern.edges)
+
+
+def oracle_distance_bnb(
+    t: Tournament, pattern: OrientedGraph, budget=None
+) -> DistanceResult:
+    """The reversal distance by the branch-and-bound that iterative
+    deepening replaced. It branches on the same tree (each node on the
+    pairs of its packing's first copy, in ``pattern.edges`` order, never
+    a pair on its path or one an earlier sibling reversed), and keeps its
+    first solution unless a strictly shallower one turns up. Each node's
+    packing is ``oracle_greedy_disjoint_copies`` on the host with the
+    path's pairs flipped, so a fault in the deepening or in its in-place
+    packing cannot hide in its own check. The pattern has an edge."""
+    all_pairs = t.n * (t.n - 1) // 2
+    cap = all_pairs if budget is None else min(budget, all_pairs)
+    best = None
+    best_flips = None
+    root_lb = 0
+
+    def search(flipped: list, pinned: set) -> None:
+        nonlocal best, best_flips, root_lb
+        depth = len(flipped)
+        limit = cap if best is None else min(cap, best - 1)
+        if depth > limit:
+            return
+        copies, witness = oracle_greedy_disjoint_copies(t.flip_pairs(flipped), pattern)
+        if not flipped:
+            root_lb = copies
+        if depth + copies > limit:
+            return
+        if witness is None:
+            best, best_flips = depth, tuple(flipped)
+            return
+        pin = set(pinned)
+        for u, v in pattern.edges:
+            a, b = witness[u - 1], witness[v - 1]
+            key = (min(a, b), max(a, b))
+            if key in pin or key in flipped:
+                continue
+            search(flipped + [key], pin)
+            pin.add(key)
+
+    search([], set())
+    if best is not None:
+        return DistanceResult(best, best, True, best_flips)
+    return DistanceResult(None, max(root_lb, cap + 1), False)
 
 
 def oracle_search(slots, domains, checks) -> list:

@@ -118,6 +118,19 @@ class TestExitCodes:
         assert code == 2
         assert "search node budget exhausted; proven lower bound 0" in out
         assert "exceeds" not in out
+        assert "upper-bound" not in out
+        # the search keeps no incumbent, so a budget that runs out after
+        # copy-free nodes were reached still prints only the lower bound
+        t10 = files["dir"] / "t10.txt"
+        t10.write_text(serialize_oriented_graph(random_tournament(10, random.Random(0))))
+        monkeypatch.setattr(
+            cli.dg, "distance_to_h_free",
+            lambda *a, **kw: search(*a, **kw, node_budget=102),
+        )
+        code, out = run_cli(["distance", str(t10), files["c3"]])
+        assert code == 2
+        assert "search node budget exhausted; proven lower bound 11" in out
+        assert "upper-bound" not in out and "flips" not in out
 
     def test_distance_impossible_is_negative(self, files):
         # every 4-vertex tournament has an edge, and no reversal set works

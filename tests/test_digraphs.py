@@ -27,10 +27,11 @@ from tourkit.digraphs import (
     transitive_subtournament,
     transitive_tournament,
 )
-from tourkit.digraphs import _greedy_disjoint_copies, _plan, _search, _tables
+from tourkit.digraphs import _packing, _plan, _search, _tables
 
 from conftest import (
     oracle_count_injections,
+    oracle_distance_bnb,
     oracle_greedy_disjoint_copies,
     oracle_injections,
     oracle_search,
@@ -282,6 +283,58 @@ class TestDistance:
             else:
                 assert has_copy
 
+    def test_node_budget_lower_bound_only_grows(self):
+        # under a node budget the lower bound is the pass limit reached, or
+        # 0 when the budget runs out at the root; it holds at every budget
+        # and grows with it until the search settles the distance
+        host = random_tournament(10, random.Random(0))
+        distance = distance_to_h_free(host, c3_pattern()).distance
+        bounds = []
+        for node_budget in itertools.count():
+            result = distance_to_h_free(host, c3_pattern(), node_budget=node_budget)
+            if result.exact:
+                break
+            assert (result.distance, result.flips) == (None, None)
+            bounds.append(result.lower_bound)
+        assert result.distance == distance == 11
+        assert bounds[0] == 0
+        assert bounds == sorted(bounds) and bounds[-1] <= distance
+        assert len(bounds) > 100
+
+
+class TestDistanceAgainstBranchAndBound:
+    """Iterative deepening against the branch-and-bound it replaced: both
+    return the first solution of least depth in the same tree's preorder,
+    so the distance, the flips and the bounds are equal."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED_PATTERNS))
+    def test_every_small_tournament(self, name):
+        pattern = PINNED_PATTERNS[name]
+        for n in range(1, 6):
+            for t in enumerate_tournaments(n):
+                assert distance_to_h_free(t, pattern) == oracle_distance_bnb(t, pattern)
+
+    @pytest.mark.parametrize("name", ["c3", "c3_tail", "tt4"])
+    def test_seeded_under_caps(self, name):
+        # tt4 embeds into every tournament on 8 vertices, so it runs on
+        # n 6-7 only; both searches would walk the whole tree above that
+        pattern = PINNED_PATTERNS[name]
+        rng = random.Random(33)
+        checked = 0
+        for _ in range(40):
+            t = random_tournament(rng.randint(6, 9), rng)
+            if name == "tt4" and t.n > 7:
+                continue
+            result = distance_to_h_free(t, pattern)
+            assert result.exact and result == oracle_distance_bnb(t, pattern)
+            d = result.distance
+            for budget in (d - 1, d) if d else (d,):
+                capped = distance_to_h_free(t, pattern, budget=budget)
+                assert capped == oracle_distance_bnb(t, pattern, budget=budget)
+                assert capped.exact == (budget == d)
+            checked += 1
+        assert checked >= 15
+
 
 def some_edges(vertices, rng: random.Random) -> list:
     """A random orientation of a nonempty random set of vertex pairs."""
@@ -331,7 +384,7 @@ class TestGreedyPacking:
             if kind == "isolated-last":
                 last = plan.slots[-1] + 1
                 assert not pattern.out[last] | pattern.inn[last]
-            got = _greedy_disjoint_copies(host.out, host.inn, host.n, pattern, plan)
+            got = _packing(host.out, host.inn, host.n, pattern, plan)()
             assert got == oracle_greedy_disjoint_copies(host, pattern), (
                 kind, host, pattern
             )
@@ -341,6 +394,25 @@ class TestGreedyPacking:
         for kind, counts in seen.items():
             assert max(counts) >= 3 and min(counts) == 0, kind
 
+    def test_one_table_build_follows_in_place_flips(self):
+        # the distance search builds the packing once and flips pairs of
+        # the masks it reads between calls; each call must pack the host
+        # as it then stands, from a fresh allow table
+        rng = random.Random(16)
+        for kind, host, pattern in packing_cases(120):
+            if not pattern.edges:
+                continue
+            out, inn = list(host.out), list(host.inn)
+            pack = _packing(out, inn, host.n, pattern, _plan(pattern))
+            current = host
+            for _ in range(4):
+                assert pack() == oracle_greedy_disjoint_copies(current, pattern)
+                a, b = rng.sample(host.vertices, 2)
+                for x, y in ((a, b), (b, a)):
+                    out[x] ^= 1 << y
+                    inn[x] ^= 1 << y
+                current = current.flip_pairs([(a, b)])
+                assert (out, inn) == (list(current.out), list(current.inn))
 
     def test_resume_under_any_grown_ban(self):
         # the consumer takes one embedding at a time and bans random pairs,
