@@ -551,16 +551,33 @@ def count_embeddings(host: OrientedGraph, pattern: OrientedGraph) -> int:
     """Exact number of injections phi with u->v implying phi(u)->phi(v).
 
     The empty pattern embeds exactly once.
+
+    The search engine runs every level but the last. Once per assignment
+    of the levels before the last two, the last level's values are
+    filtered against those levels; each value w of the second-to-last
+    level then adds the popcount of what is left and of ``near[w]``, its
+    check table on the last level.
     """
     if not pattern.n:
         return 1
     plan = _plan(pattern)
-    return sum(
-        cand.bit_count()
-        for _, _, cand in _search(
-            plan.slots, *_tables(host.out, host.inn, host.n, plan)
-        )
-    )
+    domains, checks = _tables(host.out, host.inn, host.n, plan)
+    k = len(domains)
+    if k == 1:
+        return domains[0].bit_count()
+    # the engine's mapping is indexed by level: level j sits in slot j
+    levels = [[(j, table) for j, (_, table) in enumerate(c)] for c in checks[:-1]]
+    *early, near = (table for _, table in checks[-1])
+    total = 0
+    for mapping, _, cand in _search(range(k - 1), domains[:-1], levels):
+        last = domains[-1]
+        for j, table in enumerate(early):
+            last &= table[mapping[j]]
+        while last and cand:
+            low = cand & -cand
+            total += (last & near[low.bit_length() - 1]).bit_count()
+            cand ^= low
+    return total
 
 
 def enumerate_embeddings(
@@ -721,7 +738,10 @@ def distance_to_h_free(
     the root's bound. A result whose lower bound exceeds C(n,2) means no
     reversal set of any size works (the pattern embeds into every
     tournament on n vertices); an edgeless pattern with at most n vertices
-    gets that answer, lower bound cap + 1, without a search.
+    gets that answer, lower bound cap + 1, without a search, and an
+    acyclic pattern on k vertices with n >= 2^(k-1) gets it, lower bound
+    the larger of cap + 1 and the root's bound, after the root's packing
+    alone (a packing without a copy there raises AuditError).
     ``node_budget`` caps the number of search nodes, one per packing; on
     exhaustion the result is inexact and its lower bound is the current
     limit, which the earlier passes proved, or 0 when the budget ran out
@@ -791,6 +811,15 @@ def distance_to_h_free(
         return least
 
     root_lb, witness = pack()
+    if n >= 1 << (pattern.n - 1) and pattern.is_acyclic():
+        # every tournament on n >= 2^(k-1) vertices holds a transitive one
+        # on k, and that holds every acyclic pattern on k vertices
+        if witness is None:
+            raise AuditError(
+                f"no copy of an acyclic pattern on {pattern.n} vertices "
+                f"in a tournament on {n} >= 2^{pattern.n - 1}"
+            )
+        return DistanceResult(None, max(root_lb, cap + 1), False)
     if witness is None:
         return DistanceResult(0, 0, True, ())
     limit = root_lb

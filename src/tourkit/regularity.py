@@ -13,17 +13,22 @@ entries.
 All thresholds are exact rationals. Ties at density exactly 1/2 resolve
 to dominant value 1, mirroring the >= 1/2 rule for dominant directions.
 
-The decomposition pipeline runs the partitioner at delta/5, refines to an
-equipartition, reruns at gamma = 1/(2 q^4), then samples one
-representative block per part (seeded) and retries until the two
-homogeneity events hold. Each stage's equipartition is counted once,
-and its audit at the stage's target delta and the sampling read that
-count: a block of ``ones`` ones in ``size`` entries is delta-homogeneous
-iff min(ones, size - ones) * q <= p * size for delta = p/q. For
-n <= 30/delta the decomposition is the singleton equipartition. The
-copy branch needs a size budget below n, which ``tourkit regularity``
-does not take. Size bounds of the underlying existential constants are
-reported, not enforced.
+The decomposition pipeline refines the trivial partition to an
+equipartition at delta/5, refines that at gamma = 1/(2 q^4), then samples
+one representative block per part (seeded) and retries until the two
+homogeneity events hold. A stage with target t splits each of its input
+parts by the partitioner's classes at t^2/3, and its part count is the
+least feasible one at or above 6 |parts| |rows| |cols| / t. The
+partitioner runs only when its classes can change that count: under a
+size budget below n, or when a feasible count below n reaches
+6 |parts| / t. Otherwise the stage is the singleton equipartition, as
+both stages are for n <= 30/delta. Each stage's equipartition is counted
+once, and its audit at the stage's target delta and the sampling read
+that count: a block of ``ones`` ones in ``size`` entries is
+delta-homogeneous iff min(ones, size - ones) * q <= p * size for
+delta = p/q. The copy branch needs a size budget below n, which
+``tourkit regularity`` does not take. Size bounds of the underlying
+existential constants are reported, not enforced.
 
 Matrices are row and column bit masks, so a block count is a sum of
 popcounts, and no decision here, the split order included, uses floats.
@@ -620,11 +625,17 @@ def strong_decomposition(
     partitioner always ends on a homogeneous pair: a bad block has a class
     of two or more members to split, and the all-singleton pair is
     0-homogeneous. So the copy branch needs a ``size_budget`` below n,
-    which ``tourkit regularity`` does not pass. Stage one has at least
-    30/delta parts, so for n <= 30/delta both stages are the singleton
-    equipartition; with room for n classes stage two is stage one itself,
-    still audited at gamma. Each representative is then forced, the seed
-    has no effect and ``attempts`` is 1.
+    which ``tourkit regularity`` does not pass. A stage on parts p with
+    target t takes the least feasible part count at or above
+    6 |p| |rows| |cols| / t, or n. With room for n classes and no feasible
+    count below n at or above 6 |p| / t, that count is n whatever the
+    classes, so the partitioner does not run and the stage is the
+    singleton equipartition: each input part's members in increasing
+    order. Stage one has at least 30/delta parts, so for n <= 30/delta
+    both stages are the singleton equipartition, stage one lists the
+    vertices 1..n in order, and with room for n classes stage two is
+    stage one itself, still audited at gamma. Each representative is then
+    forced, the seed has no effect and ``attempts`` is 1.
     """
     delta = _check_delta(delta, t.n)
     a = BinaryMatrix.from_tournament(t)
@@ -634,18 +645,25 @@ def strong_decomposition(
     def refinement_stage(
         p: Equipartition, target_delta: Fraction
     ) -> Union[Equipartition, AfnCopies]:
-        afn_delta = target_delta * target_delta / 3
-        outcome = afn_partition(a, b, afn_delta, size_budget=size_budget)
-        if isinstance(outcome, AfnCopies):
-            return outcome
-        if isinstance(outcome, AfnInconclusive):
-            # no copies at all and no partition within budget: fall back to
-            # the singleton partition, which is homogeneous at any level
-            rows = cols = [[v] for v in range(1, n + 1)]
-        else:
-            rows, cols = outcome.audit.row_parts, outcome.audit.col_parts
-        target_q = Fraction(6 * len(p.parts) * len(rows) * len(cols)) / target_delta
-        feasible = _feasible_q(n, p.parts)  # n is always feasible
+        # the singleton classes: the fallback when no partition fits the
+        # budget (there are no copies either), and homogeneous at any level
+        rows = cols = [[v] for v in range(1, n + 1)]
+        # q is the least feasible count at or above 6 |p| |rows| |cols| /
+        # target_delta, else n; with room for n classes the partitioner
+        # ends on a partition, and its classes matter only if a feasible
+        # count below n reaches the floor they multiply
+        floor = 6 * len(p.parts) / target_delta
+        feasible = _feasible_q(n, p.parts)  # n is always feasible, and last
+        if (size_budget is not None and size_budget < n) or any(
+            cand >= floor for cand in feasible[:-1]
+        ):
+            afn_delta = target_delta * target_delta / 3
+            outcome = afn_partition(a, b, afn_delta, size_budget=size_budget)
+            if isinstance(outcome, AfnCopies):
+                return outcome
+            if isinstance(outcome, AfnPartition):
+                rows, cols = outcome.audit.row_parts, outcome.audit.col_parts
+        target_q = floor * len(rows) * len(cols)
         q = next((cand for cand in feasible if cand >= target_q), feasible[-1])
         return refine_to_equipartition(t, p, rows, cols, q)
 

@@ -27,7 +27,9 @@ from tourkit.digraphs import (
     transitive_subtournament,
     transitive_tournament,
 )
+from tourkit import digraphs
 from tourkit.digraphs import _packing, _plan, _search, _tables
+from tourkit.errors import AuditError
 
 from conftest import (
     oracle_count_injections,
@@ -105,6 +107,27 @@ class TestEmbeddings:
             assert count_embeddings(host, pattern) == oracle_count_injections(
                 host, pattern
             )
+
+    def test_every_pattern_size_and_plan_order(self, rng):
+        # the last level is counted outside the engine, whose levels sit
+        # in slots of their own, so plans out of label order are checked
+        # here with the one- and two-vertex cases
+        seen = set()
+        for _ in range(200):
+            n = rng.randint(0, 7)
+            if rng.random() < 0.5:
+                host = random_tournament(n, rng)
+            else:
+                host = random_oriented_graph(n, rng)
+            pattern = random_oriented_graph(rng.randint(0, 6), rng)
+            assert count_embeddings(host, pattern) == oracle_count_injections(
+                host, pattern
+            ), (host, pattern)
+            slots = _plan(pattern).slots
+            seen.add(min(pattern.n, 3))
+            seen.add("larger" if pattern.n > host.n else "fits")
+            seen.add("label order" if list(slots) == sorted(slots) else "other order")
+        assert seen == {0, 1, 2, 3, "larger", "fits", "label order", "other order"}
 
     def test_empty_pattern_embeds_once(self):
         assert count_embeddings(cyclic_triangle(), OrientedGraph(0, [])) == 1
@@ -317,7 +340,7 @@ class TestDistanceAgainstBranchAndBound:
     @pytest.mark.parametrize("name", ["c3", "c3_tail", "tt4"])
     def test_seeded_under_caps(self, name):
         # tt4 embeds into every tournament on 8 vertices, so it runs on
-        # n 6-7 only; both searches would walk the whole tree above that
+        # n 6-7 only; the branch-and-bound would walk its whole tree above
         pattern = PINNED_PATTERNS[name]
         rng = random.Random(33)
         checked = 0
@@ -334,6 +357,69 @@ class TestDistanceAgainstBranchAndBound:
                 assert capped.exact == (budget == d)
             checked += 1
         assert checked >= 15
+
+
+# acyclic patterns with an edge, in labelings whose plans differ
+ACYCLIC_PATTERNS = {
+    "tt3": transitive_tournament(3),
+    "edge": OrientedGraph(3, [(1, 2)]),
+    "path": OrientedGraph(3, [(3, 1), (1, 2)]),
+    "out_star": OrientedGraph(3, [(2, 1), (2, 3)]),
+    "in_star": OrientedGraph(3, [(1, 3), (2, 3)]),
+    "tt4": transitive_tournament(4),
+    "star": OrientedGraph(4, [(4, 1), (4, 2), (4, 3)]),
+}
+
+
+class TestUnavoidableAcyclicPatterns:
+    """An acyclic pattern on k vertices embeds into every tournament on
+    n >= 2^(k-1) vertices (each holds a transitive one on k), so no
+    reversal set works there. The distance search says so after the
+    root's packing; the branch-and-bound walks its tree to the same
+    result."""
+
+    @pytest.mark.parametrize("name", sorted(ACYCLIC_PATTERNS))
+    def test_every_small_tournament(self, name):
+        pattern = ACYCLIC_PATTERNS[name]
+        for n in range(1, 6):
+            for t in enumerate_tournaments(n):
+                for budget in (None, 1):
+                    assert distance_to_h_free(
+                        t, pattern, budget=budget
+                    ) == oracle_distance_bnb(t, pattern, budget=budget)
+
+    @pytest.mark.parametrize("name", sorted(ACYCLIC_PATTERNS))
+    def test_seeded(self, name):
+        pattern = ACYCLIC_PATTERNS[name]
+        rng = random.Random(34)
+        for _ in range(8):
+            t = random_tournament(rng.randint(6, 7), rng)
+            for budget in (None, 0, 2, 5):
+                assert distance_to_h_free(
+                    t, pattern, budget=budget
+                ) == oracle_distance_bnb(t, pattern, budget=budget)
+
+    def test_tt4_on_eight_vertices_takes_one_packing(self):
+        # the search used to run out of its node budget here
+        host = random_tournament(8, random.Random(0))
+        tt4 = transitive_tournament(4)
+        copies, _ = oracle_greedy_disjoint_copies(host, tt4)
+        for node_budget in (1, 2_000_000):
+            assert distance_to_h_free(
+                host, tt4, node_budget=node_budget
+            ) == DistanceResult(None, 29, False)
+        assert distance_to_h_free(host, tt4, budget=1) == DistanceResult(
+            None, max(copies, 2), False
+        )
+
+    def test_a_root_packing_without_a_copy_raises(self, monkeypatch):
+        monkeypatch.setattr(digraphs, "_packing", lambda *args: lambda: (0, None))
+        with pytest.raises(AuditError):
+            distance_to_h_free(transitive_tournament(4), transitive_tournament(3))
+        # below 2^(k-1) vertices an empty packing is a distance of 0
+        assert distance_to_h_free(
+            transitive_tournament(3), transitive_tournament(3)
+        ) == DistanceResult(0, 0, True, ())
 
 
 def some_edges(vertices, rng: random.Random) -> list:

@@ -602,7 +602,8 @@ class TestRepresentativeSampling:
 
 class TestStageTwoShortcut:
     """Stage two reuses a singleton stage one only when the size budget
-    leaves room for n classes."""
+    leaves room for n classes; with that room and n <= 30/delta, stage
+    one does not run the partitioner either."""
 
     @staticmethod
     def count_partitioner_calls(monkeypatch):
@@ -631,8 +632,7 @@ class TestStageTwoShortcut:
         f = default_bipartite_pattern(2)
         calls = self.count_partitioner_calls(monkeypatch)
         free = strong_decomposition(t, f, Fraction(1, 4), seed=0)
-        assert free.q == 30 and len(calls) == 1
-        calls.clear()
+        assert free.q == 30 and len(calls) == 0
         tight = strong_decomposition(t, f, Fraction(1, 4), seed=0, size_budget=29)
         assert isinstance(tight, StrongDecomposition) and tight.q == 30
         assert len(calls) == 2
@@ -640,10 +640,71 @@ class TestStageTwoShortcut:
         assert calls[1] == Fraction(1, 3 * (2 * 30**4) ** 2)
 
 
+def partitioned_stage_one(t, delta):
+    """Stage one as the pipeline built it when it always ran the
+    partitioner: its classes at (delta/5)^2/3, refined to the least
+    feasible part count at or above 6 |rows| |cols| / (delta/5), else n."""
+    n = t.n
+    a = BinaryMatrix.from_tournament(t)
+    b = bipartite_adjacency(default_bipartite_pattern(2))
+    outcome = afn_partition(a, b, (delta / 5) ** 2 / 3)
+    assert isinstance(outcome, AfnPartition)
+    rows, cols = outcome.audit.row_parts, outcome.audit.col_parts
+    target = 6 * len(rows) * len(cols) / (delta / 5)
+    q = next((c for c in range(1, n + 1) if n % c == 0 and c >= target), n)
+    trivial = Equipartition(parts=(tuple(range(1, n + 1)),))
+    return refine_to_equipartition(t, trivial, rows, cols, q)
+
+
+class TestForcedPartCount:
+    """With room for n classes and no feasible part count below n at or
+    above 6 |parts| / target, a stage's part count is n whatever the
+    partitioner returns, so the partitioner is not run."""
+
+    @pytest.mark.parametrize("delta", [Fraction(1, 4), Fraction(1, 10), Fraction(2, 5)])
+    def test_matches_the_partitioned_path(self, monkeypatch, delta):
+        rng = random.Random(34)
+        for n in [1, 2, 3, 7] + [rng.randint(8, 40) for _ in range(6)] + [40]:
+            t = random_tournament(n, rng)
+            seed = rng.randrange(100)
+            stage1 = partitioned_stage_one(t, delta)
+            assert stage1.q == n
+            # with q = n, stage two is stage one, as in the pipeline
+            _, reps, failures, attempts = sample_representatives(
+                t, stage1, stage1, delta, seed, 200
+            )
+            calls = TestStageTwoShortcut.count_partitioner_calls(monkeypatch)
+            out = strong_decomposition(t, default_bipartite_pattern(2), delta, seed)
+            monkeypatch.undo()
+            assert calls == []
+            assert set(out.partition.parts) == set(stage1.parts)
+            assert out.partition.parts == tuple((v,) for v in range(1, n + 1))
+            assert out.partition.leftover_sizes == stage1.leftover_sizes == (0,)
+            assert out.q == stage1.q
+            assert out.item1_failures == failures
+            assert out.item1_bound == delta * n * n
+            assert out.representative_sizes == tuple(len(r) for r in reps)
+            assert out.attempts == attempts
+
+    def test_a_feasible_count_at_the_floor_runs_the_partitioner(self, monkeypatch):
+        # 61 divides 122 and lies above 6 / (delta/5) = 7500/123 ~ 60.98, so
+        # the partitioner's classes could make the part count 61; they do
+        # not, and with q = n stage two does not run it again
+        t = transitive_tournament(122)
+        calls = TestStageTwoShortcut.count_partitioner_calls(monkeypatch)
+        out = strong_decomposition(
+            t, default_bipartite_pattern(2), Fraction(123, 250), seed=0
+        )
+        assert calls == [Fraction(123, 1250) ** 2 / 3]
+        assert out.q == 122
+        assert out.partition.parts != tuple((v,) for v in range(1, 123))
+
+
 class TestCountsOnce:
     """The pipeline counts the blocks of each stage's equipartition once,
     from raw masks, and reads its audits and sampling tables off that
-    count; the partitioner's closing audit keeps its own count."""
+    count; the partitioner's closing audit, when it runs, keeps its own
+    count."""
 
     @staticmethod
     def count_block_counts(monkeypatch):
@@ -664,9 +725,9 @@ class TestCountsOnce:
             t, default_bipartite_pattern(2), Fraction(1, 4), seed=0
         )
         assert out.q == 36
-        # the partitioner's audit, then the singleton equipartition
-        assert len(calls) == 2
-        assert calls[1] == out.partition.parts
+        # the partitioner does not run, so only the singleton equipartition
+        assert len(calls) == 1
+        assert calls[0] == out.partition.parts
 
     def test_stage_two_path_counts_each_stage_once(self, monkeypatch):
         t = transitive_tournament(30)
@@ -728,11 +789,14 @@ class TestEquipartitionType:
 
 
 class TestPinnedOutputs:
-    """Frozen results of the pipeline and of the partitioner's copy branch;
-    a change to the partitioner's split order, the equipartition refinement
-    or the copy scan order shows here."""
+    """Frozen results of the pipeline, of the partitioner's split order and
+    of its copy branch; a change to the split order, the equipartition
+    refinement or the copy scan order shows here."""
 
-    STRONG = {
+    # the order in which the partitioner at (delta/5)^2/3 = 1/1200 splits
+    # the matrix of random_tournament(n, random.Random(tseed)) down to
+    # singleton classes, the same on rows and columns
+    SPLIT_ORDER = {
         (32, 1): (2, 4, 8, 24, 3, 6, 1, 9, 11, 32, 16, 28, 17, 21, 5, 23,
                   12, 31, 14, 30, 7, 27, 19, 25, 18, 29, 20, 26, 10, 22, 13, 15),
         (36, 2): (7, 21, 10, 15, 9, 13, 25, 23, 33, 8, 29, 2, 12, 17, 24, 31,
@@ -743,7 +807,19 @@ class TestPinnedOutputs:
                   33, 38, 39, 5, 15, 34, 21, 26),
     }
 
-    @pytest.mark.parametrize("n, tseed", sorted(STRONG))
+    @pytest.mark.parametrize("n, tseed", sorted(SPLIT_ORDER))
+    def test_afn_split_order(self, n, tseed):
+        a = BinaryMatrix.from_tournament(random_tournament(n, random.Random(tseed)))
+        b = bipartite_adjacency(default_bipartite_pattern(2))
+        out = afn_partition(a, b, Fraction(1, 1200))
+        assert isinstance(out, AfnPartition)
+        singletons = tuple((v,) for v in self.SPLIT_ORDER[(n, tseed)])
+        assert out.audit.row_parts == singletons
+        assert out.audit.col_parts == singletons
+
+    # n <= 30/delta: the part count is n whatever the partitioner's
+    # classes, so stage one lists the vertices in order and samples them
+    @pytest.mark.parametrize("n, tseed", sorted(SPLIT_ORDER))
     def test_strong_decomposition(self, n, tseed):
         t = random_tournament(n, random.Random(tseed))
         out = strong_decomposition(
@@ -751,20 +827,9 @@ class TestPinnedOutputs:
         )
         assert isinstance(out, StrongDecomposition)
         assert out.q == n
-        assert out.sample_vertices == self.STRONG[(n, tseed)]
+        assert out.sample_vertices == tuple(range(1, n + 1))
         assert out.attempts == 1
         assert out.item1_failures == 0
-
-    STRONG_120 = (
-        88, 24, 69, 64, 77, 4, 9, 16, 17, 26, 76, 75, 102, 72, 120, 5, 1,
-        117, 29, 38, 25, 71, 81, 109, 79, 110, 66, 80, 83, 104, 18, 12, 53,
-        92, 111, 63, 113, 105, 115, 30, 112, 10, 73, 87, 91, 67, 41, 108, 54,
-        94, 3, 98, 57, 100, 21, 48, 13, 20, 61, 116, 46, 84, 118, 27, 62, 32,
-        43, 49, 78, 39, 96, 6, 114, 23, 28, 59, 19, 42, 2, 90, 33, 70, 22, 82,
-        97, 103, 51, 86, 7, 45, 15, 31, 101, 14, 89, 93, 106, 40, 60, 58, 68,
-        34, 107, 36, 119, 99, 47, 50, 8, 11, 44, 74, 85, 95, 37, 56, 52, 55,
-        35, 65,
-    )
 
     def test_strong_decomposition_n120(self):
         t = random_tournament(120, random.Random(1))
@@ -773,7 +838,7 @@ class TestPinnedOutputs:
         )
         assert isinstance(out, StrongDecomposition)
         assert out.q == 120
-        assert out.sample_vertices == self.STRONG_120
+        assert out.sample_vertices == tuple(range(1, 121))
         assert out.attempts == 1
         assert out.item1_failures == 0
 
