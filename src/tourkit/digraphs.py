@@ -86,45 +86,67 @@ def _peel(inn: Sequence[int], members: int) -> Optional[list[int]]:
     return order
 
 
-def _edge_error(n: int, u: int, v: int, reverse_present: bool) -> Optional[str]:
-    """Why u -> v cannot be an edge of an oriented graph on 1..n whose
-    edges include v -> u when ``reverse_present``; None when it can."""
-    if not (1 <= u <= n and 1 <= v <= n):
-        return f"edge ({u},{v}) uses a vertex outside 1..{n}"
-    if u == v:
-        return f"self-loop at vertex {u}"
-    if reverse_present:
-        return f"both directions present between {u} and {v}"
-    return None
+class _BadPair(ValueError):
+    """A pair list that a graph cannot take; ``index`` is the position of
+    the first bad pair in the list."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
+def _pair_masks(
+    n: int, pairs: Iterable[tuple[int, int]], m: int = 0
+) -> tuple[list[int], list[int]]:
+    """``out`` and ``inn`` of the oriented graph on 1..n whose edges are
+    ``pairs``, read in one pass in list order. A pair with a vertex outside
+    1..n, a loop, or a pair that reverses or repeats an earlier one raises
+    _BadPair at its index; with part size ``m``, so does a pair inside one
+    of the parts 1..m, m+1..2m, ..."""
+    out = [0] * (n + 1)
+    inn = [0] * (n + 1)
+    for index, (u, v) in enumerate(pairs):
+        u, v = int(u), int(v)
+        if not (1 <= u <= n and 1 <= v <= n):
+            error = f"edge ({u},{v}) uses a vertex outside 1..{n}"
+        elif u == v:
+            error = f"self-loop at vertex {u}"
+        elif inn[u] >> v & 1:
+            error = f"both directions present between {u} and {v}"
+        elif out[u] >> v & 1:
+            error = f"{'cross pair' if m else 'edge'} ({u},{v}) given twice"
+        elif m and (u - 1) // m == (v - 1) // m:
+            error = f"({u},{v}) is an inner pair; parts carry no edges"
+        else:
+            out[u] |= 1 << v
+            inn[v] |= 1 << u
+            continue
+        raise _BadPair(index, error)
+    return out, inn
 
 
 class OrientedGraph:
     """A digraph with at most one directed edge per vertex pair, no loops.
 
     The stored state is ``n`` and the masks ``out`` and ``inn``. ``edges``
-    is the frozenset of ordered pairs (u, v) meaning u -> v: a graph built
-    from an edge list keeps the set it validated, and one built from masks
-    derives it from ``out`` on first use.
+    is the frozenset of ordered pairs (u, v) meaning u -> v, derived from
+    ``out`` on first use, so it depends only on the graph.
     """
 
     __slots__ = ("n", "out", "inn", "_edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+        """The graph on 1..n with these edges; the first bad pair in list
+        order (see ``_pair_masks``) raises a ValueError that names it."""
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        edge_set = frozenset((int(u), int(v)) for u, v in edges)
-        out = [0] * (n + 1)
-        inn = [0] * (n + 1)
-        for u, v in edge_set:
-            error = _edge_error(n, u, v, (v, u) in edge_set)
-            if error:
-                raise ValueError(error)
-            out[u] |= 1 << v
-            inn[v] |= 1 << u
+        self._store(n, *_pair_masks(n, edges))
+
+    def _store(self, n: int, out: Sequence[int], inn: Sequence[int]) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "out", tuple(out))
         object.__setattr__(self, "inn", tuple(inn))
-        object.__setattr__(self, "_edges", edge_set)
+        object.__setattr__(self, "_edges", None)
 
     @classmethod
     def _from_masks(
@@ -147,10 +169,7 @@ class OrientedGraph:
             if complete and (o | i) != others:
                 raise AuditError(f"not a tournament: vertex {v} misses a pair")
         g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "out", tuple(out))
-        object.__setattr__(g, "inn", tuple(inn))
-        object.__setattr__(g, "_edges", None)
+        g._store(n, out, inn)
         return g
 
     def __setattr__(self, name, value):
@@ -235,16 +254,11 @@ class Tournament(OrientedGraph):
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         super().__init__(n, edges)
-        if len(self.edges) != n * (n - 1) // 2:
-            raise ValueError(
-                f"not a tournament: {len(self.edges)} edges on {n} vertices"
-            )
+        _require_complete(self)
 
     @classmethod
     def from_oriented(cls, g: OrientedGraph) -> "Tournament":
-        count = sum(map(int.bit_count, g.out))
-        if count != g.n * (g.n - 1) // 2:
-            raise ValueError(f"not a tournament: {count} edges on {g.n} vertices")
+        _require_complete(g)
         return cls._from_masks(g.n, g.out, g.inn)
 
     def subtournament(self, vertices: Sequence[int]) -> "Tournament":
@@ -262,6 +276,12 @@ class Tournament(OrientedGraph):
             inn[a] ^= 1 << b
             inn[b] ^= 1 << a
         return Tournament._from_masks(self.n, out, inn)
+
+
+def _require_complete(g: OrientedGraph) -> None:
+    count = sum(map(int.bit_count, g.out))
+    if count != g.n * (g.n - 1) // 2:
+        raise ValueError(f"not a tournament: {count} edges on {g.n} vertices")
 
 
 # -- small fixed graphs ------------------------------------------------
@@ -737,11 +757,11 @@ def distance_to_h_free(
     it the result is inexact with ``lower_bound`` the larger of cap + 1 and
     the root's bound. A result whose lower bound exceeds C(n,2) means no
     reversal set of any size works (the pattern embeds into every
-    tournament on n vertices); an edgeless pattern with at most n vertices
-    gets that answer, lower bound cap + 1, without a search, and an
-    acyclic pattern on k vertices with n >= 2^(k-1) gets it, lower bound
-    the larger of cap + 1 and the root's bound, after the root's packing
-    alone (a packing without a copy there raises AuditError).
+    tournament on n vertices). Two rules give that answer, lower bound
+    C(n,2) + 1 whatever the budget: an edgeless pattern with at most n
+    vertices, without a search, and an acyclic pattern on k vertices with
+    n >= 2^(k-1), after the root's packing alone (a packing without a copy
+    there raises AuditError).
     ``node_budget`` caps the number of search nodes, one per packing; on
     exhaustion the result is inexact and its lower bound is the current
     limit, which the earlier passes proved, or 0 when the budget ran out
@@ -754,7 +774,7 @@ def distance_to_h_free(
     cap = min(budget, all_pairs) if budget is not None else all_pairs
     if not pattern.edges and pattern.n <= n:
         # a reversal changes no copy of an edgeless pattern, and one embeds
-        return DistanceResult(None, cap + 1, False)
+        return DistanceResult(None, all_pairs + 1, False)
     if node_budget < 1:
         return DistanceResult(None, 0, False)
 
@@ -819,7 +839,7 @@ def distance_to_h_free(
                 f"no copy of an acyclic pattern on {pattern.n} vertices "
                 f"in a tournament on {n} >= 2^{pattern.n - 1}"
             )
-        return DistanceResult(None, max(root_lb, cap + 1), False)
+        return DistanceResult(None, all_pairs + 1, False)
     if witness is None:
         return DistanceResult(0, 0, True, ())
     limit = root_lb

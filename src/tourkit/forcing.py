@@ -38,6 +38,7 @@ from .digraphs import (
     _first_fits,
     _greedy_transitive,
     _mask,
+    _pair_masks,
     _peel,
     _search,
     _span,
@@ -137,6 +138,12 @@ def disjoint_tuples(t: int, k: int) -> TupleCollection:
 # -- the k-partite tournament -------------------------------------------
 
 
+def _check_parts(k: int, m: int) -> None:
+    """Raise ValueError unless k parts of size m make a k-partite tournament."""
+    if k < 2 or m < 1:
+        raise ValueError("need k >= 2 parts of size m >= 1")
+
+
 class KPartiteTournament(OrientedGraph):
     """An oriented graph on k parts of m vertices each, with every cross
     pair oriented and no edge inside a part.
@@ -156,16 +163,9 @@ class KPartiteTournament(OrientedGraph):
         cross_edges: Sequence[tuple[int, int]],
         seed: Optional[int] = None,
     ):
-        if k < 2 or m < 1:
-            raise ValueError("need k >= 2 parts of size m >= 1")
-        cross_edges = list(cross_edges)
-        super().__init__(k * m, cross_edges)
-        count = len(self.edges)
-        if count != len(cross_edges):
-            raise ValueError(f"{len(cross_edges) - count} cross pairs given twice")
-        for u, v in cross_edges:
-            if (u - 1) // m == (v - 1) // m:
-                raise ValueError(f"({u},{v}) is an inner pair; parts carry no edges")
+        _check_parts(k, m)
+        self._store(k * m, *_pair_masks(k * m, cross_edges, m))
+        count = sum(map(int.bit_count, self.out))
         expected = k * (k - 1) // 2 * m * m
         if count != expected:
             raise ValueError(f"{count} cross pairs oriented, expected {expected}")

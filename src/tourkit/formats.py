@@ -14,15 +14,16 @@ serializer round-trips through its parser. Formats:
 * k-partite tournament: header ``parts: m k``, then cross-edge lines
   ``i.a j.b`` meaning vertex a of part i -> vertex b of part j.
 
-An edge line that repeats an earlier one is an error at its second line.
+A parser checks its format's own rules: tokens, headers, ``i < j`` and
+the matrix shape. The graph's constructor checks the pairs, in list
+order, and names the first bad one (a repeat included); the parser
+reports it on that pair's line.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-from .digraphs import OrientedGraph, Tournament, _edge_error
-from .forcing import KPartiteTournament
+from .digraphs import OrientedGraph, Tournament, _BadPair
+from .forcing import KPartiteTournament, _check_parts
 from .orderedhom import LabeledGraph
 
 __all__ = [
@@ -73,25 +74,6 @@ def _pair(line: str, line_no: int, form: str) -> tuple[int, int]:
     return _int(a, line_no, "edge endpoint"), _int(b, line_no, "edge endpoint")
 
 
-def _first_bad_edge(
-    n: int, edges: Sequence[tuple[int, int]], m: int = 0
-) -> Optional[tuple[int, str]]:
-    """Index and reason of the first edge, in input order, that an oriented
-    graph on 1..n cannot take, or that repeats an earlier one; with part
-    size ``m``, also a pair inside a part. None when every edge fits."""
-    seen: set[tuple[int, int]] = set()
-    for idx, (u, v) in enumerate(edges):
-        error = _edge_error(n, u, v, (v, u) in seen)
-        if not error and (u, v) in seen:
-            error = f"{'cross pair' if m else 'edge'} ({u},{v}) given twice"
-        if m and not error and (u - 1) // m == (v - 1) // m:
-            error = f"({u},{v}) is an inner pair; parts carry no edges"
-        if error:
-            return idx, error
-        seen.add((u, v))
-    return None
-
-
 def parse_oriented_graph(text: str) -> OrientedGraph:
     lines = _lines(text)
     first_no, first = lines[0]
@@ -103,36 +85,25 @@ def parse_oriented_graph(text: str) -> OrientedGraph:
             return OrientedGraph(0, [])
         raise ParseError(first_no, "missing 'matrix' or 'edges' section")
     mode_no, mode = lines[1]
-    edges: list[tuple[int, int]] = []
+    body = lines[2:]
     if mode == "matrix":
-        rows = lines[2:]
-        if len(rows) != n:
-            raise ParseError(mode_no, f"expected {n} matrix rows, got {len(rows)}")
-        for i, (line_no, row) in enumerate(rows, start=1):
+        if len(body) != n:
+            raise ParseError(mode_no, f"expected {n} matrix rows, got {len(body)}")
+        edges = []
+        for i, (line_no, row) in enumerate(body, start=1):
             if len(row) != n or any(ch not in "01" for ch in row):
                 raise ParseError(line_no, f"row must be {n} characters of 0/1")
-            for j, ch in enumerate(row, start=1):
-                if ch == "1":
-                    if i == j:
-                        raise ParseError(line_no, "nonzero diagonal entry")
-                    edges.append((i, j))
+            edges.extend((i, j) for j, ch in enumerate(row, start=1) if ch == "1")
     elif mode == "edges":
-        for line_no, line in lines[2:]:
-            edges.append(_pair(line, line_no, "u v"))
+        edges = [_pair(line, line_no, "u v") for line_no, line in body]
     else:
         raise ParseError(mode_no, f"expected 'matrix' or 'edges', got {mode!r}")
     try:
-        g = OrientedGraph(n, edges)
-    except ValueError:
-        # a bad edge is on its own line; a matrix clash on row u of (u, v)
-        idx, error = _first_bad_edge(n, edges)
-        row = edges[idx][0]
-        raise ParseError(lines[1 + row if mode == "matrix" else 2 + idx][0], error)
-    if len(g.edges) != len(edges):
-        # the edge set dropped a repeat: report the second line of the first
-        idx, error = _first_bad_edge(n, edges)
-        raise ParseError(lines[2 + idx][0], error)
-    return g
+        return OrientedGraph(n, edges)
+    except _BadPair as exc:
+        # an edge line is its own pair; a matrix pair (u, v) is on row u
+        at = edges[exc.index][0] - 1 if mode == "matrix" else exc.index
+        raise ParseError(body[at][0], str(exc))
 
 
 def parse_tournament(text: str) -> Tournament:
@@ -171,18 +142,17 @@ def parse_labeled_graph(text: str) -> LabeledGraph:
         raise ParseError(first_no, "labels must be distinct")
     if vertices and vertices[0] < 1:
         raise ParseError(first_no, "labels must be positive integers")
-    edges: dict[tuple[int, int], None] = {}  # a set in input order
-    vset = set(vertices)
-    for line_no, line in lines[1:]:
+    body = lines[1:]
+    edges = []
+    for line_no, line in body:
         a, b = _pair(line, line_no, "i j")
         if a >= b:
             raise ParseError(line_no, "edges must be written with i < j")
-        if a not in vset or b not in vset:
-            raise ParseError(line_no, f"edge ({a},{b}) uses an unknown label")
-        if (a, b) in edges:
-            raise ParseError(line_no, f"edge ({a},{b}) given twice")
-        edges[a, b] = None
-    return LabeledGraph(vertices, edges)
+        edges.append((a, b))
+    try:
+        return LabeledGraph(vertices, edges)
+    except _BadPair as exc:
+        raise ParseError(body[exc.index][0], str(exc))
 
 
 def parse_undirected_graph(text: str) -> LabeledGraph:
@@ -191,18 +161,12 @@ def parse_undirected_graph(text: str) -> LabeledGraph:
     n = _int(first, first_no, "vertex count")
     if n < 0:
         raise ParseError(first_no, "vertex count must be nonnegative")
-    edges: dict[tuple[int, int], None] = {}  # a set in input order
-    for line_no, line in lines[1:]:
-        a, b = _pair(line, line_no, "i j")
-        if a == b:
-            raise ParseError(line_no, "self-loop")
-        if not (1 <= a <= n and 1 <= b <= n):
-            raise ParseError(line_no, f"edge ({a},{b}) outside 1..{n}")
-        edge = (min(a, b), max(a, b))
-        if edge in edges:
-            raise ParseError(line_no, f"edge ({a},{b}) given twice")
-        edges[edge] = None
-    return LabeledGraph(range(1, n + 1), edges)
+    body = lines[1:]
+    edges = [_pair(line, line_no, "i j") for line_no, line in body]
+    try:
+        return LabeledGraph(range(1, n + 1), edges)
+    except _BadPair as exc:
+        raise ParseError(body[exc.index][0], str(exc))
 
 
 def parse_kpartite(text: str) -> KPartiteTournament:
@@ -213,8 +177,13 @@ def parse_kpartite(text: str) -> KPartiteTournament:
         raise ParseError(first_no, "header must be 'parts: m k'")
     m = _int(tokens[1], first_no, "part size")
     k = _int(tokens[2], first_no, "part count")
+    try:
+        _check_parts(k, m)
+    except ValueError as exc:
+        raise ParseError(first_no, str(exc))
+    body = lines[1:]
     edges = []
-    for line_no, line in lines[1:]:
+    for line_no, line in body:
         parts = line.split()
         if len(parts) != 2:
             raise ParseError(line_no, "cross-edge line must be 'i.a j.b'")
@@ -228,12 +197,11 @@ def parse_kpartite(text: str) -> KPartiteTournament:
         edges.append(((pi - 1) * m + ai, (pj - 1) * m + bj))
     try:
         return KPartiteTournament(k, m, edges)
+    except _BadPair as exc:
+        raise ParseError(body[exc.index][0], str(exc))
     except ValueError as exc:
-        # a bad edge is on its own line; a missing pair only at the end
-        bad = _first_bad_edge(k * m, edges, m)
-        if bad is None:
-            raise ParseError(lines[-1][0], str(exc))
-        raise ParseError(lines[1 + bad[0]][0], bad[1])
+        # every pair is fine, but one is missing: that needs the whole input
+        raise ParseError(lines[-1][0], str(exc))
 
 
 def serialize_kpartite(f: KPartiteTournament) -> str:

@@ -43,7 +43,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .digraphs import OrientedGraph, _bits, _search
+from .digraphs import OrientedGraph, _BadPair, _bits, _search
 from .errors import AuditError, BudgetExceeded
 
 # neighbour masks indexed by label: a list, or a LabeledGraph's dict
@@ -66,27 +66,34 @@ __all__ = [
 
 
 class LabeledGraph:
-    """Undirected simple graph on a finite label set from the naturals."""
+    """Undirected simple graph on a finite label set from the naturals;
+    ``edges``, the pairs (i, j) with i < j, is derived from its masks."""
 
     __slots__ = ("vertices", "edges", "_adj")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]]):
+        """The first bad pair in list order, a loop, an unknown label or a
+        repeat (j i repeats i j), raises a ValueError that names it."""
         vs = tuple(sorted(set(int(v) for v in vertices)))
         if vs and vs[0] < 1:
             raise ValueError("labels must be positive integers")
         adj = dict.fromkeys(vs, 0)  # adj[v]: bit w set for each neighbour w
-        norm = set()
-        for a, b in edges:
+        for index, (a, b) in enumerate(edges):
             a, b = int(a), int(b)
             if a == b:
-                raise ValueError(f"self-loop at {a}")
-            if a not in adj or b not in adj:
-                raise ValueError(f"edge ({a},{b}) uses an unknown label")
-            norm.add((min(a, b), max(a, b)))
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
+                error = f"self-loop at {a}"
+            elif a not in adj or b not in adj:
+                error = f"edge ({a},{b}) uses an unknown label"
+            elif adj[a] >> b & 1:
+                error = f"edge ({a},{b}) given twice"
+            else:
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+                continue
+            raise _BadPair(index, error)
+        edges = frozenset((a, b) for a in vs for b in _bits(adj[a]) if a < b)
         object.__setattr__(self, "vertices", vs)
-        object.__setattr__(self, "edges", frozenset(norm))
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_adj", adj)
 
     def __setattr__(self, name, value):

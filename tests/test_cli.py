@@ -51,6 +51,8 @@ def files(tmp_path):
     c3.write_text("3\nedges\n1 2\n2 3\n3 1\n")
     tt4 = tmp_path / "tt4.txt"
     tt4.write_text("4\nedges\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n")
+    tt3 = tmp_path / "tt3.txt"
+    tt3.write_text("3\nedges\n1 2\n1 3\n2 3\n")
     k3 = tmp_path / "k3.txt"
     k3.write_text("3\n1 2\n1 3\n2 3\n")
     k5 = tmp_path / "k5.txt"
@@ -64,7 +66,7 @@ def files(tmp_path):
     t12 = tmp_path / "t12.txt"
     t12.write_text(serialize_oriented_graph(random_tournament(12, random.Random(0))))
     return {
-        "c3": str(c3), "tt4": str(tt4), "k3": str(k3), "k5": str(k5),
+        "c3": str(c3), "tt3": str(tt3), "tt4": str(tt4), "k3": str(k3), "k5": str(k5),
         "labeled": str(labeled), "t12": str(t12), "dir": tmp_path,
     }
 
@@ -134,21 +136,29 @@ class TestExitCodes:
 
     def test_distance_impossible_is_negative(self, files):
         # every 4-vertex tournament has an edge, and no reversal set works
-        # for an edgeless pattern: both are decisions, not exhausted budgets
+        # for an edgeless pattern: both are decisions, not exhausted budgets,
+        # with or without a cap: a cap below C(4,2) does not weaken the
+        # proof that no set works
         edge = files["dir"] / "edge.txt"
         edge.write_text("2\nedges\n1 2\n")
         empty = files["dir"] / "empty.txt"
         empty.write_text("2\nedges\n")
-        for pattern, bound in ((edge, 7), (empty, 7)):
-            code, out = run_cli(["distance", files["tt4"], str(pattern)])
-            assert code == cli.EXIT_NEGATIVE == 1
-            assert "no reversal set makes the host pattern-free" in out
-            assert f"lower-bound: {bound}" in out
+        for pattern in (edge, empty):
+            for budget in ([], ["--budget", "2"]):
+                code, out = run_cli(["distance", files["tt4"], str(pattern), *budget])
+                assert code == cli.EXIT_NEGATIVE == 1
+                assert "no reversal set makes the host pattern-free" in out
+                assert "lower-bound: 7" in out
+                assert "budget" not in out
+
+    def test_distance_unavoidable_acyclic_pattern_under_a_budget(self, files):
+        # TT3 embeds into every tournament on 12 >= 2^2 vertices: whatever
+        # the cap, no reversal set works, a decision proven by rule
+        for budget in ([], ["--budget", "5"]):
+            code, out = run_cli(["distance", files["t12"], files["tt3"], *budget])
+            assert code == cli.EXIT_NEGATIVE
+            assert "lower-bound: 67" in out
             assert "budget" not in out
-        # under a cap below C(4,2) the edgeless pattern only exceeds the cap
-        code, out = run_cli(["distance", files["tt4"], str(empty), "--budget", "2"])
-        assert code == 2
-        assert "distance exceeds budget; proven lower bound 3" in out
 
     def test_malformed_input(self, files, tmp_path):
         bad = tmp_path / "bad.txt"

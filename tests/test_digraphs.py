@@ -283,12 +283,14 @@ class TestDistance:
 
     def test_edgeless_pattern_is_never_removed(self):
         # no reversal touches a copy of an edgeless pattern, so the search
-        # is skipped; before, its greedy packing found one copy forever
+        # is skipped; before, its greedy packing found one copy forever. No
+        # reversal set of any size works, so a budget leaves the bound at
+        # C(4,2) + 1
         host = random_tournament(4, random.Random(0))
         for pattern in (OrientedGraph(2, []), OrientedGraph(1, [])):
             assert distance_to_h_free(host, pattern) == DistanceResult(None, 7, False)
             assert distance_to_h_free(host, pattern, budget=2) == DistanceResult(
-                None, 3, False
+                None, 7, False
             )
         # one larger than the host is absent already
         assert distance_to_h_free(host, OrientedGraph(5, [])) == DistanceResult(
@@ -376,7 +378,14 @@ class TestUnavoidableAcyclicPatterns:
     n >= 2^(k-1) vertices (each holds a transitive one on k), so no
     reversal set works there. The distance search says so after the
     root's packing; the branch-and-bound walks its tree to the same
-    result."""
+    result. A budget does not weaken that proof: there the answer is the
+    uncapped one, lower bound C(n,2) + 1."""
+
+    @staticmethod
+    def oracle(t, pattern, budget):
+        if t.n >= 1 << (pattern.n - 1):
+            budget = None
+        return oracle_distance_bnb(t, pattern, budget=budget)
 
     @pytest.mark.parametrize("name", sorted(ACYCLIC_PATTERNS))
     def test_every_small_tournament(self, name):
@@ -386,7 +395,7 @@ class TestUnavoidableAcyclicPatterns:
                 for budget in (None, 1):
                     assert distance_to_h_free(
                         t, pattern, budget=budget
-                    ) == oracle_distance_bnb(t, pattern, budget=budget)
+                    ) == self.oracle(t, pattern, budget)
 
     @pytest.mark.parametrize("name", sorted(ACYCLIC_PATTERNS))
     def test_seeded(self, name):
@@ -397,19 +406,18 @@ class TestUnavoidableAcyclicPatterns:
             for budget in (None, 0, 2, 5):
                 assert distance_to_h_free(
                     t, pattern, budget=budget
-                ) == oracle_distance_bnb(t, pattern, budget=budget)
+                ) == self.oracle(t, pattern, budget)
 
     def test_tt4_on_eight_vertices_takes_one_packing(self):
         # the search used to run out of its node budget here
         host = random_tournament(8, random.Random(0))
         tt4 = transitive_tournament(4)
-        copies, _ = oracle_greedy_disjoint_copies(host, tt4)
         for node_budget in (1, 2_000_000):
             assert distance_to_h_free(
                 host, tt4, node_budget=node_budget
             ) == DistanceResult(None, 29, False)
         assert distance_to_h_free(host, tt4, budget=1) == DistanceResult(
-            None, max(copies, 2), False
+            None, 29, False
         )
 
     def test_a_root_packing_without_a_copy_raises(self, monkeypatch):

@@ -8,11 +8,13 @@ import pytest
 
 from tourkit.digraphs import (
     OrientedGraph,
+    Tournament,
     c3_pattern,
     count_embeddings,
     transitive_tournament,
 )
 from tourkit.errors import BudgetExceeded
+from tourkit.orderedhom import LabeledGraph
 from tourkit.forcing import (
     KPartiteTournament,
     _greedy_box_collection,
@@ -303,3 +305,46 @@ class TestKPartiteIsAnOrientedGraph:
     def test_malformed_cross_edges_raise_value_error(self, edges):
         with pytest.raises(ValueError):
             KPartiteTournament(2, 2, edges)
+
+
+# every graph type checks its pairs in one pass, in list order; on 1..4,
+# and for the k-partite one in the parts 1-2 and 3-4
+BUILDERS = {
+    "oriented": lambda pairs: OrientedGraph(4, pairs),
+    "tournament": lambda pairs: Tournament(4, pairs),
+    "kpartite": lambda pairs: KPartiteTournament(2, 2, pairs),
+    "labeled": lambda pairs: LabeledGraph(range(1, 5), pairs),
+}
+
+
+class TestConstructorPairs:
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    def test_a_repeated_pair_is_rejected(self, kind):
+        with pytest.raises(ValueError, match=r"\(1,3\) given twice"):
+            BUILDERS[kind]([(1, 3), (2, 4), (1, 3)])
+
+    def test_a_reversed_pair_repeats_an_undirected_edge(self):
+        with pytest.raises(ValueError, match=r"edge \(3,1\) given twice"):
+            LabeledGraph(range(1, 5), [(1, 3), (3, 1)])
+        with pytest.raises(ValueError, match="both directions present"):
+            OrientedGraph(4, [(1, 3), (3, 1)])
+
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    def test_the_first_bad_pair_in_list_order_is_named(self, kind):
+        # a loop, a vertex outside 1..4 and a repeat of (1,3), in every order
+        named = {
+            (2, 2): r"self-loop at (vertex )?2$",
+            (1, 9): r"\(1,9\) uses",
+            (1, 3): r"\(1,3\) given twice",
+        }
+        for bad in itertools.permutations(named):
+            with pytest.raises(ValueError, match=named[bad[0]]):
+                BUILDERS[kind]([(1, 3), (2, 4), *bad])
+
+    def test_a_good_pair_list_builds_the_same_graph_in_any_order(self):
+        pairs = [(1, 3), (4, 1), (2, 3), (2, 4)]
+        for kind in ("oriented", "labeled"):
+            build = BUILDERS[kind]
+            graphs = {build(order) for order in itertools.permutations(pairs)}
+            assert len(graphs) == 1, kind
+            assert list(graphs.pop().edges) == list(build(sorted(pairs)).edges)

@@ -5,7 +5,12 @@ import random
 
 import pytest
 
-from tourkit.digraphs import OrientedGraph, cyclic_triangle, random_tournament
+from tourkit.digraphs import (
+    OrientedGraph,
+    cyclic_triangle,
+    distance_to_h_free,
+    random_tournament,
+)
 from tourkit.forcing import KPartiteTournament
 from tourkit.hardness import reduce_graph
 from tourkit.formats import (
@@ -139,6 +144,44 @@ class TestOrientedGraphRoundTrip:
         check()
 
 
+class TestEdgeLineOrder:
+    """An edge section is a set: the order of its lines changes neither
+    the order of the parsed graph's ``edges`` nor a search that reads it."""
+
+    def test_a_reordered_triangle_gives_the_pinned_flips(self):
+        host = random_tournament(11, random.Random(0))
+        flips = [(1, 3), (3, 6), (4, 6), (5, 6), (7, 8), (7, 10), (6, 11), (3, 4)]
+        flips += [(2, 11), (5, 10)]
+        for lines in itertools.permutations(["1 2", "2 3", "3 1"]):
+            pattern = parse_oriented_graph("3\nedges\n" + "\n".join(lines) + "\n")
+            assert distance_to_h_free(host, pattern).flips == tuple(flips)
+
+    def test_hypothesis(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        host = random_tournament(5, random.Random(0))
+
+        @hypothesis.settings(
+            max_examples=200, deadline=None, derandomize=True, database=None
+        )
+        @hypothesis.given(st.randoms(use_true_random=False))
+        def check(rng):
+            g = random_oriented_graph(rng.randrange(1, 6), rng)
+            text = serialize_oriented_graph(g)  # edge lines in sorted order
+            lines = text.splitlines()
+            body = lines[2:]
+            rng.shuffle(body)
+            g = parse_oriented_graph("\n".join(lines[:2] + body) + "\n")
+            expected = parse_oriented_graph(text)
+            assert list(g.edges) == list(expected.edges)
+            # a node budget keeps patterns that embed everywhere cheap
+            assert distance_to_h_free(host, g, node_budget=500) == distance_to_h_free(
+                host, expected, node_budget=500
+            )
+
+        check()
+
+
 class TestLabeledGraphFormat:
     def test_roundtrip(self):
         g = LabeledGraph([2, 5, 9], [(2, 9), (5, 9)])
@@ -209,6 +252,12 @@ class TestKPartiteFormat:
     def test_header_checked(self):
         with pytest.raises(ParseError, match="line 1"):
             parse_kpartite("sizes: 2 2\n")
+
+    @pytest.mark.parametrize("header", ["parts: 0 2", "parts: 2 1", "parts: 2 0"])
+    def test_bad_part_shape_is_reported_on_the_header(self, header):
+        with pytest.raises(ParseError, match=r"need k >= 2 parts") as exc:
+            parse_kpartite(f"# shape\n{header}\n1.1 2.1\n1.1 1.2\n")
+        assert exc.value.line_no == 2
 
     def test_endpoint_syntax(self):
         with pytest.raises(ParseError, match="line 2"):
