@@ -570,32 +570,84 @@ def _embeddings(
 def count_embeddings(host: OrientedGraph, pattern: OrientedGraph) -> int:
     """Exact number of injections phi with u->v implying phi(u)->phi(v).
 
-    The empty pattern embeds exactly once.
+    The empty pattern embeds exactly once; one vertex embeds n times, two
+    vertices once per host edge (or ordered pair, if they are not
+    adjacent), and a pattern larger than the host never.
 
-    The search engine runs every level but the last. Once per assignment
-    of the levels before the last two, the last level's values are
-    filtered against those levels; each value w of the second-to-last
-    level then adds the popcount of what is left and of ``near[w]``, its
-    check table on the last level.
+    From three vertices on, the last three plan levels a, b, c are counted
+    on bit-packed integers with rows of width n + 1: bit z * (n + 1) + w
+    stands for b at z and c at w. ``near`` holds b -> c's table at z in
+    row z; ``tail[y]`` holds a -> c's table at y in each row z that
+    a -> b's table at y admits. An earlier level j at x constrains b
+    through its table on b, expanded to whole rows (row z all ones for
+    each z in it), and c through its table on c, replicated into every
+    row (the mask times a word with bit 0 of each row set). Expanding
+    rows and replicating them both commute with AND, so the AND of the
+    earlier levels' tables expands to the AND of their expansions: each
+    level's two expansions are built once per value and ANDed into one
+    mask, and an assignment of the levels before a leaves the rows
+    ``near`` ANDed with one mask per level. The search engine yields
+    these assignments (a single empty one when k = 3) with a's candidate
+    values; each such value y adds the popcount of those rows AND
+    ``tail[y]``. No per-value loop is left on b or c.
+
+    The packed tables are about (k - 2) * (n + 1) integers of at most
+    (n + 1)**2 bits, about (k - 2) * n**3 bits: 2.1 Mbit (260 kB) for
+    k = 4 at n = 100.
     """
-    if not pattern.n:
-        return 1
+    k, n = pattern.n, host.n
+    if k > n:
+        return 0
+    if k < 2:
+        return n if k else 1
     plan = _plan(pattern)
-    domains, checks = _tables(host.out, host.inn, host.n, plan)
-    k = len(domains)
-    if k == 1:
-        return domains[0].bit_count()
-    # the engine's mapping is indexed by level: level j sits in slot j
-    levels = [[(j, table) for j, (_, table) in enumerate(c)] for c in checks[:-1]]
-    *early, near = (table for _, table in checks[-1])
+    full = _span(1, n)
+    # rows[kind][x]: the values in 1..n that a later level may take when
+    # an earlier one sits at x. Kind True is a pattern edge from the
+    # earlier vertex to the later, False the reverse, and None no edge,
+    # where only distinct images are required.
+    rows = {
+        True: host.out,
+        False: host.inn,
+        None: [0] + [full ^ (1 << x) for x in range(1, n + 1)],
+    }
+    linked = [dict(links) for links in plan.links]
+
+    def kind(j: int, i: int) -> Optional[bool]:
+        """The kind of level j's table on the later level i."""
+        return linked[i].get(plan.slots[j])
+
+    if k == 2:
+        return sum(map(int.bit_count, rows[kind(0, 1)]))
+    width = n + 1
+    a, b, c = k - 3, k - 2, k - 1
+    unit = sum(1 << (z * width) for z in range(1, n + 1))  # bit 0 of each row
+
+    def packed(table: Sequence[int]) -> int:
+        return sum(table[z] << (z * width) for z in range(1, n + 1))
+
+    # column x of the packed transpose of rows[t] has bit z * width for
+    # each z in rows[t][x] (out and inn transpose each other)
+    columns = {
+        t: packed(rows[t if t is None else not t]) for t in {kind(j, b) for j in range(b)}
+    }
+    near = packed(rows[kind(b, c)])
+    ab, ac = columns[kind(a, b)], rows[kind(a, c)]
+    tail = [((ab >> y) & unit) * ac[y] for y in range(width)]
+    early = []
+    for j in range(a):
+        jb, jc = columns[kind(j, b)], rows[kind(j, c)]
+        early.append([((jb >> x) & unit) * full & jc[x] * unit for x in range(width)])
+    # the engine runs levels 0..a; its mapping is indexed by level
+    checks = [[(j, rows[kind(j, i)]) for j in range(i)] for i in range(b)]
     total = 0
-    for mapping, _, cand in _search(range(k - 1), domains[:-1], levels):
-        last = domains[-1]
+    for mapping, _, cand in _search(range(b), [full] * b, checks):
+        left = near
         for j, table in enumerate(early):
-            last &= table[mapping[j]]
-        while last and cand:
+            left &= table[mapping[j]]
+        while left and cand:
             low = cand & -cand
-            total += (last & near[low.bit_length() - 1]).bit_count()
+            total += (left & tail[low.bit_length() - 1]).bit_count()
             cand ^= low
     return total
 

@@ -82,6 +82,16 @@ class TestDensity:
             density(t, [1], [9])
 
 
+def _sparse_oriented_graph(n: int, p: float, rng: random.Random) -> OrientedGraph:
+    """Each pair is an edge with probability p, in a random direction."""
+    edges = [
+        (u, v) if rng.random() < 0.5 else (v, u)
+        for u, v in itertools.combinations(range(1, n + 1), 2)
+        if rng.random() < p
+    ]
+    return OrientedGraph(n, edges)
+
+
 class TestEmbeddings:
     def test_c3_in_cyclic_triangle(self):
         stats = embedding_stats(cyclic_triangle(), c3_pattern())
@@ -109,9 +119,10 @@ class TestEmbeddings:
             )
 
     def test_every_pattern_size_and_plan_order(self, rng):
-        # the last level is counted outside the engine, whose levels sit
-        # in slots of their own, so plans out of label order are checked
-        # here with the one- and two-vertex cases
+        # up to two vertices have closed forms; from three on, the last
+        # three plan levels are counted on packed rows and the engine runs
+        # the levels before them, with its mapping indexed by level, so
+        # plans out of label order are checked here with every path
         seen = set()
         for _ in range(200):
             n = rng.randint(0, 7)
@@ -127,7 +138,54 @@ class TestEmbeddings:
             seen.add(min(pattern.n, 3))
             seen.add("larger" if pattern.n > host.n else "fits")
             seen.add("label order" if list(slots) == sorted(slots) else "other order")
-        assert seen == {0, 1, 2, 3, "larger", "fits", "label order", "other order"}
+            if 3 <= pattern.n <= host.n:
+                seen.add("no engine level" if pattern.n == 3 else "engine levels before the packed tail")
+        assert seen == {
+            0, 1, 2, 3, "larger", "fits", "label order", "other order",
+            "no engine level", "engine levels before the packed tail",
+        }
+
+    def test_packed_tail_against_the_oracle(self, rng):
+        # every pattern size 0..7 on tournaments and sparse oriented hosts
+        # up to 12 vertices; the oracle enumerates all injections, so the
+        # host shrinks as the pattern grows
+        largest = {0: 12, 1: 12, 2: 12, 3: 12, 4: 10, 5: 9, 6: 8, 7: 8}
+        seen = set()
+        for k, cap in largest.items():
+            for trial in range(12):
+                n = rng.randint(max(0, k - 2), cap)
+                if trial % 2:
+                    host, hosts = random_tournament(n, rng), "tournament"
+                else:
+                    host, hosts = _sparse_oriented_graph(n, 0.25, rng), "sparse"
+                if trial % 3 == 0:
+                    pattern = OrientedGraph(k, [])
+                elif trial % 3 == 1:
+                    pattern = _sparse_oriented_graph(k, 0.5, rng)
+                else:
+                    pattern = random_tournament(k, rng)
+                count = count_embeddings(host, pattern)
+                assert count == oracle_count_injections(host, pattern), (host, pattern)
+                slots = _plan(pattern).slots
+                seen.add((k, hosts))
+                seen.add("k > n" if k > n else "k <= n")
+                if count and k > 1:
+                    seen.add((k, "counted"))
+                if any(
+                    not pattern.has_edge(u, v) and not pattern.has_edge(v, u)
+                    for u, v in itertools.combinations(pattern.vertices, 2)
+                ):
+                    seen.add("non-adjacent pair" if pattern.edges else "edgeless")
+                if list(slots) != sorted(slots):
+                    seen.add("other order")
+        assert {(k, hosts) for k in range(8) for hosts in ("tournament", "sparse")} <= seen
+        assert {(k, "counted") for k in range(2, 8)} <= seen
+        assert {"k > n", "k <= n", "non-adjacent pair", "edgeless", "other order"} <= seen
+
+    def test_pinned_count_on_a_hundred_vertices(self):
+        # taken before the last three levels were counted on packed rows
+        host = random_tournament(100, random.Random(0))
+        assert count_embeddings(host, random_tournament(4, random.Random(1))) == 1470492
 
     def test_empty_pattern_embeds_once(self):
         assert count_embeddings(cyclic_triangle(), OrientedGraph(0, [])) == 1
