@@ -25,13 +25,14 @@ shared immutable inputs are safe.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import nae
-from .digraphs import OrientedGraph, Tournament, enumerate_tournaments
-from .digraphs import _gather, _mask, _peel
+from .digraphs import OrientedGraph, Tournament
+from .digraphs import _gather, _mask, _peel, _span
 from .errors import AuditError, BudgetExceeded
 
 __all__ = [
@@ -222,17 +223,65 @@ def classify(h: OrientedGraph, budget: Optional[int] = None) -> str:
     return "easy" if acyclic_k_coloring(h, 2, budget=budget) is not None else "hard"
 
 
+def _transitive(out: Sequence[int], members: int) -> bool:
+    """Do the vertices of the mask ``members`` induce a transitive
+    subtournament of the tournament with out-masks ``out``? They do
+    exactly when their scores inside the mask are distinct (Landau)."""
+    seen = 0
+    rest = members
+    while rest:
+        low = rest & -rest
+        score = 1 << (out[low.bit_length() - 1] & members).bit_count()
+        if seen & score:
+            return False
+        seen |= score
+        rest ^= low
+    return True
+
+
 @lru_cache(maxsize=1)
 def smallest_non_two_colorable_tournament() -> Tournament:
     """First non-2-colorable tournament in the (n, bit-code) scan order.
 
-    Scans vertex counts upward and, within each n, tournaments in the
-    bit order of ``enumerate_tournaments``. The minimum n is discovered,
+    Scans vertex counts upward and, within each n, the codes of
+    ``tournament_from_bits`` in bit order. The minimum n is discovered,
     not assumed. Cached for the process lifetime.
+
+    The masks are stepped in place: code 0 orients every pair j -> i, and
+    going from code b - 1 to code b reverses the pairs whose bits change,
+    the first ``(b & -b).bit_length()`` in lexicographic order. The classes
+    of the last 2-coloring found are kept. While each class still has
+    distinct scores inside it, it is still transitive, so that coloring
+    stays proper and the code is skipped. Otherwise the tournament is
+    built (and audited) and searched; a coloring replaces the kept
+    classes, and no coloring ends the scan. Every skipped code has a
+    proper coloring as witness, so the first code whose search fails is
+    the first non-2-colorable code.
     """
     n = 1
     while True:
-        for t in enumerate_tournaments(n):
-            if acyclic_k_coloring(t, 2) is None:
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        out = [0] * (n + 1)
+        inn = [0] * (n + 1)
+        for i, j in pairs:
+            out[j] |= 1 << i
+            inn[i] |= 1 << j
+        full = _span(1, n)
+        # code 0 is transitive: one class holding every vertex colors it
+        first, second = full, 0
+        for code in range(1 << len(pairs)):
+            for i, j in pairs[: (code & -code).bit_length()]:
+                # exactly one of i -> j and j -> i holds: toggling both swaps them
+                out[i] ^= 1 << j
+                out[j] ^= 1 << i
+                inn[i] ^= 1 << j
+                inn[j] ^= 1 << i
+            if _transitive(out, first) and _transitive(out, second):
+                continue
+            t = Tournament._from_masks(n, out, inn)
+            coloring = acyclic_k_coloring(t, 2)
+            if coloring is None:
                 return t
+            first = sum(1 << v for v, c in enumerate(coloring.assignment, 1) if c == 1)
+            second = full ^ first
         n += 1

@@ -41,7 +41,6 @@ __all__ = [
     "transitive_tournament",
     "c3_pattern",
     "tournament_from_bits",
-    "enumerate_tournaments",
     "random_tournament",
 ]
 
@@ -313,12 +312,6 @@ def tournament_from_bits(n: int, bits: int) -> Tournament:
         out[a] |= 1 << b
         inn[b] |= 1 << a
     return Tournament._from_masks(n, out, inn)
-
-
-def enumerate_tournaments(n: int) -> Iterator[Tournament]:
-    """All 2^C(n,2) labeled tournaments on 1..n, in bit order."""
-    for bits in range(1 << (n * (n - 1) // 2)):
-        yield tournament_from_bits(n, bits)
 
 
 def random_tournament(n: int, rng: random.Random) -> Tournament:

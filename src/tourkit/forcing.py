@@ -199,10 +199,9 @@ class KPartiteTournament(OrientedGraph):
         return pairs
 
     def agrees_with(self, t: Tournament) -> bool:
-        """Does the tournament agree with every cross edge?"""
-        if t.n != self.n:
-            return False
-        return all(t.has_edge(u, v) for u, v in self.cross_edges())
+        """Does the tournament agree with every cross edge? It does when each
+        vertex's cross out-mask lies inside its out-mask in ``t``."""
+        return t.n == self.n and all(not o & ~to for o, to in zip(self.out, t.out))
 
     def completion(self, inner_edges: Sequence[tuple[int, int]]) -> Tournament:
         """The tournament that keeps the cross edges and orients every inner

@@ -21,6 +21,7 @@ except ImportError:  # raw checkout without an editable install
 
 from tourkit.coloring import (
     Coloring,
+    acyclic_k_coloring,
     smallest_non_two_colorable_tournament,
     verify_coloring,
 )
@@ -29,6 +30,7 @@ from tourkit.digraphs import (
     OrientedGraph,
     Tournament,
     enumerate_embeddings,
+    tournament_from_bits,
 )
 from tourkit.errors import BudgetExceeded
 from tourkit.forcing import build_forcing, certify_completion
@@ -92,6 +94,23 @@ def rng() -> random.Random:
 
 
 # -- oracles --------------------------------------------------------------
+
+
+def enumerate_tournaments(n: int):
+    """All 2^C(n,2) labeled tournaments on 1..n, in bit order."""
+    for bits in range(1 << (n * (n - 1) // 2)):
+        yield tournament_from_bits(n, bits)
+
+
+def oracle_smallest_non_two_colorable() -> Tournament:
+    """Build and search every tournament in (n, bit-code) order; the first
+    with no acyclic 2-coloring."""
+    n = 1
+    while True:
+        for t in enumerate_tournaments(n):
+            if acyclic_k_coloring(t, 2) is None:
+                return t
+        n += 1
 
 
 def oracle_injections(host: OrientedGraph, pattern: OrientedGraph) -> list:

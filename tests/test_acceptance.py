@@ -20,7 +20,6 @@ from tourkit.digraphs import (
     c3_pattern,
     count_embeddings,
     density,
-    enumerate_tournaments,
     random_tournament,
     transitive_subtournament,
     transitive_tournament,
@@ -72,6 +71,7 @@ from tourkit.regularity import (
 )
 
 from conftest import (
+    enumerate_tournaments,
     oracle_cyclic_triangles,
     oracle_graph_chromatic,
     oracle_max_ap_free,

@@ -7,6 +7,7 @@ import pytest
 
 from tourkit.coloring import (
     _class_stays_acyclic,
+    _transitive,
     acyclic_k_coloring,
     chromatic_number,
     classify,
@@ -16,17 +17,20 @@ from tourkit.coloring import (
 from tourkit.digraphs import (
     c3_pattern,
     cyclic_triangle,
-    enumerate_tournaments,
     random_tournament,
+    tournament_from_bits,
     transitive_tournament,
 )
 from tourkit.errors import BudgetExceeded
 
 from conftest import (
     brute_force_k_colorable,
+    enumerate_tournaments,
     oracle_cyclic_triangles,
     oracle_acyclic_k_coloring,
+    oracle_acyclic,
     oracle_chromatic,
+    oracle_smallest_non_two_colorable,
     oracle_two_colorable,
     random_oriented_graph,
 )
@@ -261,3 +265,22 @@ class TestDiscovery:
         smaller = minimal_hard.n - 1
         for t in enumerate_tournaments(smaller):
             assert acyclic_k_coloring(t, 2) is not None
+
+    def test_scan_matches_the_oracle(self, minimal_hard):
+        # the oracle builds and searches every code; the scan skips the
+        # codes its last coloring still colors
+        expected = oracle_smallest_non_two_colorable()
+        assert minimal_hard == expected
+        assert minimal_hard.edges == expected.edges
+
+    def test_minimal_hard_is_pinned(self, minimal_hard):
+        assert minimal_hard == tournament_from_bits(7, 5617)
+
+    def test_distinct_scores_match_acyclicity(self):
+        # every vertex subset of every tournament on at most 5 vertices
+        for n in range(6):
+            for t in enumerate_tournaments(n):
+                for members in range(1 << n):
+                    vertices = [v for v in t.vertices if members >> (v - 1) & 1]
+                    mask = members << 1
+                    assert _transitive(t.out, mask) == oracle_acyclic(vertices, t.edges)

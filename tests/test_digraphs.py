@@ -20,7 +20,6 @@ from tourkit.digraphs import (
     distance_to_h_free,
     embedding_stats,
     enumerate_embeddings,
-    enumerate_tournaments,
     find_embedding,
     random_tournament,
     tournament_from_bits,
@@ -32,6 +31,7 @@ from tourkit.digraphs import _packing, _plan, _search, _tables
 from tourkit.errors import AuditError
 
 from conftest import (
+    enumerate_tournaments,
     oracle_count_injections,
     oracle_distance_bnb,
     oracle_greedy_disjoint_copies,

@@ -2,6 +2,7 @@
 exhaustive forcing."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from tourkit.digraphs import (
     Tournament,
     c3_pattern,
     count_embeddings,
+    random_tournament,
     transitive_tournament,
 )
 from tourkit.errors import BudgetExceeded
@@ -262,6 +264,33 @@ class TestKPartiteType:
         f = four_cycle_forcing()
         for comp in f.completions():
             assert f.agrees_with(comp)
+
+    def test_agreement_matches_the_pairwise_definition(self, minimal_hard, hard_structure):
+        _, _, classes, part_digraph, _, _ = hard_structure
+        shapes = [
+            (c3_pattern(), [[1], [2], [3]], OrientedGraph(3, [])),
+            (minimal_hard, [list(c) for c in classes], part_digraph),
+        ]
+        rng = random.Random(11)
+        seen = set()
+        for h, cls, d in shapes:
+            for m, seed in itertools.product((1, 2, 3), range(3)):
+                f = build_forcing(h, cls, d, m, seed)
+                inner = [p for q in range(1, f.k + 1)
+                         for p in itertools.combinations(f.part_vertices(q), 2)]
+                completion = f.completion(inner)
+                u, v = rng.choice(sorted(f.cross_edges()))
+                candidates = [
+                    completion,
+                    completion.flip_pairs([(u, v)]),
+                    random_tournament(f.n, rng),
+                    random_tournament(f.n + 1, rng),
+                ]
+                for t in candidates:
+                    pairwise = t.n == f.n and all(t.has_edge(a, b) for a, b in f.cross_edges())
+                    assert f.agrees_with(t) == pairwise
+                    seen.add(pairwise)
+        assert seen == {True, False}
 
 
 class TestKPartiteIsAnOrientedGraph:

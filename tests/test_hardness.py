@@ -14,7 +14,6 @@ from tourkit.coloring import (
 from tourkit.digraphs import (
     Tournament,
     cyclic_triangle,
-    enumerate_tournaments,
     transitive_tournament,
 )
 from tourkit.errors import AuditError
@@ -30,7 +29,7 @@ from tourkit.hardness import (
 )
 from tourkit.orderedhom import LabeledGraph
 
-from conftest import random_labeled_graph
+from conftest import enumerate_tournaments, random_labeled_graph
 
 
 def complete_graph(n):
