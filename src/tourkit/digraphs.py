@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Generator, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .errors import AuditError, BudgetExceeded
+from .errors import AuditError
 
 __all__ = [
     "OrientedGraph",
@@ -646,20 +646,10 @@ def count_embeddings(host: OrientedGraph, pattern: OrientedGraph) -> int:
 
 
 def enumerate_embeddings(
-    host: OrientedGraph, pattern: OrientedGraph, limit: Optional[int] = None
+    host: OrientedGraph, pattern: OrientedGraph
 ) -> Iterator[Embedding]:
-    """Yield every embedding of the pattern, in search order.
-
-    ``limit`` caps the number of embeddings yielded; hitting the cap
-    raises BudgetExceeded since a truncated enumeration is not exhaustive.
-    """
-    yielded = 0
+    """Yield every embedding of the pattern, in search order."""
     for mapping in _embeddings(host.out, host.inn, host.n, _plan(pattern)):
-        yielded += 1
-        if limit is not None and yielded > limit:
-            raise BudgetExceeded(
-                "embedding enumeration budget exhausted", yielded=yielded
-            )
         yield Embedding(mapping)
 
 

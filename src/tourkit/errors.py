@@ -1,14 +1,17 @@
 """Shared exception types.
 
-Search budgets are node/step counts, never wall-clock, so results are
-machine-independent. Exceeding a budget is always a distinct outcome,
-raised as :class:`BudgetExceeded` rather than silently returned as a
-negative answer.
+A budget a caller sets counts search nodes, never wall-clock, so results
+are machine-independent. A fixed limit on an enumeration (inner pairs,
+retries, copies) is a constant of its module, not a parameter. Running
+past either is always a distinct outcome, raised as
+:class:`BudgetExceeded` rather than silently returned as a negative
+answer.
 """
 
 
 class BudgetExceeded(Exception):
-    """A solver or enumeration ran out of its node/step budget.
+    """A solver ran out of its node budget, or an enumeration reached its
+    module's fixed limit.
 
     Attributes carry whatever partial information the search proved before
     stopping (e.g. a lower bound), so callers can report honestly.

@@ -34,7 +34,6 @@ from .digraphs import (
     Embedding,
     OrientedGraph,
     Tournament,
-    _bits,
     _first_fits,
     _greedy_transitive,
     _mask,
@@ -185,11 +184,6 @@ class KPartiteTournament(OrientedGraph):
     def part_vertices(self, part: int) -> range:
         base = (part - 1) * self.m
         return range(base + 1, base + self.m + 1)
-
-    def cross_edges(self) -> Iterator[tuple[int, int]]:
-        for u in range(1, self.n + 1):
-            for v in _bits(self.out[u]):
-                yield (u, v)
 
     def inner_pairs(self) -> list[tuple[int, int]]:
         pairs = []
@@ -412,29 +406,29 @@ def _assert_cross_disjoint(
 
 # -- exhaustive forcing -------------------------------------------------
 
+# the most inner pairs whose 2^pairs completions an exhaustive check
+# enumerates
+_MAX_INNER_PAIRS = 20
 
-def forces_exhaustive(
-    f: KPartiteTournament, h: OrientedGraph, max_inner_pairs: int = 20
-) -> bool:
+
+def forces_exhaustive(f: KPartiteTournament, h: OrientedGraph) -> bool:
     """True iff every completion contains at least one copy of the pattern.
 
     Enumerates all 2^(inner pairs) completions; refuses beyond
-    ``max_inner_pairs`` since the enumeration is exact, not sampled.
+    ``_MAX_INNER_PAIRS`` since the enumeration is exact, not sampled.
     """
     pairs = f.inner_pairs()
-    if len(pairs) > max_inner_pairs:
+    if len(pairs) > _MAX_INNER_PAIRS:
         raise BudgetExceeded(
             f"{len(pairs)} inner pairs exceed the enumeration budget "
-            f"{max_inner_pairs}",
+            f"{_MAX_INNER_PAIRS}",
             inner_pairs=len(pairs),
         )
     return all(find_embedding(t, h) is not None for t in f.completions())
 
 
 def search_min_forcing(
-    h: OrientedGraph,
-    m_max: int,
-    max_inner_pairs: int = 20,
+    h: OrientedGraph, m_max: int
 ) -> Optional[KPartiteTournament]:
     """Smallest-part bipartite tournament that forces the pattern.
 
@@ -449,7 +443,7 @@ def search_min_forcing(
             "pattern is not 2-colorable, so no bipartite tournament forces it"
         )
     for m in range(1, m_max + 1):
-        if 2 * (m * (m - 1) // 2) > max_inner_pairs:
+        if 2 * (m * (m - 1) // 2) > _MAX_INNER_PAIRS:
             raise BudgetExceeded(
                 f"part size {m} exceeds the completion enumeration budget",
                 m=m,
@@ -465,6 +459,6 @@ def search_min_forcing(
                 for idx, (u, v) in enumerate(pair_list)
             ]
             candidate = KPartiteTournament(2, m, edges)
-            if forces_exhaustive(candidate, h, max_inner_pairs=max_inner_pairs):
+            if forces_exhaustive(candidate, h):
                 return candidate
     return None

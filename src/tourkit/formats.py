@@ -206,7 +206,7 @@ def parse_kpartite(text: str) -> KPartiteTournament:
 
 def serialize_kpartite(f: KPartiteTournament) -> str:
     lines = [f"parts: {f.m} {f.k}"]
-    for u, v in sorted(f.cross_edges()):
+    for u, v in sorted(f.edges):
         pu, au = f.part_of(u), (u - 1) % f.m + 1
         pv, av = f.part_of(v), (v - 1) % f.m + 1
         lines.append(f"{pu}.{au} {pv}.{av}")

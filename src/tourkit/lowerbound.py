@@ -567,8 +567,12 @@ def audit_copy_localization(b: BlowupTournament) -> LocalizationReport:
     levels = range(len(slots))
     total = 0
     violations: list[Embedding] = []
-    for emb in enumerate_embeddings(t, b.pattern, limit=_EMBEDDING_BUDGET):
+    for emb in enumerate_embeddings(t, b.pattern):
         total += 1
+        if total > _EMBEDDING_BUDGET:
+            raise BudgetExceeded(
+                "embedding enumeration budget exhausted", yielded=total
+            )
         image = _mask(emb.mapping)
         found = next(_search(levels, [s & image for s in slots], checks), None)
         if found is None:

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .digraphs import OrientedGraph, _BadPair, _bits, _search
-from .errors import AuditError, BudgetExceeded
+from .errors import AuditError
 
 # neighbour masks indexed by label: a list, or a LabeledGraph's dict
 Masks = Sequence[int] | Mapping[int, int]
@@ -299,7 +299,7 @@ def _retraction_domains(
     return domains
 
 
-def ordered_core(g: LabeledGraph, budget: Optional[int] = None) -> LabeledGraph:
+def ordered_core(g: LabeledGraph) -> LabeledGraph:
     """Minimum-vertex induced subgraph receiving an OPH from the graph.
 
     The core's vertex set is the first subset S, by increasing size and
@@ -316,19 +316,13 @@ def ordered_core(g: LabeledGraph, budget: Optional[int] = None) -> LabeledGraph:
     The sizes start at the interval chromatic number of g: the preimages
     of an OPH's image vertices are runs of consecutive labels, each an
     independent set, so no smaller subset can receive one.
-
-    ``budget`` caps the number of candidate subsets tested, counted from
-    that first size on; subsets skipped below it do not count. Exceeding
-    it raises BudgetExceeded carrying ``tested``.
     """
-    return g.induced(_core_labels(g._adj, g.vertices, budget))
+    return g.induced(_core_labels(g._adj, g.vertices))
 
 
-def _core_labels(
-    adj: Masks, labels: Sequence[int], budget: Optional[int] = None
-) -> tuple[int, ...]:
+def _core_labels(adj: Masks, labels: Sequence[int]) -> tuple[int, ...]:
     """The labels of ``ordered_core`` of the graph with neighbour masks
-    ``adj`` on the ascending ``labels``, under the same budget."""
+    ``adj`` on the ascending ``labels``."""
     n = len(labels)
     if not n:
         return ()
@@ -336,14 +330,8 @@ def _core_labels(
     bits = [1 << v for v in labels] + [0]
     bad = [[a & ~b for b in rows] + [-1] for a in rows]
     checks = _oph_checks(labels, adj, adj, labels[-1])
-    tested = 0
     for size in range(_interval_runs(adj, labels), n + 1):
         for subset in itertools.combinations(range(n), size):
-            tested += 1
-            if budget is not None and tested > budget:
-                raise BudgetExceeded(
-                    "ordered-core candidate budget exhausted", tested=tested
-                )
             domains = _retraction_domains(bits, bad, subset)
             if domains is not None and next(
                 _search(range(n), domains, checks), None
@@ -373,7 +361,7 @@ class CoreFamily:
         return len(self.members)
 
 
-def core_family(h: OrientedGraph, budget: Optional[int] = None) -> CoreFamily:
+def core_family(h: OrientedGraph) -> CoreFamily:
     """Sweep all h! labelings, take each backedge graph's ordered core,
     deduplicate up to order-preserving isomorphism.
 
@@ -385,9 +373,6 @@ def core_family(h: OrientedGraph, budget: Optional[int] = None) -> CoreFamily:
     read off them too, by the ``_key`` behind ``LabeledGraph.canonical_key``.
     A ``LabeledGraph`` is built only for a core whose key is new: one per
     member of the family.
-
-    ``budget`` caps the number of labelings processed (h! needed for an
-    exhaustive family).
     """
     m = h.n + 1
     labels = tuple(range(1, m))
@@ -400,13 +385,7 @@ def core_family(h: OrientedGraph, budget: Optional[int] = None) -> CoreFamily:
     seen_keys: set = set()
     members: list[LabeledGraph] = []
     witnesses: list[tuple[int, ...]] = []
-    processed = 0
     for labeling in itertools.permutations(labels):
-        processed += 1
-        if budget is not None and processed > budget:
-            raise BudgetExceeded(
-                "labeling sweep budget exhausted", processed=processed
-            )
         code = 0
         for u, v in arcs:
             code |= pair_bit[labeling[u]][labeling[v]]
@@ -459,9 +438,7 @@ def _maximal_indices(family: CoreFamily) -> list[int]:
     return antichain
 
 
-def select_k(
-    h_or_family: OrientedGraph | CoreFamily,
-) -> LabeledGraph:
+def select_k(family: CoreFamily) -> LabeledGraph:
     """A maximal member of the core family under the OPH partial order.
 
     Among maximal classes the member with the lexicographically least
@@ -469,11 +446,6 @@ def select_k(
     runs pick the same representative. Maximality is re-verified directly;
     a violation raises AuditError.
     """
-    family = (
-        h_or_family
-        if isinstance(h_or_family, CoreFamily)
-        else core_family(h_or_family)
-    )
     if not family.members:
         raise ValueError("empty core family")
     maximal = _maximal_indices(family)

@@ -601,13 +601,16 @@ class StrongDecomposition:
     attempts: int
 
 
+# representative samples ``strong_decomposition`` draws before it gives up
+_RETRY_BUDGET = 200
+
+
 def strong_decomposition(
     t: Tournament,
     f: KPartiteTournament,
     delta: Fraction,
     seed: int,
     size_budget: Optional[int] = None,
-    retry_budget: int = 200,
 ) -> Union[StrongDecomposition, AfnCopies]:
     """Two-stage refinement plus seeded representative sampling.
 
@@ -615,11 +618,12 @@ def strong_decomposition(
     stage two refines at gamma = 1/(2 q^4). Representatives are the
     stage-two parts containing one uniformly sampled vertex per stage-one
     part, resampled until all representative pairs are delta-homogeneous
-    and at most 4 delta q^2 / 5 pairs flip their dominant direction. Each
-    stage's equipartition is counted once, from the matrix's masks, and
-    its audit at the stage's target delta and the sampling read that
-    integer count. If either partitioning stage finds pattern copies
-    instead, that branch is returned as the outcome.
+    and at most 4 delta q^2 / 5 pairs flip their dominant direction, at
+    most ``_RETRY_BUDGET`` times. Each stage's equipartition is counted
+    once, from the matrix's masks, and its audit at the stage's target
+    delta and the sampling read that integer count. If either
+    partitioning stage finds pattern copies instead, that branch is
+    returned as the outcome.
 
     With room for n classes (``size_budget`` None or at least n) the
     partitioner always ends on a homogeneous pair: a bad block has a class
@@ -691,7 +695,7 @@ def strong_decomposition(
     audit(stage2, at_gamma, gamma)
 
     samples, reps, failures, attempts = _sample_representatives(
-        stage1, stage2, near, good, rep_good, delta, seed, retry_budget
+        stage1, stage2, near, good, rep_good, delta, seed, _RETRY_BUDGET
     )
     return StrongDecomposition(
         partition=stage1,

@@ -385,7 +385,7 @@ class TestAcceptance:
             # item 3: every clique zone carries the construction verbatim
             f = b.forcing
             for clique in b.base.cliques:
-                for (u, v) in f.cross_edges():
+                for (u, v) in f.edges:
                     pu, pv = f.part_of(u), f.part_of(v)
                     au, av = (u - 1) % b.m + 1, (v - 1) % b.m + 1
                     assert b.tournament.has_edge(

@@ -104,17 +104,17 @@ class TestBuildForcing:
         d = OrientedGraph(2, [])
         f1 = build_forcing(h, classes, d, 4, seed=99)
         f2 = build_forcing(h, classes, d, 4, seed=99)
-        assert list(f1.cross_edges()) == list(f2.cross_edges())
+        assert f1 == f2
 
     def test_seeds_differ(self):
         h = c3_pattern()
         classes = [[1, 2], [3]]
         d = OrientedGraph(2, [])
-        base = set(build_forcing(h, classes, d, 4, seed=0).cross_edges())
+        base = build_forcing(h, classes, d, 4, seed=0).edges
         differing = sum(
             1
             for seed in range(1, 101)
-            if set(build_forcing(h, classes, d, 4, seed=seed).cross_edges()) != base
+            if build_forcing(h, classes, d, 4, seed=seed).edges != base
         )
         assert differing >= 95  # 16 coins per pair; collisions are rare
 
@@ -214,7 +214,7 @@ class TestForcesExhaustive:
         edge = OrientedGraph(2, [(1, 2)])
         f = build_forcing(edge, [[1], [2]], edge, 6, seed=0)
         with pytest.raises(BudgetExceeded):
-            forces_exhaustive(f, edge, max_inner_pairs=10)
+            forces_exhaustive(f, edge)
 
 
 class TestSearchMinForcing:
@@ -279,7 +279,7 @@ class TestKPartiteType:
                 inner = [p for q in range(1, f.k + 1)
                          for p in itertools.combinations(f.part_vertices(q), 2)]
                 completion = f.completion(inner)
-                u, v = rng.choice(sorted(f.cross_edges()))
+                u, v = rng.choice(sorted(f.edges))
                 candidates = [
                     completion,
                     completion.flip_pairs([(u, v)]),
@@ -287,7 +287,7 @@ class TestKPartiteType:
                     random_tournament(f.n + 1, rng),
                 ]
                 for t in candidates:
-                    pairwise = t.n == f.n and all(t.has_edge(a, b) for a, b in f.cross_edges())
+                    pairwise = t.n == f.n and all(t.has_edge(a, b) for a, b in f.edges)
                     assert f.agrees_with(t) == pairwise
                     seen.add(pairwise)
         assert seen == {True, False}
@@ -304,7 +304,7 @@ class TestKPartiteIsAnOrientedGraph:
 
     def test_equal_to_the_oriented_graph_of_its_cross_edges(self):
         f = self.three_parts()
-        g = OrientedGraph(f.n, f.cross_edges())
+        g = OrientedGraph(f.n, sorted(f.edges))
         assert f == g and g == f
         assert hash(f) == hash(g)
         assert f == self.three_parts()
@@ -319,7 +319,7 @@ class TestKPartiteIsAnOrientedGraph:
         perm = [9, 1, 5, 2, 8, 3, 7, 4, 6]
         g = f.relabel(perm)
         assert type(g) is OrientedGraph
-        assert g.edges == {(perm[u - 1], perm[v - 1]) for u, v in f.cross_edges()}
+        assert g.edges == {(perm[u - 1], perm[v - 1]) for u, v in f.edges}
 
     @pytest.mark.parametrize(
         "edges",

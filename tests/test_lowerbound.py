@@ -1,13 +1,19 @@
 """Progression-free sets, the base graph, the blow-up and its audits."""
 
 import dataclasses
+import io
 import itertools
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
 
+from tourkit import lowerbound
+from tourkit.cli import main
 from tourkit.digraphs import density
+from tourkit.errors import BudgetExceeded
+from tourkit.formats import serialize_oriented_graph
 from tourkit.lowerbound import (
     audit_copy_localization,
     behrend,
@@ -229,7 +235,7 @@ class TestBlowupStructure:
         b = micro_blowup
         f = b.forcing
         for clique in b.base.cliques:
-            for (u, v) in f.cross_edges():
+            for (u, v) in f.edges:
                 pu, pv = f.part_of(u), f.part_of(v)
                 au, av = (u - 1) % b.m + 1, (v - 1) % b.m + 1
                 gu = b.block(clique[pu - 1])[au - 1]
@@ -262,6 +268,30 @@ class TestLocalization:
     def test_special_tuple_bound(self, micro_blowup):
         report = audit_copy_localization(micro_blowup)
         assert report.special_tuples <= report.special_tuple_bound
+
+    @pytest.mark.parametrize(
+        "seed, counts, key",
+        # (copies, special tuples) of the 50-vertex blow-up at n_max = 5;
+        # the larger count is the one a lower limit stops
+        [(37, (9, 1), "yielded"), (34, (0, 6), "count")],
+    )
+    def test_enumeration_limit(
+        self, minimal_hard, tmp_path, monkeypatch, seed, counts, key
+    ):
+        b = blowup_tournament(minimal_hard, 50, seed=seed, n_max=5)
+        limit = max(counts)
+        monkeypatch.setattr(lowerbound, "_EMBEDDING_BUDGET", limit)
+        report = audit_copy_localization(b)
+        assert (report.total_copies, report.special_tuples) == counts
+        monkeypatch.setattr(lowerbound, "_EMBEDDING_BUDGET", limit - 1)
+        with pytest.raises(BudgetExceeded) as err:
+            audit_copy_localization(b)
+        assert err.value.info == {key: limit}
+        pattern = tmp_path / "hard.txt"
+        pattern.write_text(serialize_oriented_graph(minimal_hard))
+        argv = ["audit-copies", str(pattern), "--n", "50", "--nmax", "5"]
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert main([*argv, "--seed", str(seed)]) == 2
 
     def test_matches_oracles_on_blowups_and_mutants(self, micro_blowup, farness_blowup):
         b = micro_blowup

@@ -250,7 +250,7 @@ def oracle_blowup(b):
                 if not base.has_edge(x, y):
                     edges += [(u, v) for u in block(x) for v in block(y)]
     for clique in base.cliques:
-        for u, v in f.cross_edges():
+        for u, v in f.edges:
             edges.append(
                 (
                     block(clique[f.part_of(u) - 1])[(u - 1) % m],

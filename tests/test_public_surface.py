@@ -1,23 +1,20 @@
-"""Every name a module exports has a reader outside the tests.
+"""Every public name of a module has a reader outside the tests.
 
-A name in a module's ``__all__`` must be read somewhere in ``src/``,
-``demos/`` or ``bench/``: as a name, an attribute or an imported name.
-Strings, comments and the ``__all__`` entry do not count, nor does a read
-inside the name's own definition or inside the definition of another
-exported name that has no reader. The only exceptions are the audits
-that the acceptance criteria use.
+A top-level name of a package module without a leading underscore, in
+its ``__all__`` or not, must be read somewhere in ``src/``, ``demos/`` or
+``bench/``: as a name, an attribute or an imported name. Strings,
+comments and the ``__all__`` entry do not count, nor does a read inside
+the name's own definition or inside the definition of another public
+name that has no reader. The only exceptions are the audits that the
+acceptance criteria use.
 """
 
 import ast
-import importlib
-import pkgutil
 from pathlib import Path
-
-import tourkit
 
 ROOT = Path(__file__).resolve().parent.parent
 READER_DIRS = ("src", "demos", "bench")
-ACCEPTANCE_AUDITS = {"is_ordered_core", "order_isomorphic"}
+ACCEPTANCE_AUDITS = {"is_ordered_core", "order_isomorphic", "audit_equipartition"}
 
 
 def _reads(tree: ast.AST) -> set[str]:
@@ -41,19 +38,9 @@ def _defined(stmt: ast.stmt) -> set[str]:
     return {t.id for t in targets if isinstance(t, ast.Name)}
 
 
-def _exports() -> dict[str, list[str]]:
-    """Module name -> its ``__all__``, for every module of the package."""
-    out = {}
-    for info in pkgutil.iter_modules(tourkit.__path__):
-        module = importlib.import_module(f"tourkit.{info.name}")
-        if hasattr(module, "__all__"):
-            out[info.name] = list(module.__all__)
-    return out
-
-
 def _unread_exports() -> list[str]:
-    """``module.name`` for each exported name that no live statement reads.
-    A statement that defines an unread exported name is not live, so a
+    """``module.name`` for each public name that no live statement reads.
+    A statement that defines an unread public name is not live, so a
     name whose only reader is itself unread is unread too."""
     package = ROOT / "src" / "tourkit"
     # (module it defines names of, or None; names it defines; names it reads)
@@ -64,10 +51,11 @@ def _unread_exports() -> list[str]:
             for stmt in ast.parse(path.read_text()).body:
                 statements.append((home, _defined(stmt), _reads(stmt)))
     exports = {
-        (module, name)
-        for module, names in _exports().items()
-        for name in names
-        if name not in ACCEPTANCE_AUDITS
+        (home, name)
+        for home, defined, _ in statements
+        if home is not None
+        for name in defined
+        if not name.startswith("_") and name not in ACCEPTANCE_AUDITS
     }
     unread: set[tuple[str, str]] = set()
     while True:
